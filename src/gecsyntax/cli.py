@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import logging
 import os
 import sys
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,35 +31,68 @@ from .checks import (
     dense_encode_reference, gcn_gradient_check, sample_kink_free_instance,
 )
 from .errors import FormatError
+from .lines import read_lines
 
 logger = logging.getLogger("gecsyntax")
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
-
-
 def _read_token_lines(path: str) -> list[list[str]]:
-    return [line.split() for line in _read_lines(path)]
+    return [line.split() for line in read_lines(path)]
 
 
-def read_parallel_tsv(path: str) -> list[tuple[list[str], list[str]]]:
-    pairs = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+def read_parallel_tsv(path: str) -> Iterator[tuple[list[str], list[str]]]:
+    for lineno, line in enumerate(read_lines(path), start=1):
         fields = line.split("\t")
         if len(fields) != 2:
             raise FormatError(
                 f"expected 'source<TAB>target', got {len(fields)} field(s)",
                 lineno, path)
-        pairs.append((fields[0].split(), fields[1].split()))
-    return pairs
+        yield fields[0].split(), fields[1].split()
 
 
+def _read_tree_file(path: str) -> Iterator[T.NonTerminal]:
+    return T.read_trees(read_lines(path), path)
+
+
+_MISSING = object()
+
+
+def _lockstep(first: Iterable, first_path: str, second: Iterable, second_path: str):
+    """``(lineno, a, b)`` for the items of two line-parallel streams.
+
+    Raises :class:`FormatError` at the first line that only one file has.
+    """
+    for lineno, (a, b) in enumerate(
+            itertools.zip_longest(first, second, fillvalue=_MISSING), start=1):
+        if a is _MISSING or b is _MISSING:
+            short, other = ((first_path, second_path) if a is _MISSING
+                            else (second_path, first_path))
+            raise FormatError(f"file ends, but {other} goes on", lineno, short)
+        yield lineno, a, b
+
+
+@contextlib.contextmanager
 def _out_stream(args):
-    if getattr(args, "output", None):
-        return open(args.output, "w", encoding="utf-8")
-    return contextlib.nullcontext(sys.stdout)
+    """Standard output, or the ``-o`` file written whole or not at all.
+
+    The file is written under a temporary name in its own directory and
+    renamed into place on success; on any error the temporary file is
+    removed and an existing output file is left as it was.
+    """
+    path = getattr(args, "output", None)
+    if not path:
+        yield sys.stdout
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def cmd_align(args) -> int:
@@ -72,18 +107,15 @@ def cmd_align(args) -> int:
 
 
 def cmd_project(args) -> int:
-    pairs = read_parallel_tsv(args.parallel)
-    trees = T.load_tree_file(args.trees)
-    if len(trees) != len(pairs):
-        raise FormatError(
-            f"{len(pairs)} sentence pairs but {len(trees)} trees",
-            path=args.trees)
-    results, summary = projection.build_training_trees(
-        pairs, trees, placement=args.pseudo_placement)
+    summary = projection.ProjectionSummary()
+    lines = _lockstep(read_parallel_tsv(args.parallel), args.parallel,
+                      _read_tree_file(args.trees), args.trees)
     with _out_stream(args) as out:
-        for tree in results:
-            if tree is not None:
-                out.write(T.serialize(tree) + "\n")
+        for lineno, (src, tgt), tree in lines:
+            result = projection.project_pair(src, tgt, tree, summary, lineno,
+                                             placement=args.pseudo_placement)
+            if result is not None:
+                out.write(T.serialize(result) + "\n")
     summary_json = json.dumps(summary.to_dict(), sort_keys=True)
     if args.summary:
         with open(args.summary, "w", encoding="utf-8") as fh:
@@ -94,22 +126,19 @@ def cmd_project(args) -> int:
 
 
 def cmd_strip(args) -> int:
-    trees = T.load_tree_file(args.trees)
     with _out_stream(args) as out:
-        for tree in trees:
+        for tree in _read_tree_file(args.trees):
             out.write(T.serialize(projection.strip_pseudo(tree)) + "\n")
     return 0
 
 
 def cmd_subword(args) -> int:
-    trees = T.load_tree_file(args.trees)
-    segs = subword.load_segmentation_file(args.segmentation)
-    if len(segs) != len(trees):
-        raise FormatError(
-            f"{len(trees)} trees but {len(segs)} segmentation lines",
-            path=args.segmentation)
+    segmentation = subword.read_segmentation(read_lines(args.segmentation),
+                                             args.segmentation)
+    lines = _lockstep(_read_tree_file(args.trees), args.trees,
+                      segmentation, args.segmentation)
     with _out_stream(args) as out:
-        for lineno, (tree, seg) in enumerate(zip(trees, segs), start=1):
+        for lineno, tree, seg in lines:
             try:
                 converted = subword.to_subword_tree(
                     tree, seg, marker=args.marker, style=args.marker_style)

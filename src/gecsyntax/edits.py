@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError
+from .lines import read_lines
 
 SUB = "SUB"
 RED = "RED"
@@ -348,5 +349,4 @@ def read_m2(lines: Iterable[str], path: str | None = None) -> list[tuple[list[st
 
 
 def load_m2_file(path: str) -> list[tuple[list[str], EditScript]]:
-    with open(path, encoding="utf-8") as fh:
-        return read_m2(fh, path)
+    return read_m2(read_lines(path), path)

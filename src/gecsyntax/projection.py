@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 from . import tree as T
@@ -49,83 +50,79 @@ def _index_of(parent: T.NonTerminal, node: T.Node) -> int:
     raise RuntimeError("node is not a child of its recorded parent")
 
 
-class _Workspace:
-    """Mutable copy of the target tree with parent links for surgery."""
+class _Copy:
+    """A fresh copy of the target tree, edited in place by projection.
+
+    The copy hangs below ``top``, a holder node outside the tree.  Each
+    node's parent is kept in ``parent``, keyed by ``id(node)``, not in the
+    node, so the edits create no reference cycles.  Every node made by an
+    edit writes its own entry, so the stale entry of a pruned node whose
+    id is reused is never read.
+    """
 
     def __init__(self, root: T.NonTerminal):
-        self.root = T.copy_tree(root)
-        self.root.parent = None
-        self._link(self.root)
+        self.top = T.NonTerminal("", [])
+        self.parent: dict[int, T.NonTerminal] = {}
+        self.words: list[T.Terminal] = []  # left to right
+        parent_of, words = self.parent, self.words
+        stack: list[tuple[T.Node, T.NonTerminal]] = [(root, self.top)]
+        while stack:
+            node, parent = stack.pop()
+            if isinstance(node, T.Terminal):
+                made = T.Terminal(node.token)
+                words.append(made)
+            elif node.label in T.PSEUDO_LABELS:
+                raise ValueError(f"target tree already contains {node.label!r} nodes")
+            else:
+                made = T.NonTerminal(node.label, [])
+                stack.extend(zip(reversed(node.children), repeat(made)))
+            parent_of[id(made)] = parent
+            parent.children.append(made)
 
-    def _link(self, node: T.Node) -> None:
-        if isinstance(node, T.NonTerminal):
-            for child in node.children:
-                child.parent = node
-                self._link(child)
-
-    def replace(self, old: T.Node, new: T.Node) -> None:
-        parent = old.parent
-        if parent is None:
-            self.root = new
-            new.parent = None
-        else:
-            parent.children[_index_of(parent, old)] = new
-            new.parent = parent
-
-    def wrap(self, node: T.Node, label: str) -> T.NonTerminal:
+    def mark(self, word: T.Terminal, label: str, placement: str) -> None:
+        """Insert a ``label`` node above ``word`` (or above its preterminal
+        with ``placement="above"``), outside the pseudo nodes already there."""
+        node, parent = word, self.parent[id(word)]
+        if placement == "above" and len(parent.children) == 1 \
+                and parent.label not in T.PSEUDO_LABELS:
+            node, parent = parent, self.parent[id(parent)]
+        while parent.label in T.PSEUDO_LABELS:
+            node, parent = parent, self.parent[id(parent)]
         wrapper = T.NonTerminal(label, [node])
-        self.replace(node, wrapper)
-        node.parent = wrapper
-        return wrapper
+        self.parent[id(wrapper)] = parent
+        self.parent[id(node)] = wrapper
+        parent.children[_index_of(parent, node)] = wrapper
 
-    def insert_sibling(self, anchor: T.Node, new: T.Node, before: bool) -> None:
-        parent = anchor.parent
-        idx = _index_of(parent, anchor)
-        parent.children.insert(idx if before else idx + 1, new)
-        new.parent = parent
-        self._link(new)
+    def insert_red(self, word: T.Terminal, token: str, before: bool) -> T.Terminal:
+        """Place ``(RED token)`` next to ``word``'s branch of its lowest
+        multi-child ancestor (or of the root); returns the new word."""
+        node, parent = word, self.parent[id(word)]
+        while self.parent[id(parent)] is not self.top and len(parent.children) == 1:
+            node, parent = parent, self.parent[id(parent)]
+        new = T.Terminal(token)
+        red = T.NonTerminal(RED, [new])
+        self.parent[id(new)] = red
+        self.parent[id(red)] = parent
+        idx = _index_of(parent, node)
+        parent.children.insert(idx if before else idx + 1, red)
+        return new
 
-    def delete_terminal(self, term: T.Terminal) -> None:
-        node: T.Node = term
-        parent = node.parent
+    def delete_word(self, node: T.Node) -> None:
+        """Remove a word and every ancestor that this leaves empty."""
+        parent = self.parent[id(node)]
         parent.children.pop(_index_of(parent, node))
-        while parent is not None and not parent.children:
-            node, parent = parent, parent.parent
-            if parent is None:
+        while not parent.children:
+            node, parent = parent, self.parent[id(parent)]
+            if parent is self.top:
                 raise ValueError("deleting missing words emptied the whole tree")
             parent.children.pop(_index_of(parent, node))
 
-    def pseudo_unit(self, node: T.Node) -> T.Node:
-        while node.parent is not None and node.parent.label in T.PSEUDO_LABELS:
-            node = node.parent
-        return node
 
-    def slot(self, term: T.Terminal, placement: str) -> T.Node:
-        """Where a pseudo node goes: the terminal, or its preterminal."""
-        if placement == "above":
-            parent = term.parent
-            if parent is not None and len(parent.children) == 1 \
-                    and parent.label not in T.PSEUDO_LABELS:
-                return parent
-        return term
-
-    def phrase_branch(self, term: T.Terminal) -> T.Node:
-        """Walk up through unary nodes; returns the branch whose parent is
-        the word's lowest multi-child ancestor (or the root)."""
-        node: T.Node = term
-        while node.parent.parent is not None and len(node.parent.children) == 1:
-            node = node.parent
-        return node
-
-    def strip_links(self) -> T.NonTerminal:
-        def walk(node: T.Node) -> None:
-            del node.parent
-            if isinstance(node, T.NonTerminal):
-                for child in node.children:
-                    walk(child)
-
-        walk(self.root)
-        return self.root
+def _nearest_left(src_node: dict[int, T.Terminal], pos: int) -> int:
+    for q in range(pos, -1, -1):
+        if q in src_node:
+            return q
+    raise ValueError("no source word available to anchor the edit")
 
 
 def project(
@@ -136,38 +133,37 @@ def project(
 ) -> ProjectionResult:
     """Rewrite ``target_tree`` into a tree over ``src_tokens``.
 
-    Requires ``yield(target_tree) == apply_edits(src_tokens, script)``.
-    An empty script returns a structurally identical tree.
+    Requires ``yield(target_tree) == apply_edits(src_tokens, script)`` and
+    a target tree free of SUB/RED/MISS nodes.  An empty script returns a
+    structurally identical tree.
     """
     if placement not in PLACEMENTS:
         raise ValueError(f"placement must be one of {PLACEMENTS}")
     src_tokens = list(src_tokens)
     if not src_tokens and len(script):
         raise ValueError("empty source sentence with a non-empty edit script")
+    tree = _Copy(target_tree)
     expected = apply_edits(src_tokens, script)
-    got = T.yield_tokens(target_tree)
+    got = [t.token for t in tree.words]
     if got != expected:
         raise ValueError(
             "target tree yield does not match apply(src, script): "
             f"{got!r} vs {expected!r}"
         )
 
-    ws = _Workspace(target_tree)
-    tgt_terms = list(T.terminals(ws.root))
-
-    # Map source positions to their terminals in the working tree and find
-    # the target positions each MISS edit will delete.
+    # Map source positions to their terminals in the copy and find the target
+    # positions each MISS edit will delete.
     edits = sorted(script, key=_script_key)
     src_node: dict[int, T.Terminal] = {}
     miss_positions: dict[int, list[int]] = {}
     sp = tp = 0
     for e in edits:
         while sp < e.i:
-            src_node[sp] = tgt_terms[tp]
+            src_node[sp] = tree.words[tp]
             sp += 1
             tp += 1
         if e.category == SUB:
-            src_node[sp] = tgt_terms[tp]
+            src_node[sp] = tree.words[tp]
             sp += 1
             tp += 1
         elif e.category == RED:
@@ -176,15 +172,9 @@ def project(
             miss_positions[e.i] = list(range(tp, tp + len(e.tgt_tokens)))
             tp += len(e.tgt_tokens)
     while sp < len(src_tokens):
-        src_node[sp] = tgt_terms[tp]
+        src_node[sp] = tree.words[tp]
         sp += 1
         tp += 1
-
-    def nearest_left_pos(pos: int) -> int:
-        for q in range(pos, -1, -1):
-            if q in src_node:
-                return q
-        raise ValueError("no source word available to anchor the edit")
 
     inserted: list[tuple[str, int]] = []
     n = len(src_tokens)
@@ -194,28 +184,23 @@ def project(
         if e.category == SUB:
             term = src_node[e.i]
             term.token = src_tokens[e.i]
-            ws.wrap(ws.pseudo_unit(ws.slot(term, placement)), SUB)
+            tree.mark(term, SUB, placement)
             inserted.append((SUB, e.i))
         elif e.category == RED:
-            word = T.Terminal(src_tokens[e.i])
-            subtree = T.NonTerminal(RED, [word])
-            if e.i == n - 1:
-                branch = ws.phrase_branch(src_node[nearest_left_pos(e.i - 1)])
-                ws.insert_sibling(branch, subtree, before=False)
-            else:
-                branch = ws.phrase_branch(src_node[e.i + 1])
-                ws.insert_sibling(branch, subtree, before=True)
-            src_node[e.i] = word
+            last = e.i == n - 1
+            anchor = src_node[_nearest_left(src_node, e.i - 1) if last else e.i + 1]
+            src_node[e.i] = tree.insert_red(anchor, src_tokens[e.i], before=not last)
             inserted.append((RED, e.i))
         else:  # MISS
             for tpos in miss_positions[e.i]:
-                ws.delete_terminal(tgt_terms[tpos])
-            apos = e.i if e.i < n else nearest_left_pos(n - 1)
-            ws.wrap(ws.pseudo_unit(ws.slot(src_node[apos], placement)), MISS)
+                tree.delete_word(tree.words[tpos])
+            apos = e.i if e.i < n else _nearest_left(src_node, n - 1)
+            tree.mark(src_node[apos], MISS, placement)
             inserted.append((MISS, apos))
 
-    result = ws.strip_links()
-    T.renumber(result)
+    for pos, word in src_node.items():
+        word.position = pos
+    result = tree.top.children[0]
     if T.yield_tokens(result) != src_tokens:
         raise RuntimeError("projection produced a tree with the wrong yield")
     inserted.sort(key=lambda item: (item[1], item[0]))
@@ -229,27 +214,29 @@ def strip_pseudo(root: T.NonTerminal) -> T.NonTerminal:
     SUB/MISS nodes are spliced out with their children promoted.  Nodes
     emptied by a deletion are pruned.
     """
-
-    def walk(node: T.Node) -> list[T.Node]:
-        if isinstance(node, T.Terminal):
-            return [T.Terminal(node.token)]
-        if node.label == RED:
-            return []
-        kept: list[T.Node] = []
-        for child in node.children:
-            kept.extend(walk(child))
-        if node.label in (SUB, MISS):
-            return kept
-        if not kept:
-            return []
-        return [T.NonTerminal(node.label, kept)]
-
-    stripped = walk(root)
-    if len(stripped) != 1 or not isinstance(stripped[0], T.NonTerminal):
+    kept: list[T.Node] = []
+    position = 0
+    # Each entry is a node and the list its output joins; ``(None, out)``
+    # closes the constituent last added to ``out``, pruning it if empty.
+    stack: list[tuple[T.Node | None, list[T.Node]]] = [(root, kept)]
+    while stack:
+        node, out = stack.pop()
+        if node is None:
+            if not out[-1].children:
+                out.pop()
+        elif isinstance(node, T.Terminal):
+            out.append(T.Terminal(node.token, position))
+            position += 1
+        elif node.label in (SUB, MISS):
+            stack.extend(zip(reversed(node.children), repeat(out)))
+        elif node.label != RED:
+            made = T.NonTerminal(node.label, [])
+            out.append(made)
+            stack.append((None, out))
+            stack.extend(zip(reversed(node.children), repeat(made.children)))
+    if len(kept) != 1 or not isinstance(kept[0], T.NonTerminal):
         raise ValueError("stripping pseudo nodes did not leave a single rooted tree")
-    result = stripped[0]
-    T.renumber(result)
-    return result
+    return kept[0]
 
 
 @dataclass
@@ -267,36 +254,44 @@ class ProjectionSummary:
         }
 
 
+def project_pair(src: Sequence[str], tgt: Sequence[str], target_tree: T.NonTerminal,
+                 summary: ProjectionSummary, lineno: int,
+                 placement: str = "below") -> T.NonTerminal | None:
+    """Project one (source, target) pair through its target-side tree.
+
+    The pair is counted in ``summary``.  A malformed pair (tree yield
+    mismatch, pseudo nodes in the target tree, projection failure) is
+    logged with its 1-based line number, counted as skipped, and gives
+    ``None``.
+    """
+    summary.pairs += 1
+    try:
+        result = project(target_tree, align(src, tgt), src, placement=placement)
+    except (ValueError, RuntimeError) as exc:
+        logger.warning("line %d: skipped: %s", lineno, exc)
+        summary.skipped += 1
+        summary.skipped_lines.append(lineno)
+        return None
+    for label, _ in result.inserted:
+        summary.pseudo_counts[label] += 1
+    return result.source_tree
+
+
 def build_training_trees(
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
     target_trees: Sequence[T.NonTerminal],
     placement: str = "below",
 ) -> tuple[list[T.NonTerminal | None], ProjectionSummary]:
-    """Project every (source, target) pair through its target-side tree.
+    """Project every (source, target) pair with :func:`project_pair`.
 
-    Pair and tree streams must have equal length (fatal otherwise).
-    Malformed pairs (tree yield mismatch, projection failure) are skipped
-    and logged with their 1-based line number; output order matches input
-    order, with ``None`` at skipped slots.
+    Pair and tree sequences must have equal length (fatal otherwise).
+    Output order matches input order, with ``None`` at skipped slots.
     """
     if len(pairs) != len(target_trees):
         raise ValueError(
             f"{len(pairs)} sentence pairs but {len(target_trees)} trees"
         )
-    summary = ProjectionSummary(pairs=len(pairs))
-    out: list[T.NonTerminal | None] = []
-    for lineno, ((src, tgt), tree) in enumerate(zip(pairs, target_trees), start=1):
-        try:
-            if T.yield_tokens(tree) != list(tgt):
-                raise ValueError("tree yield does not match the target sentence")
-            result = project(tree, align(src, tgt), src, placement=placement)
-        except (ValueError, RuntimeError) as exc:
-            logger.warning("line %d: skipped: %s", lineno, exc)
-            summary.skipped += 1
-            summary.skipped_lines.append(lineno)
-            out.append(None)
-            continue
-        for label, _ in result.inserted:
-            summary.pseudo_counts[label] += 1
-        out.append(result.source_tree)
+    summary = ProjectionSummary()
+    out = [project_pair(src, tgt, tree, summary, lineno, placement)
+           for lineno, ((src, tgt), tree) in enumerate(zip(pairs, target_trees), start=1)]
     return out, summary

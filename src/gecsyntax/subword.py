@@ -10,10 +10,12 @@ to verify that the pieces reassemble the word.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import tree as T
 from .errors import FormatError
+from .lines import read_lines
 
 SubwordSegmentation = Sequence[Sequence[str]]  # one piece list per word
 
@@ -67,21 +69,20 @@ def to_subword_tree(
                 f"expected {word!r}"
             )
 
-    pos = 0
-
-    def walk(node: T.Node) -> list[T.Node]:
-        nonlocal pos
+    result = T.NonTerminal(root.label, [])
+    position = word = 0
+    stack = list(zip(reversed(root.children), repeat(result.children)))
+    while stack:
+        node, siblings = stack.pop()
         if isinstance(node, T.Terminal):
-            pieces = segmentation[pos]
-            pos += 1
-            return [T.Terminal(p) for p in pieces]
-        children: list[T.Node] = []
-        for child in node.children:
-            children.extend(walk(child))
-        return [T.NonTerminal(node.label, children)]
-
-    result = walk(root)[0]
-    T.renumber(result)
+            for piece in segmentation[word]:
+                siblings.append(T.Terminal(piece, position))
+                position += 1
+            word += 1
+        else:
+            made = T.NonTerminal(node.label, [])
+            siblings.append(made)
+            stack.extend(zip(reversed(node.children), repeat(made.children)))
     return result
 
 
@@ -100,7 +101,12 @@ def parse_segmentation_line(line: str, lineno: int | None = None,
     return groups
 
 
+def read_segmentation(lines: Iterable[str],
+                      path: str | None = None) -> Iterator[list[list[str]]]:
+    """Parse a one-sentence-per-line segmentation stream."""
+    for lineno, line in enumerate(lines, start=1):
+        yield parse_segmentation_line(line, lineno, path)
+
+
 def load_segmentation_file(path: str) -> list[list[list[str]]]:
-    with open(path, encoding="utf-8") as fh:
-        return [parse_segmentation_line(line, lineno, path)
-                for lineno, line in enumerate(fh, start=1)]
+    return list(read_segmentation(read_lines(path), path))

@@ -18,15 +18,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
 from .errors import FormatError
+from .lines import read_lines
 
 PSEUDO_LABELS = frozenset({"SUB", "RED", "MISS"})
 
 _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
-
-# Treebank escapes keep the one-tree-per-line format unambiguous when a
-# word itself contains a bracket.
-_ESCAPES = {"(": "-LRB-", ")": "-RRB-"}
-_UNESCAPES = {"-LRB-": "(", "-RRB-": ")"}
 
 
 @dataclass
@@ -48,16 +44,14 @@ class NonTerminal:
 Node = Union[Terminal, NonTerminal]
 
 
+# Treebank escapes keep the one-tree-per-line format unambiguous when a
+# word itself contains a bracket.
 def escape_token(token: str) -> str:
-    for raw, esc in _ESCAPES.items():
-        token = token.replace(raw, esc)
-    return token
+    return token.replace("(", "-LRB-").replace(")", "-RRB-")
 
 
 def unescape_token(token: str) -> str:
-    for esc, raw in _UNESCAPES.items():
-        token = token.replace(esc, raw)
-    return token
+    return token.replace("-LRB-", "(").replace("-RRB-", ")")
 
 
 def parse_bracketed(text: str, lineno: int | None = None) -> NonTerminal:
@@ -71,58 +65,68 @@ def parse_bracketed(text: str, lineno: int | None = None) -> NonTerminal:
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise FormatError("empty input, expected a bracketed tree", lineno)
-
-    pos = 0
-
-    def parse_node() -> NonTerminal:
-        nonlocal pos
-        if tokens[pos] != "(":
-            raise FormatError(f"expected '(', got {tokens[pos]!r}", lineno)
-        pos += 1
-        if pos >= len(tokens):
-            raise FormatError("unbalanced parentheses", lineno)
-        label = tokens[pos]
-        if label == ")":
-            raise FormatError("empty constituent '()'", lineno)
-        if label == "(":
-            raise FormatError("missing constituent label", lineno)
-        pos += 1
-        children: list[Node] = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            if tokens[pos] == "(":
-                children.append(parse_node())
+    if tokens[0] != "(":
+        raise FormatError(f"expected '(', got {tokens[0]!r}", lineno)
+    root = None
+    open_nodes: list[NonTerminal] = []
+    position = 0
+    it = iter(tokens)
+    for tok in it:
+        if root is not None and not open_nodes:
+            raise FormatError("trailing material after the tree", lineno)
+        if tok == "(":
+            label = next(it, None)
+            if label is None:
+                raise FormatError("unbalanced parentheses", lineno)
+            if label == ")":
+                raise FormatError("empty constituent '()'", lineno)
+            if label == "(":
+                raise FormatError("missing constituent label", lineno)
+            node = NonTerminal(label, [])
+            if open_nodes:
+                open_nodes[-1].children.append(node)
             else:
-                children.append(Terminal(unescape_token(tokens[pos])))
-                pos += 1
-        if pos >= len(tokens):
-            raise FormatError("unbalanced parentheses", lineno)
-        pos += 1  # consume ')'
-        if not children:
-            raise FormatError(f"non-terminal {label!r} has no children", lineno)
-        return NonTerminal(label, children)
-
-    root = parse_node()
-    if pos != len(tokens):
-        raise FormatError("trailing material after the tree", lineno)
-    renumber(root)
+                root = node
+            open_nodes.append(node)
+        elif tok == ")":
+            node = open_nodes.pop()
+            if not node.children:
+                raise FormatError(f"non-terminal {node.label!r} has no children", lineno)
+        else:
+            open_nodes[-1].children.append(Terminal(unescape_token(tok), position))
+            position += 1
+    if open_nodes:
+        raise FormatError("unbalanced parentheses", lineno)
     return root
 
 
 def serialize(root: Node) -> str:
     """Render a tree in canonical bracketed form (single spaces)."""
-    if isinstance(root, Terminal):
-        return escape_token(root.token)
-    inner = " ".join(serialize(child) for child in root.children)
-    return f"({root.label} {inner})"
+    # Each piece but ")" brings its leading space; the first one's is cut.
+    parts: list[str] = []
+    stack: list[Node | str] = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, Terminal):
+            parts.append(" " + escape_token(node.token))
+        else:
+            parts.append(" (" + node.label)
+            stack.append(")")
+            stack.extend(reversed(node.children))
+    return "".join(parts)[1:]
 
 
 def terminals(root: Node) -> Iterator[Terminal]:
     """All terminals in left-to-right order."""
-    if isinstance(root, Terminal):
-        yield root
-    else:
-        for child in root.children:
-            yield from terminals(child)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Terminal):
+            yield node
+        else:
+            stack.extend(reversed(node.children))
 
 
 def yield_tokens(root: Node) -> list[str]:
@@ -135,12 +139,6 @@ def renumber(root: Node) -> Node:
     for i, t in enumerate(terminals(root)):
         t.position = i
     return root
-
-
-def copy_tree(root: Node) -> Node:
-    if isinstance(root, Terminal):
-        return Terminal(root.token, root.position)
-    return NonTerminal(root.label, [copy_tree(c) for c in root.children])
 
 
 @dataclass
@@ -164,36 +162,50 @@ def validate(root: Node, allow_pseudo: bool = True) -> list[Violation]:
     findings: list[Violation] = []
     seen_on_path: set[int] = set()
     next_position = 0
-
-    def walk(node: Node, path: tuple[int, ...]) -> None:
-        nonlocal next_position
+    # Each entry is a node and its trail, the path from the root as nested
+    # (child index, parent trail) pairs, so a deep tree costs linear time;
+    # a ``None`` trail marks the end of the node's subtree.
+    stack: list[tuple[Node, tuple | None]] = [(root, ())]
+    while stack:
+        node, trail = stack.pop()
+        if trail is None:
+            seen_on_path.discard(id(node))
+            continue
         if id(node) in seen_on_path:
-            findings.append(Violation(path, "node is its own ancestor"))
-            return
+            findings.append(Violation(_path(trail), "node is its own ancestor"))
+            continue
         if isinstance(node, Terminal):
             if node.position != next_position:
                 findings.append(
                     Violation(
-                        path,
+                        _path(trail),
                         f"terminal {node.token!r} has position {node.position}, "
                         f"expected {next_position}",
                     )
                 )
             next_position += 1
-            return
+            continue
         if not node.label or re.search(r"[\s()]", node.label):
-            findings.append(Violation(path, f"malformed label {node.label!r}"))
+            findings.append(Violation(_path(trail), f"malformed label {node.label!r}"))
         if not allow_pseudo and node.label in PSEUDO_LABELS:
-            findings.append(Violation(path, f"pseudo label {node.label!r} not allowed"))
+            findings.append(
+                Violation(_path(trail), f"pseudo label {node.label!r} not allowed"))
         if not node.children:
-            findings.append(Violation(path, f"non-terminal {node.label!r} has no children"))
+            findings.append(
+                Violation(_path(trail), f"non-terminal {node.label!r} has no children"))
         seen_on_path.add(id(node))
-        for i, child in enumerate(node.children):
-            walk(child, path + (i,))
-        seen_on_path.discard(id(node))
-
-    walk(root, ())
+        stack.append((node, None))
+        stack.extend((child, (i, trail))
+                     for i, child in reversed(list(enumerate(node.children))))
     return findings
+
+
+def _path(trail: tuple) -> tuple[int, ...]:
+    steps = []
+    while trail:
+        i, trail = trail
+        steps.append(i)
+    return tuple(reversed(steps))
 
 
 def read_trees(lines: Iterable[str], path: str | None = None) -> Iterator[NonTerminal]:
@@ -202,16 +214,8 @@ def read_trees(lines: Iterable[str], path: str | None = None) -> Iterator[NonTer
         stripped = line.strip()
         if not stripped:
             raise FormatError("blank line in tree file", lineno, path)
-        tree = parse_bracketed(stripped, lineno)
-        yield tree
+        yield parse_bracketed(stripped, lineno)
 
 
 def load_tree_file(path: str) -> list[NonTerminal]:
-    with open(path, encoding="utf-8") as fh:
-        return list(read_trees(fh, path))
-
-
-def write_trees(trees: Iterable[Node], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tree in trees:
-            fh.write(serialize(tree) + "\n")
+    return list(read_trees(read_lines(path), path))

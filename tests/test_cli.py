@@ -1,11 +1,15 @@
+import gc
 import json
+import random
 
 import pytest
 
 from gecsyntax import edits as E
 from gecsyntax import tree as T
-from gecsyntax.cli import main
+from gecsyntax.cli import build_parser, main
 from gecsyntax.projection import build_training_trees, strip_pseudo
+
+from tests.helpers import SRC_VOCAB, random_script, random_tokens, random_tree
 
 
 @pytest.fixture
@@ -107,7 +111,8 @@ def test_project_line_count_mismatch_is_exit_2(tmp_path, capsys):
     trees = tmp_path / "t.trees"
     trees.write_text("(S (DT a) (NN cat))\n(S (X b))\n", encoding="utf-8")
     assert main(["project", str(parallel), str(trees)]) == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err and "line 2" in err
 
 
 def test_malformed_tsv_is_exit_2(tmp_path, capsys):
@@ -252,3 +257,109 @@ def test_commands_rerun_byte_identical(tmp_path, three_pair_fixture, capsys):
         assert main(["project", str(parallel), str(tree_file)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_tsv_line_with_form_feed_projects(tmp_path, capsys):
+    # Only newlines end a line: the form feed is whitespace inside the source.
+    parallel = tmp_path / "p.tsv"
+    parallel.write_text("a\x0ccat\ta cat\n", encoding="utf-8")
+    trees = tmp_path / "t.trees"
+    trees.write_text("(S (DT a) (NN cat))\n", encoding="utf-8")
+    assert main(["project", str(parallel), str(trees)]) == 0
+    assert capsys.readouterr().out == "(S (DT a) (NN cat))\n"
+
+
+def test_errors_are_reported_in_line_order(tmp_path, capsys):
+    parallel = tmp_path / "p.tsv"
+    parallel.write_text("a\ta\nb\tb\nno tab here\n", encoding="utf-8")
+    trees = tmp_path / "t.trees"
+    trees.write_text("(S (X a))\n(S (X b)\n(S (X c))\n", encoding="utf-8")
+    assert main(["project", str(parallel), str(trees)]) == 2
+    assert "line 2: unbalanced" in capsys.readouterr().err
+
+
+def test_target_tree_with_pseudo_labels_is_skipped(tmp_path, capsys, caplog):
+    parallel = tmp_path / "p.tsv"
+    parallel.write_text("a cat\ta cat\nthe dog\tthe dog\n", encoding="utf-8")
+    trees = tmp_path / "t.trees"
+    trees.write_text("(S (DT a) (NN cat))\n(S (SUB (DT the)) (NN dog))\n",
+                     encoding="utf-8")
+    summary = tmp_path / "summary.json"
+    assert main(["project", str(parallel), str(trees),
+                 "--summary", str(summary)]) == 0
+    assert capsys.readouterr().out == "(S (DT a) (NN cat))\n"
+    assert json.loads(summary.read_text()) == {
+        "pairs": 2, "skipped": 1, "pseudo_counts": {"SUB": 0, "RED": 0, "MISS": 0}}
+    assert any("line 2" in rec.getMessage() and "SUB" in rec.getMessage()
+               for rec in caplog.records)
+
+
+@pytest.mark.parametrize("command", ["project", "subword"])
+def test_line_count_mismatch_leaves_no_output(tmp_path, capsys, command):
+    trees = tmp_path / "t.trees"
+    trees.write_text("(S (DT a) (NN cat))\n(S (X b))\n", encoding="utf-8")
+    if command == "project":
+        other = tmp_path / "p.tsv"
+        other.write_text("a cat\ta cat\n", encoding="utf-8")
+        argv = ["project", str(other), str(trees)]
+    else:
+        other = tmp_path / "seg.tsv"
+        other.write_text("a\tcat\n", encoding="utf-8")
+        argv = ["subword", str(trees), str(other)]
+    inputs = sorted(tmp_path.iterdir())
+    assert main([*argv, "-o", str(tmp_path / "out.trees")]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+def test_deeply_nested_tree_passes_every_tree_command(tmp_path, capsys):
+    depth = 100_000
+    tree_text = "(S " * depth + "(X w)" + ")" * depth + "\n"
+    trees = tmp_path / "deep.trees"
+    trees.write_text(tree_text, encoding="utf-8")
+    parallel = tmp_path / "p.tsv"
+    parallel.write_text("w\tw\n", encoding="utf-8")
+    seg = tmp_path / "seg.tsv"
+    seg.write_text("w\n", encoding="utf-8")
+    for argv in (["strip", str(trees)], ["subword", str(trees), str(seg)],
+                 ["project", str(parallel), str(trees)]):
+        out = tmp_path / "out.trees"
+        assert main([*argv, "-o", str(out)]) == 0, argv
+        assert out.read_text(encoding="utf-8") == tree_text
+    assert "Error" not in capsys.readouterr().err
+
+
+def test_tree_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(909)
+    with open("pairs.tsv", "w", encoding="utf-8") as pairs, \
+            open("targets.trees", "w", encoding="utf-8") as trees, \
+            open("seg.tsv", "w", encoding="utf-8") as seg:
+        for _ in range(200):
+            src = random_tokens(rng, rng.randint(10, 20), SRC_VOCAB)
+            script = random_script(src, rng, SRC_VOCAB,
+                                   sub_prob=0.08, red_prob=0.05, miss_prob=0.04)
+            tgt = E.apply_edits(src, script)
+            pairs.write(" ".join(src) + "\t" + " ".join(tgt) + "\n")
+            trees.write(T.serialize(random_tree(tgt, rng, unary_prob=0.05)) + "\n")
+            seg.write("\t".join(w[:1] + (" @@" + w[1:] if w[1:] else "")
+                                for w in src) + "\n")
+    commands = [
+        ["project", "pairs.tsv", "targets.trees", "-o", "source.trees",
+         "--summary", "summary.json"],
+        ["subword", "source.trees", "seg.tsv", "-o", "sub.trees"],
+        ["strip", "source.trees", "-o", "stripped.trees"],
+    ]
+    # argparse's help formatters are cyclic themselves (a fixed few hundred
+    # objects per parser), so the arguments are parsed before the check.
+    parsed = [build_parser().parse_args(argv) for argv in commands]
+    gc.collect()
+    gc.disable()
+    try:
+        for args in parsed:
+            assert args.func(args) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    with open("summary.json", encoding="utf-8") as fh:
+        assert json.load(fh)["skipped"] == 0

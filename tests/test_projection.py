@@ -110,6 +110,12 @@ def test_yield_mismatch_is_an_error():
         project(tree, E.EditScript(), ["dog"])
 
 
+def test_target_tree_with_pseudo_nodes_is_an_error():
+    tree = T.parse_bracketed("(S (NP (SUB (DT a))) (NN cat))")
+    with pytest.raises(ValueError, match="SUB"):
+        project(tree, E.EditScript(), ["a", "cat"])
+
+
 def test_empty_source_with_script_is_an_error():
     tree = T.parse_bracketed("(S (NN cat))")
     with pytest.raises(ValueError):

@@ -96,6 +96,13 @@ def test_validate_detects_cycle():
     assert any("ancestor" in f.message for f in T.validate(root))
 
 
+def test_deep_nesting_needs_no_recursion():
+    depth = 100_000
+    tree = T.parse_bracketed("(S " * depth + "(X w)" + ")" * depth)
+    assert T.validate(tree) == []
+    assert T.yield_tokens(T.renumber(tree)) == ["w"]
+
+
 def test_read_trees_rejects_blank_lines():
     with pytest.raises(FormatError) as err:
         list(T.read_trees(["(S (X a))", "", "(S (X b))"]))
