@@ -22,7 +22,6 @@ from .projection import ProjectionResult, build_training_trees, project, strip_p
 from .subword import to_subword_tree
 from .graph import SyntaxGraph, build_graph, build_graph_dep
 from .gcn import (
-    FusionConfig,
     GcnLayerParams,
     GcnStack,
     fuse,
@@ -43,7 +42,7 @@ __all__ = [
     "ProjectionResult", "project", "strip_pseudo", "build_training_trees",
     "to_subword_tree",
     "SyntaxGraph", "build_graph", "build_graph_dep",
-    "GcnStack", "GcnLayerParams", "FusionConfig", "init_stack",
+    "GcnStack", "GcnLayerParams", "init_stack",
     "gcn_layer", "gcn_encode", "fuse",
     "AttentionParams", "cross_attention", "dual_combine",
     "EditCandidate", "LogRegModel", "gather", "train", "select_and_apply",

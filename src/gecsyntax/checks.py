@@ -1,7 +1,8 @@
-"""Numeric self-checks: dense reference encoder and finite differences.
+"""Numeric self-checks: per-edge reference encoder and finite differences.
 
-Used by the command-line ``gcn-check`` to demonstrate that the sparse
-encoder matches a dense adjacency-matrix formulation and that analytic
+Used by the command-line ``gcn-check`` to demonstrate that the encoder,
+which aggregates with one adjacency-matrix product per layer, matches a
+per-edge formulation over the neighbour lists and that analytic
 gradients agree with central finite differences.
 """
 
@@ -44,15 +45,24 @@ def sample_kink_free_instance(graph: SyntaxGraph, labels, d: int,
     return best
 
 
-def dense_encode_reference(graph: SyntaxGraph, terminal_inits: np.ndarray,
-                           stack: GcnStack) -> np.ndarray:
-    """Encoder recomputed with an explicit 0/1 adjacency matrix."""
-    A = graph.dense_adjacency()
-    if stack.self_loops:
-        A = A + np.eye(graph.num_nodes)
+def edge_encode_reference(graph: SyntaxGraph, terminal_inits: np.ndarray,
+                          stack: GcnStack) -> np.ndarray:
+    """Encoder recomputed edge by edge from the neighbour lists.
+
+    Each node's pre-activation is built row by row as the sum of its
+    neighbours' messages (plus its own with self loops), without the
+    adjacency matrix the encoder multiplies by.
+    """
     H = initial_node_matrix(graph, terminal_inits, stack)
     for params in stack.layers:
-        H = np.maximum(A @ H @ params.W.T + params.b, 0.0)
+        msgs = H @ params.W.T
+        pre = np.zeros_like(msgs)
+        for v, neigh in enumerate(graph.adjacency):
+            for u in neigh:
+                pre[v] += msgs[u]
+            if stack.self_loops:
+                pre[v] += msgs[v]
+        H = np.maximum(pre + params.b, 0.0)
     return H
 
 

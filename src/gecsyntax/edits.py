@@ -302,15 +302,24 @@ def write_m2(blocks: Iterable[tuple[Sequence[str], EditScript]], fh) -> None:
 
 
 def read_m2(lines: Iterable[str], path: str | None = None) -> list[tuple[list[str], EditScript]]:
-    """Parse ``S``/``A`` blocks; blocks are separated by blank lines."""
+    """Parse ``S``/``A`` blocks; blocks are separated by blank lines.
+
+    A block whose edits do not form a valid script (bad shape, overlap)
+    raises :class:`FormatError` at the line of its ``S``.
+    """
     blocks: list[tuple[list[str], EditScript]] = []
     src: list[str] | None = None
+    src_lineno = 0
     edits: list[Edit] = []
 
     def close() -> None:
         nonlocal src, edits
         if src is not None:
-            blocks.append((src, make_script(edits)))
+            try:
+                script = make_script(edits)
+            except ValueError as exc:
+                raise FormatError(str(exc), src_lineno, path) from None
+            blocks.append((src, script))
         src = None
         edits = []
 
@@ -321,7 +330,7 @@ def read_m2(lines: Iterable[str], path: str | None = None) -> list[tuple[list[st
             continue
         if line.startswith("S ") or line == "S":
             close()
-            src = line[2:].split()
+            src, src_lineno = line[2:].split(), lineno
             continue
         if line.startswith("A "):
             if src is None:

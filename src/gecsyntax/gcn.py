@@ -11,6 +11,8 @@ non-terminal nodes from a label embedding table.  The syntax-aware token
 representations are fused with the basic encoder states by a weighted
 sum, ``lam * h_syn + (1 - lam) * h_basic``.
 
+Each layer aggregates with one product by the graph's dense 0/1
+adjacency matrix, so a graph of n nodes costs n * n floats of memory.
 Everything is plain numpy; :func:`encode_backward` supplies analytic
 gradients so the encoder can be verified against finite differences.
 """
@@ -95,10 +97,8 @@ def gcn_layer(graph: SyntaxGraph, H: np.ndarray, params: GcnLayerParams,
 
 
 def _layer_forward(graph, H, params, self_loops):
-    us, vs = graph.directed_edges()
     msgs = H @ params.W.T
-    pre = np.zeros_like(msgs)
-    np.add.at(pre, vs, msgs[us])
+    pre = graph.matrix @ msgs
     if self_loops:
         pre += msgs
     pre += params.b
@@ -173,17 +173,16 @@ def encode_backward(graph: SyntaxGraph, terminal_inits: np.ndarray,
     grad = np.ones_like(out) if d_out is None else np.asarray(d_out, dtype=float)
     if grad.shape != out.shape:
         raise ValueError("d_out shape does not match encoder output")
-    us, vs = graph.directed_edges()
+    A = graph.matrix
     dW = [None] * len(stack.layers)
     db = [None] * len(stack.layers)
     for l in range(len(stack.layers) - 1, -1, -1):
         H_in = inputs[l]
         d_pre = grad * (pres[l] > 0)
         db[l] = d_pre.sum(axis=0)
-        # pre = A' @ (H W^T) + b with A' symmetric, so the message gradient
-        # is A' @ d_pre routed back along the edges.
-        d_msgs = np.zeros_like(d_pre)
-        np.add.at(d_msgs, us, d_pre[vs])
+        # pre = A @ (H W^T) (+ H W^T with self loops) + b, and A is
+        # symmetric, so the message gradient is A @ d_pre.
+        d_msgs = A @ d_pre
         if stack.self_loops:
             d_msgs += d_pre
         dW[l] = d_msgs.T @ H_in
@@ -209,15 +208,6 @@ def fuse(h_syn: np.ndarray, h_basic: np.ndarray, lam: float) -> np.ndarray:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"fusion factor {lam} outside [0, 1]")
     return lam * h_syn + (1.0 - lam) * h_basic
-
-
-@dataclass
-class FusionConfig:
-    lam: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"fusion factor {self.lam} outside [0, 1]")
 
 
 # --- parameter (de)serialization ---------------------------------------

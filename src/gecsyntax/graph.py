@@ -8,8 +8,10 @@ rows of any node matrix are the token representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -21,8 +23,6 @@ class SyntaxGraph:
     num_terminals: int
     nt_labels: list[str]                 # pre-order, node id = num_terminals + index
     adjacency: list[list[int]]           # symmetric neighbor lists
-    _edges: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -35,23 +35,19 @@ class SyntaxGraph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both directions of every edge, as (sources, targets) id arrays."""
-        if self._edges is None:
-            us, vs = [], []
-            for v, neigh in enumerate(self.adjacency):
-                for u in neigh:
-                    us.append(u)
-                    vs.append(v)
-            self._edges = (np.asarray(us, dtype=np.intp),
-                           np.asarray(vs, dtype=np.intp))
-        return self._edges
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Symmetric 0/1 adjacency matrix (nodes x nodes), built on first use.
 
-    def dense_adjacency(self) -> np.ndarray:
-        a = np.zeros((self.num_nodes, self.num_nodes))
-        for v, neigh in enumerate(self.adjacency):
-            for u in neigh:
-                a[v, u] = 1.0
+        Dense, so a graph of n nodes holds n * n floats: meant for
+        sentence-sized graphs, not for graphs of many thousand nodes.
+        """
+        n = self.num_nodes
+        rows = np.repeat(np.arange(n), [len(neigh) for neigh in self.adjacency])
+        cols = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.intp,
+                           count=len(rows))
+        a = np.zeros((n, n))
+        a[rows, cols] = 1.0
         return a
 
 
@@ -64,28 +60,20 @@ def build_graph(root: T.NonTerminal) -> SyntaxGraph:
     """Graph over all nodes of a constituency tree, edges per tree link."""
     num_terminals = sum(1 for _ in T.terminals(root))
     nt_labels: list[str] = []
-    ids: dict[int, int] = {}
-
-    def assign(node: T.Node) -> None:
+    adjacency: list[list[int]] = [[] for _ in range(num_terminals)]
+    # Pre-order walk; each entry is a node and its parent's id (-1 at the root).
+    stack: list[tuple[T.Node, int]] = [(root, -1)]
+    while stack:
+        node, parent = stack.pop()
         if isinstance(node, T.Terminal):
-            ids[id(node)] = node.position
-            return
-        ids[id(node)] = num_terminals + len(nt_labels)
-        nt_labels.append(node.label)
-        for child in node.children:
-            assign(child)
-
-    assign(root)
-    adjacency: list[list[int]] = [[] for _ in range(num_terminals + len(nt_labels))]
-
-    def connect(node: T.Node) -> None:
-        if isinstance(node, T.Terminal):
-            return
-        for child in node.children:
-            _add_edge(adjacency, ids[id(node)], ids[id(child)])
-            connect(child)
-
-    connect(root)
+            v = node.position
+        else:
+            v = len(adjacency)
+            adjacency.append([])
+            nt_labels.append(node.label)
+            stack.extend(zip(reversed(node.children), repeat(v)))
+        if parent >= 0:
+            _add_edge(adjacency, parent, v)
     return SyntaxGraph(num_terminals, nt_labels, adjacency)
 
 
@@ -131,7 +119,3 @@ def write_edge_list(graph: SyntaxGraph, fh) -> None:
             if key not in seen:
                 seen.add(key)
                 fh.write(f"{key[0]} {key[1]}\n")
-
-
-def graphs_from_trees(trees: Iterable[T.NonTerminal]) -> list[SyntaxGraph]:
-    return [build_graph(t) for t in trees]

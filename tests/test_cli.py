@@ -131,6 +131,13 @@ def test_blank_tree_line_is_exit_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_strip_all_pseudo_tree_is_exit_2(tmp_path, capsys):
+    trees = tmp_path / "t.trees"
+    trees.write_text("(S (X a))\n(RED x)\n", encoding="utf-8")
+    assert main(["strip", str(trees)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_missing_file_is_exit_2(tmp_path, capsys):
     assert main(["strip", str(tmp_path / "absent.trees")]) == 2
     assert "missing input file" in capsys.readouterr().err
@@ -171,6 +178,17 @@ def test_gcn_check_with_self_loops(tmp_path, capsys):
     assert main(["gcn-check", str(trees), "--seed", "1", "--d", "6",
                  "--layers", "1", "--self-loops"]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+def test_gcn_check_on_deeply_nested_tree(tmp_path, capsys):
+    depth = 1_500
+    trees = tmp_path / "deep.trees"
+    trees.write_text("(S " + "(X " * depth + "w" + ")" * (depth + 1) + "\n",
+                     encoding="utf-8")
+    assert main(["gcn-check", str(trees), "--d", "4", "--layers", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "all checks passed" in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_fuse_demo_deterministic(capsys):
@@ -248,6 +266,16 @@ def test_score_source_mismatch_is_exit_2(tmp_path, capsys):
     b.write_text("S a dog\n", encoding="utf-8")
     assert main(["score", str(a), str(b)]) == 2
     assert "differ" in capsys.readouterr().err
+
+
+def test_score_bad_edit_shape_is_exit_2(tmp_path, capsys):
+    good = tmp_path / "good.m2"
+    good.write_text("S a\n\nS a b\n", encoding="utf-8")
+    bad = tmp_path / "bad.m2"
+    bad.write_text("S a\n\nS a b\nA 0 2|||SUB|||x\n", encoding="utf-8")
+    assert main(["score", str(bad), str(good)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "bad SUB shape" in err
 
 
 def test_commands_rerun_byte_identical(tmp_path, three_pair_fixture, capsys):

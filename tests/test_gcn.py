@@ -6,11 +6,12 @@ import pytest
 
 from gecsyntax import tree as T
 from gecsyntax.gcn import (
-    KINK_MARGIN, FusionConfig, GcnLayerParams, GcnStack, encode_backward,
+    KINK_MARGIN, GcnLayerParams, GcnStack, encode_backward,
     fuse, gcn_encode, gcn_layer, init_stack, load_stack,
     min_abs_preactivation, save_stack, terminal_rows,
 )
-from gecsyntax.graph import SyntaxGraph, build_graph
+from gecsyntax.checks import edge_encode_reference
+from gecsyntax.graph import SyntaxGraph, build_graph, build_graph_dep
 
 from tests.helpers import (
     SRC_VOCAB, gcn_dense_oracle, max_rel_err, numeric_grad, random_tokens,
@@ -51,6 +52,27 @@ def test_layer_matches_dense_oracle_on_random_graphs():
             got = gcn_layer(g, H, params, self_loops=self_loops)
             want = gcn_dense_oracle(g, H, params.W, params.b, self_loops)
             assert np.max(np.abs(got - want)) < 1e-6
+
+
+def test_edge_reference_matches_dense_oracle():
+    rng = random.Random(13)
+    np_rng = np.random.default_rng(13)
+    graphs = [build_graph_dep([0])]  # one node, no edges
+    for _ in range(30):
+        tokens = random_tokens(rng, rng.randint(1, 6), SRC_VOCAB)
+        graphs.append(build_graph(random_tree(tokens, rng)))
+    d = 5
+    for g in graphs:
+        labels = sorted(set(g.nt_labels))
+        inits = np_rng.standard_normal((g.num_terminals, d))
+        for self_loops in (False, True):
+            stack = init_stack(labels, d=d, num_layers=2,
+                               seed=rng.randrange(1000), self_loops=self_loops)
+            want = np.vstack([inits, stack.E_nt[[labels.index(l) for l in g.nt_labels]]])
+            for params in stack.layers:
+                want = gcn_dense_oracle(g, want, params.W, params.b, self_loops)
+            got = edge_encode_reference(g, inits, stack)
+            assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_layer_rejects_bad_width():
@@ -211,9 +233,6 @@ def test_fuse_validates_inputs():
         fuse(np.zeros((2, 2)), np.zeros((2, 3)), 0.5)
     with pytest.raises(ValueError):
         fuse(np.zeros(2), np.zeros(2), 1.5)
-    with pytest.raises(ValueError):
-        FusionConfig(-0.1)
-    assert FusionConfig().lam == 0.5
 
 
 def test_stack_json_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
 from gecsyntax import tree as T
@@ -77,6 +78,32 @@ def test_edge_list_export():
 
 
 def test_dense_adjacency_matches_lists():
-    g = SyntaxGraph(2, ["A"], [[1], [0, 2], [1]])
-    dense = g.dense_adjacency()
-    assert dense.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    rng = random.Random(11)
+    graphs = [SyntaxGraph(2, ["A"], [[1], [0, 2], [1]]), build_graph_dep([0])]
+    for _ in range(20):
+        tokens = random_tokens(rng, rng.randint(1, 9), SRC_VOCAB)
+        graphs.append(build_graph(random_tree(tokens, rng)))
+    assert graphs[0].matrix.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    for g in graphs:
+        a = g.matrix
+        assert a is g.matrix  # built once, then cached
+        assert a.shape == (g.num_nodes, g.num_nodes)
+        assert np.array_equal(a, a.T)
+        assert set(np.unique(a)) <= {0.0, 1.0}
+        assert int(a.sum()) == 2 * g.num_edges
+        for v, neigh in enumerate(g.adjacency):
+            assert sorted(np.flatnonzero(a[v]).tolist()) == sorted(neigh)
+
+
+def test_build_graph_on_deep_chain_tree():
+    # Builds the neighbour lists only: the dense matrix of a graph this
+    # size would need 80 GB, so it is never touched here.
+    depth = 100_000
+    root = T.parse_bracketed("(S " * depth + "(X w)" + ")" * depth)
+    g = build_graph(root)
+    assert g.num_terminals == 1
+    assert g.num_nodes == depth + 2
+    assert g.num_edges == g.num_nodes - 1
+    assert g.nt_labels == ["S"] * depth + ["X"]
+    assert g.adjacency[0] == [depth + 1]
+    assert g.adjacency[depth] == [depth - 1, depth + 1]
