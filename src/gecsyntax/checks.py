@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .gcn import (
-    KINK_MARGIN, GcnStack, _encode_with_cache, encode_backward, gcn_encode,
-    init_stack, initial_node_matrix, min_abs_preactivation,
+    KINK_MARGIN, GcnStack, _encode_with_cache, encode_backward, init_stack,
+    initial_node_matrix, min_abs_preactivation,
 )
 from .graph import SyntaxGraph
 
@@ -84,22 +84,19 @@ def gcn_gradient_check(graph: SyntaxGraph, terminal_inits: np.ndarray,
     """
     grads = encode_backward(graph, terminal_inits, stack)
 
-    def loss() -> float:
-        return float(gcn_encode(graph, terminal_inits, stack).sum())
+    def loss_and_masks() -> tuple[float, list[np.ndarray]]:
+        out, _, pres = _encode_with_cache(graph, terminal_inits, stack)
+        return float(out.sum()), [p > 0 for p in pres]
 
-    def masks() -> list[np.ndarray]:
-        _, _, pres = _encode_with_cache(graph, terminal_inits, stack)
-        return [p > 0 for p in pres]
-
-    base_masks = masks()
+    _, base_masks = loss_and_masks()
 
     def probe(arr: np.ndarray, flat_index: int) -> float | None:
         flat = arr.reshape(-1)
         old = flat[flat_index]
         flat[flat_index] = old + h
-        up, up_masks = loss(), masks()
+        up, up_masks = loss_and_masks()
         flat[flat_index] = old - h
-        down, down_masks = loss(), masks()
+        down, down_masks = loss_and_masks()
         flat[flat_index] = old
         for m_up, m_dn, m0 in zip(up_masks, down_masks, base_masks):
             if not (np.array_equal(m_up, m0) and np.array_equal(m_dn, m0)):

@@ -2,7 +2,7 @@
 
 Subcommands cover edit extraction (``align``), tree projection
 (``project``), the pseudo-node ablation (``strip``), subword conversion
-(``subword``), numeric self-checks (``gcn-check``, ``fuse-demo``), the
+(``subword``), the numeric self-check (``gcn-check``), the
 edit-ensemble selector (``ensemble-train``, ``ensemble-apply``) and
 edit-level scoring (``score``).
 
@@ -72,14 +72,14 @@ def _lockstep(first: Iterable, first_path: str, second: Iterable, second_path: s
 
 
 @contextlib.contextmanager
-def _out_stream(args):
-    """Standard output, or the ``-o`` file written whole or not at all.
+def _out_stream(path: str | None):
+    """Standard output, or the file ``path`` written whole or not at all.
 
     The file is written under a temporary name in its own directory and
     renamed into place on success; on any error the temporary file is
-    removed and an existing output file is left as it was.
+    removed and an existing output file is left as it was.  OS errors
+    on the temporary file or the rename name ``path``.
     """
-    path = getattr(args, "output", None)
     if not path:
         yield sys.stdout
         return
@@ -89,15 +89,17 @@ def _out_stream(args):
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(f"cannot write {path}: {exc.strerror}") from None
         raise
 
 
 def cmd_align(args) -> int:
     pairs = read_parallel_tsv(args.parallel)
-    with _out_stream(args) as out:
+    with _out_stream(args.output) as out:
         if args.format == "m2":
             ed.write_m2(((src, ed.align(src, tgt)) for src, tgt in pairs), out)
         else:
@@ -110,7 +112,7 @@ def cmd_project(args) -> int:
     summary = projection.ProjectionSummary()
     lines = _lockstep(read_parallel_tsv(args.parallel), args.parallel,
                       _read_tree_file(args.trees), args.trees)
-    with _out_stream(args) as out:
+    with _out_stream(args.output) as out:
         for lineno, (src, tgt), tree in lines:
             result = projection.project_pair(src, tgt, tree, summary, lineno,
                                              placement=args.pseudo_placement)
@@ -118,7 +120,7 @@ def cmd_project(args) -> int:
                 out.write(T.serialize(result) + "\n")
     summary_json = json.dumps(summary.to_dict(), sort_keys=True)
     if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as fh:
+        with _out_stream(args.summary) as fh:
             fh.write(summary_json + "\n")
     else:
         print(summary_json, file=sys.stderr)
@@ -126,7 +128,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_strip(args) -> int:
-    with _out_stream(args) as out:
+    with _out_stream(args.output) as out:
         for lineno, tree in enumerate(_read_tree_file(args.trees), start=1):
             try:
                 stripped = projection.strip_pseudo(tree)
@@ -141,7 +143,7 @@ def cmd_subword(args) -> int:
                                              args.segmentation)
     lines = _lockstep(_read_tree_file(args.trees), args.trees,
                       segmentation, args.segmentation)
-    with _out_stream(args) as out:
+    with _out_stream(args.output) as out:
         for lineno, tree, seg in lines:
             try:
                 converted = subword.to_subword_tree(
@@ -173,27 +175,6 @@ def cmd_gcn_check(args) -> int:
               f"{'ok' if line_ok else 'FAIL'}")
     print("all checks passed" if ok else "CHECKS FAILED")
     return 0 if ok else 1
-
-
-def cmd_fuse_demo(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    h_syn = rng.standard_normal((4, args.d))
-    h_basic = rng.standard_normal((4, args.d))
-    fused = gcn.fuse(h_syn, h_basic, args.lam)
-    slow = np.empty_like(fused)
-    for i in range(fused.shape[0]):
-        for j in range(fused.shape[1]):
-            slow[i, j] = args.lam * h_syn[i, j] + (1.0 - args.lam) * h_basic[i, j]
-    print(json.dumps({
-        "lambda": args.lam,
-        "seed": args.seed,
-        "d": args.d,
-        "h_syn": h_syn.tolist(),
-        "h_basic": h_basic.tolist(),
-        "h_final": fused.tolist(),
-        "max_abs_diff_vs_scalar_loop": float(np.max(np.abs(fused - slow))),
-    }, sort_keys=True))
-    return 0
 
 
 def _load_ensemble_inputs(args):
@@ -228,7 +209,7 @@ def cmd_ensemble_train(args) -> int:
     model = ensemble.train(candidates, labels, lr=args.lr, epochs=args.epochs,
                            l2=args.l2, threshold=args.threshold)
     payload = json.dumps(ensemble.model_to_dict(model), sort_keys=True)
-    with _out_stream(args) as out:
+    with _out_stream(args.output) as out:
         out.write(payload + "\n")
     probs = model.predict_proba(np.stack([c.features() for c in candidates]))
     acc = float(np.mean((probs >= model.threshold) == np.asarray(labels, bool)))
@@ -240,9 +221,12 @@ def cmd_ensemble_train(args) -> int:
 def cmd_ensemble_apply(args) -> int:
     src, hyps = _load_ensemble_inputs(args)
     model = ensemble.load_model(args.model)
+    if len(model.weights) != len(ensemble.feature_names(len(hyps))):
+        raise FormatError(f"{len(model.weights)} weights do not fit "
+                          f"{len(hyps)} hypothesis files", path=args.model)
     if args.threshold is not None:
         model.threshold = args.threshold
-    with _out_stream(args) as out:
+    with _out_stream(args.output) as out:
         for i, tokens in enumerate(src):
             cands = ensemble.gather(tokens, [h[i] for h in hyps])
             out.write(" ".join(ensemble.select_and_apply(tokens, cands, model)) + "\n")
@@ -263,7 +247,7 @@ def cmd_score(args) -> int:
                 path=args.hypothesis)
     result = scoring.corpus_score(
         (h, g) for (_, h), (_, g) in zip(hyp_blocks, gold_blocks))
-    with _out_stream(args) as out:
+    with _out_stream(args.output) as out:
         out.write(result.to_json() + "\n")
     print(result.summary(), file=sys.stderr)
     return 0
@@ -313,12 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--self-loops", action="store_true")
     p.set_defaults(func=cmd_gcn_check)
 
-    p = sub.add_parser("fuse-demo", help="demonstrate representation fusion")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--d", type=int, default=4)
-    p.set_defaults(func=cmd_fuse_demo)
-
     p = sub.add_parser("ensemble-train", help="train the edit selector")
     p.add_argument("source")
     p.add_argument("hypotheses", nargs="+")
@@ -361,6 +339,10 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        reason = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {reason}", file=sys.stderr)
         return 2
 
 

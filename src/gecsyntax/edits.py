@@ -273,20 +273,8 @@ def script_to_dict(script: EditScript) -> dict:
     }
 
 
-def script_from_dict(data: dict) -> EditScript:
-    edits = []
-    for entry in data["edits"]:
-        edits.append(Edit(entry["cat"], entry["i"], entry["j"],
-                          tuple(entry["src"]), tuple(entry["tgt"])))
-    return make_script(edits)
-
-
 def script_to_json(script: EditScript) -> str:
     return json.dumps(script_to_dict(script), ensure_ascii=False)
-
-
-def script_from_json(text: str) -> EditScript:
-    return script_from_dict(json.loads(text))
 
 
 def write_m2(blocks: Iterable[tuple[Sequence[str], EditScript]], fh) -> None:

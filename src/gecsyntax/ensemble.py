@@ -10,12 +10,14 @@ conflict-resolved and re-applied to the source.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .edits import MISS, RED, SUB, Edit, EditScript, align, apply_edits
+from .errors import FormatError
 
 _CATEGORY_ORDER = {SUB: 0, RED: 1, MISS: 2}
 
@@ -189,19 +191,24 @@ def model_to_dict(model: LogRegModel) -> dict:
 
 
 def model_from_dict(data: dict) -> LogRegModel:
-    return LogRegModel(
-        np.asarray(data["weights"], dtype=float),
-        float(data["bias"]),
-        float(data.get("threshold", 0.5)),
-        data.get("feature_names"),
-    )
-
-
-def save_model(model: LogRegModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
+    """Model from its JSON form; ``ValueError`` unless ``weights`` is a list
+    of finite numbers and ``bias`` and ``threshold`` are finite numbers."""
+    weights = data.get("weights") if isinstance(data, dict) else None
+    if not isinstance(weights, list) or "bias" not in data:
+        raise ValueError("a model needs a 'weights' list and a 'bias'")
+    values = [data["bias"], data.get("threshold", 0.5), *weights]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               and math.isfinite(v) for v in values):
+        raise ValueError("model parameters must be finite numbers")
+    return LogRegModel(np.array(weights, dtype=float), float(values[0]),
+                       float(values[1]), data.get("feature_names"))
 
 
 def load_model(path: str) -> LogRegModel:
+    """Read a model file; :class:`FormatError` with the path if it is not one."""
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            # Integers are read as floats, so a long one cannot overflow.
+            return model_from_dict(json.load(fh, parse_int=float))
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"bad model file: {exc}", path=path) from None

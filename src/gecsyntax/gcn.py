@@ -19,7 +19,6 @@ gradients so the encoder can be verified against finite differences.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,15 +118,6 @@ def initial_node_matrix(graph: SyntaxGraph, terminal_inits: np.ndarray,
     ])
 
 
-def gcn_encode(graph: SyntaxGraph, terminal_inits: np.ndarray,
-               stack: GcnStack) -> np.ndarray:
-    """Run the full stack; returns the final node matrix (nodes x d)."""
-    H = initial_node_matrix(graph, terminal_inits, stack)
-    for params in stack.layers:
-        H, _ = _layer_forward(graph, H, params, stack.self_loops)
-    return H
-
-
 def _encode_with_cache(graph, terminal_inits, stack):
     H = initial_node_matrix(graph, terminal_inits, stack)
     inputs, pres = [], []
@@ -136,6 +126,12 @@ def _encode_with_cache(graph, terminal_inits, stack):
         H, pre = _layer_forward(graph, H, params, stack.self_loops)
         pres.append(pre)
     return H, inputs, pres
+
+
+def gcn_encode(graph: SyntaxGraph, terminal_inits: np.ndarray,
+               stack: GcnStack) -> np.ndarray:
+    """Run the full stack; returns the final node matrix (nodes x d)."""
+    return _encode_with_cache(graph, terminal_inits, stack)[0]
 
 
 # Finite-difference checks re-sample their inputs while any pre-activation
@@ -208,40 +204,3 @@ def fuse(h_syn: np.ndarray, h_basic: np.ndarray, lam: float) -> np.ndarray:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"fusion factor {lam} outside [0, 1]")
     return lam * h_syn + (1.0 - lam) * h_basic
-
-
-# --- parameter (de)serialization ---------------------------------------
-
-def stack_to_dict(stack: GcnStack) -> dict:
-    return {
-        "d": stack.d,
-        "n": len(stack.labels),
-        "labels": list(stack.labels),
-        "layers": [{"W": p.W.tolist(), "b": p.b.tolist()} for p in stack.layers],
-        "E_nt": stack.E_nt.tolist(),
-        "self_loops": stack.self_loops,
-    }
-
-
-def stack_from_dict(data: dict) -> GcnStack:
-    layers = [
-        GcnLayerParams(np.asarray(p["W"], dtype=float), np.asarray(p["b"], dtype=float))
-        for p in data["layers"]
-    ]
-    return GcnStack(
-        layers,
-        list(data["labels"]),
-        np.asarray(data["E_nt"], dtype=float).reshape(len(data["labels"]), data["d"]),
-        int(data["d"]),
-        bool(data.get("self_loops", False)),
-    )
-
-
-def save_stack(stack: GcnStack, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stack_to_dict(stack), fh)
-
-
-def load_stack(path: str) -> GcnStack:
-    with open(path, encoding="utf-8") as fh:
-        return stack_from_dict(json.load(fh))

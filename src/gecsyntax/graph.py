@@ -32,9 +32,6 @@ class SyntaxGraph:
     def num_edges(self) -> int:
         return sum(len(n) for n in self.adjacency) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     @cached_property
     def matrix(self) -> np.ndarray:
         """Symmetric 0/1 adjacency matrix (nodes x nodes), built on first use.
@@ -108,14 +105,3 @@ def build_graph_dep(heads: Sequence[int], root_sentinel: int = 0) -> SyntaxGraph
             seen.add(i)
             i = heads[i] - 1
     return SyntaxGraph(n, [], adjacency)
-
-
-def write_edge_list(graph: SyntaxGraph, fh) -> None:
-    """Export edges as one "u v" line each (u < v), for inspection."""
-    seen = set()
-    for v, neigh in enumerate(graph.adjacency):
-        for u in neigh:
-            key = (min(u, v), max(u, v))
-            if key not in seen:
-                seen.add(key)
-                fh.write(f"{key[0]} {key[1]}\n")

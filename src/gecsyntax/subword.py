@@ -11,11 +11,10 @@ to verify that the pieces reassemble the word.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import tree as T
 from .errors import FormatError
-from .lines import read_lines
 
 SubwordSegmentation = Sequence[Sequence[str]]  # one piece list per word
 
@@ -43,26 +42,22 @@ def to_subword_tree(
     segmentation: SubwordSegmentation,
     marker: str = "@@",
     style: str = "prefix",
-    join: Callable[[Sequence[str]], str] | None = None,
 ) -> T.NonTerminal:
     """Replace each terminal with its subword pieces as sibling terminals.
 
     The segmentation must cover the tree's yield exactly: one non-empty
-    piece list per word, reassembling (via ``join``, by default the
-    marker convention) to that word.  Non-terminal structure is unchanged.
+    piece list per word, reassembling (by the marker convention) to that
+    word.  Non-terminal structure is unchanged.
     """
     words = T.yield_tokens(root)
     if len(segmentation) != len(words):
         raise ValueError(
             f"segmentation covers {len(segmentation)} words, tree has {len(words)}"
         )
-    reassemble = join if join is not None else (
-        lambda pieces: join_pieces(pieces, marker, style)
-    )
     for word, pieces in zip(words, segmentation):
         if not pieces:
             raise ValueError(f"empty subword list for word {word!r}")
-        rebuilt = reassemble(pieces)
+        rebuilt = join_pieces(pieces, marker, style)
         if rebuilt != word:
             raise ValueError(
                 f"subword pieces {list(pieces)!r} reassemble to {rebuilt!r}, "
@@ -106,7 +101,3 @@ def read_segmentation(lines: Iterable[str],
     """Parse a one-sentence-per-line segmentation stream."""
     for lineno, line in enumerate(lines, start=1):
         yield parse_segmentation_line(line, lineno, path)
-
-
-def load_segmentation_file(path: str) -> list[list[list[str]]]:
-    return list(read_segmentation(read_lines(path), path))

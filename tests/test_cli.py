@@ -1,6 +1,9 @@
+import argparse
 import gc
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +146,36 @@ def test_missing_file_is_exit_2(tmp_path, capsys):
     assert "missing input file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["strip", "project"])
+def test_non_utf8_input_is_exit_2_with_line(tmp_path, capsys, command):
+    trees = tmp_path / "t.trees"
+    trees.write_bytes(b"(S (X a))\n(S (X b))\n(S (X \xff))\n(S (X d))\n")
+    parallel = tmp_path / "p.tsv"
+    parallel.write_text("a\ta\nb\tb\nc\tc\nd\td\n", encoding="utf-8")
+    argv = (["strip", str(trees)] if command == "strip"
+            else ["project", str(parallel), str(trees)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{trees}:line 3: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_input_directory_is_exit_2(tmp_path, capsys):
+    assert main(["strip", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path}: Is a directory" in err
+
+
+def test_unwritable_output_names_the_output(tmp_path, capsys):
+    trees = tmp_path / "t.trees"
+    trees.write_text("(S (X a))\n", encoding="utf-8")
+    out = tmp_path / "absent" / "out.trees"
+    assert main(["strip", str(trees), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}: No such file or directory" in err
+    assert ".tmp" not in err and "input" not in err
+
+
 def test_subword_command(tmp_path, capsys):
     trees = tmp_path / "t.trees"
     trees.write_text("(S (VBG playing) (NN cat))\n", encoding="utf-8")
@@ -191,17 +224,6 @@ def test_gcn_check_on_deeply_nested_tree(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_fuse_demo_deterministic(capsys):
-    assert main(["fuse-demo", "--lambda", "0.3", "--seed", "5"]) == 0
-    first = capsys.readouterr().out
-    assert main(["fuse-demo", "--lambda", "0.3", "--seed", "5"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
-    payload = json.loads(first)
-    assert payload["lambda"] == 0.3
-    assert payload["max_abs_diff_vs_scalar_loop"] == 0.0
-
-
 def test_ensemble_train_and_apply(tmp_path, capsys):
     src_lines = ["a cat sat on mat", "the dog ran"]
     gold_lines = ["a dog sat on mat", "the dog ran fast"]
@@ -234,6 +256,22 @@ def test_ensemble_train_and_apply(tmp_path, capsys):
                  paths["h3"], str(model_path), "-o", str(out_path)]) == 0
     corrected = out_path.read_text().splitlines()
     assert corrected == gold_lines
+
+
+@pytest.mark.parametrize("model_text", [
+    '{"weights": [0, 0, 0, 0, 0], "bias": 0}',   # two systems need 6 weights
+    '{"weights": [0, 0, 0, 0, 0, 0], "bi',        # truncated
+], ids=["weight-count", "truncated-json"])
+def test_ensemble_apply_bad_model_is_exit_2(tmp_path, capsys, model_text):
+    paths = []
+    for name in ("src", "h1", "h2"):
+        paths.append(tmp_path / f"{name}.txt")
+        paths[-1].write_text("a cat\n", encoding="utf-8")
+    model = tmp_path / "model.json"
+    model.write_text(model_text, encoding="utf-8")
+    assert main(["ensemble-apply", *map(str, paths), str(model)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {model}:" in err and "Traceback" not in err
 
 
 def test_ensemble_train_source_mismatch_is_exit_2(tmp_path, capsys):
@@ -391,3 +429,14 @@ def test_tree_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch, capsys):
         gc.enable()
     with open("summary.json", encoding="utf-8") as fh:
         assert json.load(fh)["skipped"] == 0
+
+
+def test_readme_lists_exactly_the_registered_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    documented = set(re.findall(r"^gecsyntax (\S+)", block, re.MULTILINE))
+    registered = next(a.choices for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(registered)

@@ -1,4 +1,3 @@
-import json
 import random
 
 import numpy as np
@@ -7,8 +6,8 @@ import pytest
 from gecsyntax import tree as T
 from gecsyntax.gcn import (
     KINK_MARGIN, GcnLayerParams, GcnStack, encode_backward,
-    fuse, gcn_encode, gcn_layer, init_stack, load_stack,
-    min_abs_preactivation, save_stack, terminal_rows,
+    fuse, gcn_encode, gcn_layer, init_stack, min_abs_preactivation,
+    terminal_rows,
 )
 from gecsyntax.checks import edge_encode_reference
 from gecsyntax.graph import SyntaxGraph, build_graph, build_graph_dep
@@ -233,16 +232,3 @@ def test_fuse_validates_inputs():
         fuse(np.zeros((2, 2)), np.zeros((2, 3)), 0.5)
     with pytest.raises(ValueError):
         fuse(np.zeros(2), np.zeros(2), 1.5)
-
-
-def test_stack_json_round_trip(tmp_path):
-    stack = init_stack(["S", "NP", "VP"], d=4, num_layers=2, seed=8)
-    path = tmp_path / "params.json"
-    save_stack(stack, str(path))
-    data = json.loads(path.read_text())
-    assert data["d"] == 4 and data["n"] == 3 and len(data["layers"]) == 2
-    again = load_stack(str(path))
-    assert again.labels == stack.labels
-    assert np.allclose(again.E_nt, stack.E_nt)
-    for p, q in zip(again.layers, stack.layers):
-        assert np.allclose(p.W, q.W) and np.allclose(p.b, q.b)

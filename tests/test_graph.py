@@ -1,11 +1,10 @@
-import io
 import random
 
 import numpy as np
 import pytest
 
 from gecsyntax import tree as T
-from gecsyntax.graph import SyntaxGraph, build_graph, build_graph_dep, write_edge_list
+from gecsyntax.graph import SyntaxGraph, build_graph, build_graph_dep
 
 from tests.helpers import SRC_VOCAB, random_tokens, random_tree
 
@@ -24,8 +23,8 @@ def test_small_tree_counts_and_degrees():
     assert g.num_edges == 5
     # node order: terminals a(0) cat(1); then pre-order S(2) NP(3) DT(4) NN(5)
     assert g.nt_labels == ["S", "NP", "DT", "NN"]
-    assert g.degree(2) == 1   # S: only NP
-    assert g.degree(3) == 3   # NP: S, DT, NN
+    assert len(g.adjacency[2]) == 1   # S: only NP
+    assert len(g.adjacency[3]) == 3   # NP: S, DT, NN
     assert sorted(g.adjacency[3]) == [2, 4, 5]
     assert g.adjacency[0] == [4]
 
@@ -65,16 +64,6 @@ def test_dep_graph_rejects_cycles_and_bad_roots():
         build_graph_dep([3, 0])
     with pytest.raises(ValueError):
         build_graph_dep([0, 3, 2])  # 2 -> 3 -> 2 cycle beside the root
-
-
-def test_edge_list_export():
-    g = build_graph(T.parse_bracketed("(S (NP (DT a) (NN cat)))"))
-    buf = io.StringIO()
-    write_edge_list(g, buf)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == g.num_edges
-    pairs = {tuple(map(int, line.split())) for line in lines}
-    assert (0, 4) in pairs and (2, 3) in pairs
 
 
 def test_dense_adjacency_matches_lists():

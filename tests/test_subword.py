@@ -4,8 +4,9 @@ import pytest
 
 from gecsyntax import tree as T
 from gecsyntax.errors import FormatError
+from gecsyntax.lines import read_lines
 from gecsyntax.subword import (
-    join_pieces, load_segmentation_file, parse_segmentation_line, to_subword_tree,
+    join_pieces, parse_segmentation_line, read_segmentation, to_subword_tree,
 )
 
 from tests.helpers import SRC_VOCAB, random_tokens, random_tree
@@ -44,8 +45,7 @@ def test_suffix_marker_convention():
 
 def test_custom_join_convention():
     tree = T.parse_bracketed("(S (VBG playing))")
-    out = to_subword_tree(tree, [["play", "##ing"]],
-                          join=lambda ps: "".join(p.lstrip("#") for p in ps))
+    out = to_subword_tree(tree, [["play", "##ing"]], marker="##")
     assert T.yield_tokens(out) == ["play", "##ing"]
 
 
@@ -117,7 +117,7 @@ def test_parse_segmentation_line():
 def test_load_segmentation_file(tmp_path):
     path = tmp_path / "seg.tsv"
     path.write_text("the\tca @@t\nplay @@ing\n", encoding="utf-8")
-    assert load_segmentation_file(str(path)) == [
+    assert list(read_segmentation(read_lines(str(path)), str(path))) == [
         [["the"], ["ca", "@@t"]],
         [["play", "@@ing"]],
     ]
