@@ -7,7 +7,8 @@ edit-ensemble selector (``ensemble-train``, ``ensemble-apply``) and
 edit-level scoring (``score``).
 
 Exit codes: 0 on success, 2 on input-format errors (reported with line
-numbers), 1 when a numeric self-check fails.  Set ``CSYN_LOG`` to a level
+numbers) and on training settings out of range or training that diverges,
+1 when a numeric self-check fails.  Set ``CSYN_LOG`` to a level
 name (debug, info, warning, ...) for diagnostics on stderr.
 """
 
@@ -18,6 +19,7 @@ import contextlib
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 from typing import Iterable, Iterator
@@ -187,7 +189,18 @@ def _load_ensemble_inputs(args):
     return src, hyps
 
 
+def _check_training_settings(args) -> None:
+    """:class:`FormatError` naming the first flag out of its range."""
+    for flag, value, in_range, bound in (
+            ("--lr", args.lr, args.lr > 0, "> 0"),
+            ("--l2", args.l2, args.l2 >= 0, ">= 0"),
+            ("--epochs", args.epochs, args.epochs >= 0, ">= 0")):
+        if not (in_range and math.isfinite(value)):
+            raise FormatError(f"{flag} must be finite and {bound}, got {value}")
+
+
 def cmd_ensemble_train(args) -> int:
+    _check_training_settings(args)
     src, hyps = _load_ensemble_inputs(args)
     gold_blocks = ed.load_m2_file(args.gold)
     if len(gold_blocks) != len(src):
@@ -206,15 +219,19 @@ def cmd_ensemble_train(args) -> int:
         labels.extend(ensemble.label_candidates(sent_cands, gold_script))
     if not candidates:
         raise FormatError("no edits proposed by any system; nothing to train on")
-    model = ensemble.train(candidates, labels, lr=args.lr, epochs=args.epochs,
-                           l2=args.l2, threshold=args.threshold)
+    try:
+        model = ensemble.train(candidates, labels, lr=args.lr, epochs=args.epochs,
+                               l2=args.l2, threshold=args.threshold)
+    except ValueError as exc:
+        raise FormatError(f"--lr {args.lr} --l2 {args.l2}: {exc}") from None
     payload = json.dumps(ensemble.model_to_dict(model), sort_keys=True)
     with _out_stream(args.output) as out:
         out.write(payload + "\n")
-    probs = model.predict_proba(np.stack([c.features() for c in candidates]))
-    acc = float(np.mean((probs >= model.threshold) == np.asarray(labels, bool)))
-    logger.info("trained on %d candidates, final loss %.6f, accuracy %.4f",
-                len(candidates), model.final_loss, acc)
+    if logger.isEnabledFor(logging.INFO):
+        probs = model.predict_proba(ensemble.feature_matrix(candidates))
+        acc = float(np.mean((probs >= model.threshold) == np.asarray(labels, bool)))
+        logger.info("trained on %d candidates, final loss %.6f, accuracy %.4f",
+                    len(candidates), model.final_loss, acc)
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +21,7 @@ from .edits import MISS, RED, SUB, Edit, EditScript, align, apply_edits
 from .errors import FormatError
 
 _CATEGORY_ORDER = {SUB: 0, RED: 1, MISS: 2}
+_DIVERGED = "training diverged (non-finite loss or parameters); lower the lr"
 
 
 @dataclass
@@ -31,10 +33,18 @@ class EditCandidate:
     def vote_fraction(self) -> float:
         return sum(self.votes) / len(self.votes)
 
-    def features(self) -> np.ndarray:
-        onehot = [0.0, 0.0, 0.0]
-        onehot[_CATEGORY_ORDER[self.edit.category]] = 1.0
-        return np.array([*map(float, self.votes), self.vote_fraction, *onehot])
+
+def _feature_row(votes: tuple[int, ...], category: str) -> list[float]:
+    onehot = [0.0, 0.0, 0.0]
+    onehot[_CATEGORY_ORDER[category]] = 1.0
+    return [*map(float, votes), sum(votes) / len(votes), *onehot]
+
+
+def feature_matrix(candidates: Sequence[EditCandidate]) -> np.ndarray:
+    """One row per candidate: its votes, its vote fraction and a one-hot
+    of its category, in the order of :func:`feature_names`."""
+    return np.array([_feature_row(c.votes, c.edit.category) for c in candidates],
+                    dtype=float)
 
 
 def feature_names(num_systems: int) -> list[str]:
@@ -49,18 +59,23 @@ def gather(src_tokens: Sequence[str],
 
     Candidates are the deduplicated union of per-system alignments, with
     identity (category, span, replacement); order is span start, then
-    category name, then replacement.
+    category name, then replacement.  Systems that output the same tokens
+    share one alignment and each vote for its edits.
     """
     if not hypotheses:
         raise ValueError("need at least one hypothesis")
     k = len(hypotheses)
-    found: dict[tuple, tuple[Edit, list[int]]] = {}
+    voters: dict[tuple[str, ...], list[int]] = {}
     for sys_idx, hyp in enumerate(hypotheses):
+        voters.setdefault(tuple(hyp), []).append(sys_idx)
+    found: dict[tuple, tuple[Edit, list[int]]] = {}
+    for hyp, systems in voters.items():
         for edit in align(src_tokens, hyp):
             key = edit.identity()
             if key not in found:
                 found[key] = (edit, [0] * k)
-            found[key][1][sys_idx] = 1
+            for sys_idx in systems:
+                found[key][1][sys_idx] = 1
     candidates = [EditCandidate(edit, tuple(votes)) for edit, votes in found.values()]
     candidates.sort(key=lambda c: (c.edit.i, c.edit.category,
                                    c.edit.tgt_tokens, c.edit.j))
@@ -87,29 +102,30 @@ class LogRegModel:
         z = np.asarray(features, dtype=float) @ self.weights + self.bias
         return _sigmoid(z)
 
-    def score(self, candidate: EditCandidate) -> float:
-        return float(self.predict_proba(candidate.features()))
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray,
-                  y: np.ndarray, l2: float = 0.0):
+                  y: np.ndarray, l2: float = 0.0, counts: np.ndarray | None = None):
     """Mean L2-regularized logistic loss and its analytic gradient.
 
-    The bias is not regularized.  Returns (loss, grad_weights, grad_bias).
+    Row ``r`` of ``X`` stands for ``counts[r]`` examples (default one each),
+    and the mean is over examples.  The bias is not regularized.  Returns
+    (loss, grad_weights, grad_bias).
     """
+    counts = np.ones(len(y)) if counts is None else np.asarray(counts, dtype=float)
+    total = counts.sum()
     with np.errstate(over="ignore", invalid="ignore"):
         z = X @ weights + bias
         # log(1 + exp(-s*z)) with s = +-1, computed stably
         s = 2.0 * y - 1.0
-        loss = float(np.mean(np.logaddexp(0.0, -s * z))
+        loss = float(counts @ np.logaddexp(0.0, -s * z) / total
                      + 0.5 * l2 * weights @ weights)
-        residual = _sigmoid(z) - y
-        grad_w = X.T @ residual / len(y) + l2 * weights
-        grad_b = float(residual.mean())
+        residual = counts * (_sigmoid(z) - y)
+        grad_w = X.T @ residual / total + l2 * weights
+        grad_b = float(residual.sum() / total)
     return loss, grad_w, grad_b
 
 
@@ -118,29 +134,36 @@ def train(candidates: Sequence[EditCandidate], labels: Sequence[float],
           threshold: float = 0.5) -> LogRegModel:
     """Full-batch gradient descent from zero-initialized parameters.
 
-    Deterministic: no sampling is involved.  Raises ``ValueError`` if the
-    loss goes non-finite (learning rate too large).
+    Candidates with the same votes, category and label have the same
+    feature row, so each distinct (votes, category, label) is one row
+    weighted by how often it occurs; the loss is the same mean over all
+    candidates.  Deterministic: no sampling is involved.  Raises
+    ``ValueError`` if the loss or the parameters go non-finite (learning
+    rate too large).
     """
     if len(candidates) == 0:
         raise ValueError("no candidates to train on")
-    X = np.stack([c.features() for c in candidates])
-    y = np.asarray(labels, dtype=float)
-    if X.shape[1] == 0:
-        raise ValueError("zero-width feature vectors")
-    if X.shape[0] != y.shape[0]:
+    if len(labels) != len(candidates):
         raise ValueError("labels do not match candidates")
+    labels = np.asarray(labels, dtype=float).tolist()
+    groups = Counter((c.votes, c.edit.category, label)
+                     for c, label in zip(candidates, labels))
+    X = np.array([_feature_row(votes, cat) for votes, cat, _ in groups])
+    y = np.array([label for _, _, label in groups])
+    counts = np.array(list(groups.values()), dtype=float)
     w = np.zeros(X.shape[1])
     b = 0.0
-    loss = None
     for _ in range(epochs):
-        loss, gw, gb = loss_and_grad(w, b, X, y, l2)
+        loss, gw, gb = loss_and_grad(w, b, X, y, l2, counts)
         if not np.isfinite(loss):
-            raise ValueError("training diverged (non-finite loss); lower the lr")
+            raise ValueError(_DIVERGED)
         w -= lr * gw
         b -= lr * gb
-    loss, _, _ = loss_and_grad(w, b, X, y, l2)
+    loss, _, _ = loss_and_grad(w, b, X, y, l2, counts)
+    if not (math.isfinite(loss) and math.isfinite(b) and np.isfinite(w).all()):
+        raise ValueError(_DIVERGED)
     return LogRegModel(w, b, threshold, feature_names(len(candidates[0].votes)),
-                       final_loss=float(loss))
+                       final_loss=loss)
 
 
 def _conflicts(a: Edit, b: Edit) -> bool:
@@ -156,8 +179,10 @@ def select_edits(candidates: Sequence[EditCandidate],
     """Keep candidates scoring at or above the threshold, then resolve
     span conflicts greedily by descending score (ties: leftmost span,
     then SUB > RED > MISS)."""
-    scored = [(model.score(c), c) for c in candidates]
-    kept = [(s, c) for s, c in scored if s >= model.threshold]
+    if not candidates:
+        return []
+    scores = model.predict_proba(feature_matrix(candidates)).tolist()
+    kept = [(s, c) for s, c in zip(scores, candidates) if s >= model.threshold]
     kept.sort(key=lambda item: (-item[0], item[1].edit.i,
                                 _CATEGORY_ORDER[item[1].edit.category],
                                 item[1].edit.tgt_tokens))

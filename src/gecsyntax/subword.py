@@ -30,7 +30,8 @@ def join_pieces(pieces: Sequence[str], marker: str = "@@", style: str = "prefix"
         out = [pieces[0]]
         out += [p[len(marker):] if p.startswith(marker) else p for p in pieces[1:]]
     elif style == "suffix":
-        out = [p[:-len(marker)] if p.endswith(marker) else p for p in pieces[:-1]]
+        out = [p[:len(p) - len(marker)] if p.endswith(marker) else p
+               for p in pieces[:-1]]
         out.append(pieces[-1])
     else:
         raise ValueError(f"unknown marker style {style!r}")

@@ -54,34 +54,36 @@ def unescape_token(token: str) -> str:
     return token.replace("-LRB-", "(").replace("-RRB-", ")")
 
 
-def parse_bracketed(text: str, lineno: int | None = None) -> NonTerminal:
+def parse_bracketed(text: str, lineno: int | None = None,
+                    path: str | None = None) -> NonTerminal:
     """Parse one bracketed tree, e.g. ``"(S (NP (DT the) (NN cat)))"``.
 
     The input must be a single balanced-parenthesis expression.  Terminal
     positions are assigned left to right.  Raises :class:`FormatError` on
     empty input, unbalanced parentheses, an empty constituent ``()``, a
-    non-terminal with zero children, or trailing material.
+    non-terminal with zero children, or trailing material; the error
+    carries ``lineno`` and ``path`` when given.
     """
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
-        raise FormatError("empty input, expected a bracketed tree", lineno)
+        raise FormatError("empty input, expected a bracketed tree", lineno, path)
     if tokens[0] != "(":
-        raise FormatError(f"expected '(', got {tokens[0]!r}", lineno)
+        raise FormatError(f"expected '(', got {tokens[0]!r}", lineno, path)
     root = None
     open_nodes: list[NonTerminal] = []
     position = 0
     it = iter(tokens)
     for tok in it:
         if root is not None and not open_nodes:
-            raise FormatError("trailing material after the tree", lineno)
+            raise FormatError("trailing material after the tree", lineno, path)
         if tok == "(":
             label = next(it, None)
             if label is None:
-                raise FormatError("unbalanced parentheses", lineno)
+                raise FormatError("unbalanced parentheses", lineno, path)
             if label == ")":
-                raise FormatError("empty constituent '()'", lineno)
+                raise FormatError("empty constituent '()'", lineno, path)
             if label == "(":
-                raise FormatError("missing constituent label", lineno)
+                raise FormatError("missing constituent label", lineno, path)
             node = NonTerminal(label, [])
             if open_nodes:
                 open_nodes[-1].children.append(node)
@@ -91,12 +93,13 @@ def parse_bracketed(text: str, lineno: int | None = None) -> NonTerminal:
         elif tok == ")":
             node = open_nodes.pop()
             if not node.children:
-                raise FormatError(f"non-terminal {node.label!r} has no children", lineno)
+                raise FormatError(f"non-terminal {node.label!r} has no children",
+                                  lineno, path)
         else:
             open_nodes[-1].children.append(Terminal(unescape_token(tok), position))
             position += 1
     if open_nodes:
-        raise FormatError("unbalanced parentheses", lineno)
+        raise FormatError("unbalanced parentheses", lineno, path)
     return root
 
 
@@ -214,7 +217,7 @@ def read_trees(lines: Iterable[str], path: str | None = None) -> Iterator[NonTer
         stripped = line.strip()
         if not stripped:
             raise FormatError("blank line in tree file", lineno, path)
-        yield parse_bracketed(stripped, lineno)
+        yield parse_bracketed(stripped, lineno, path)
 
 
 def load_tree_file(path: str) -> list[NonTerminal]:

@@ -256,6 +256,32 @@ def max_rel_err(analytic, numeric, floor=1e-6) -> float:
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
+# --- ensemble selector oracle -------------------------------------------
+
+def selector_gd_oracle(examples, labels, lr, epochs, l2):
+    """Edit-selector training by plain full-batch gradient descent, one row
+    per example: no grouping of equal rows.
+
+    ``examples`` are ``(votes, category)`` pairs.  A row is the votes, their
+    mean and a one-hot of the category (SUB, RED, MISS); the loss is the
+    mean logistic loss plus ``l2 / 2 * |w|^2`` (bias not regularized).
+    Returns (weights, bias) after ``epochs`` steps from zero.
+    """
+    onehot = {"SUB": [1.0, 0.0, 0.0], "RED": [0.0, 1.0, 0.0], "MISS": [0.0, 0.0, 1.0]}
+    X = np.array([[*map(float, votes), sum(votes) / len(votes), *onehot[category]]
+                  for votes, category in examples])
+    y = np.asarray(labels, dtype=float)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    for _ in range(epochs):
+        residual = 1.0 / (1.0 + np.exp(-(X @ w + b))) - y
+        grad_w = X.T @ residual / len(y) + l2 * w
+        grad_b = residual.sum() / len(y)
+        w = w - lr * grad_w
+        b = b - lr * grad_b
+    return w, b
+
+
 # --- ensemble corpus ----------------------------------------------------
 
 SRC_VOCAB = [f"w{i}" for i in range(30)]

@@ -19,7 +19,7 @@ from gecsyntax.attention import (
 from gecsyntax.cli import main as cli_main
 from gecsyntax.ensemble import gather, label_candidates, loss_and_grad, select_edits
 from gecsyntax.ensemble import train as train_selector
-from gecsyntax.ensemble import EditCandidate
+from gecsyntax.ensemble import EditCandidate, feature_matrix
 from gecsyntax.gcn import (
     KINK_MARGIN, GcnLayerParams, encode_backward, fuse, gcn_encode, gcn_layer,
     init_stack, min_abs_preactivation,
@@ -337,7 +337,7 @@ def test_criterion_7_ensemble_precision_gain():
         toy.append(EditCandidate(E.sub(i, "a", "b"), votes))
         toy_labels.append(1.0 if positive else 0.0)
     toy_model = train_selector(toy, toy_labels, lr=0.5, epochs=500, l2=0.0)
-    probs = toy_model.predict_proba(np.stack([c.features() for c in toy]))
+    probs = toy_model.predict_proba(feature_matrix(toy))
     sep_ok = bool(np.all((probs >= 0.5) == np.asarray(toy_labels, bool)))
 
     _report(7, gain_ok and fd_ok and sep_ok,

@@ -185,6 +185,27 @@ def test_subword_command(tmp_path, capsys):
     assert capsys.readouterr().out == "(S (VBG play @@ing) (NN cat))\n"
 
 
+def test_subword_empty_suffix_marker(tmp_path, capsys):
+    trees = tmp_path / "t.trees"
+    trees.write_text("(S (VBG playing) (NN cat))\n", encoding="utf-8")
+    seg = tmp_path / "seg.txt"
+    seg.write_text("play ing\tcat\n", encoding="utf-8")
+    assert main(["subword", str(trees), str(seg), "--marker", "",
+                 "--marker-style", "suffix"]) == 0
+    assert capsys.readouterr().out == "(S (VBG play ing) (NN cat))\n"
+
+
+def test_malformed_tree_names_tree_file_and_line(tmp_path, capsys):
+    parallel = tmp_path / "pairs.tsv"
+    parallel.write_text("a cat\ta cat\n" * 3, encoding="utf-8")
+    trees = tmp_path / "bad.trees"
+    trees.write_text("(S (DT a) (NN cat))\n" * 2 + "(S (DT a) (NN cat)\n",
+                     encoding="utf-8")
+    assert main(["project", str(parallel), str(trees)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {trees}:line 3: " in err
+
+
 def test_subword_bad_segmentation_is_exit_2(tmp_path, capsys):
     trees = tmp_path / "t.trees"
     trees.write_text("(S (VBG playing))\n", encoding="utf-8")
@@ -282,6 +303,27 @@ def test_ensemble_train_source_mismatch_is_exit_2(tmp_path, capsys):
     assert main(["ensemble-train", str(tmp_path / "src.txt"),
                  str(tmp_path / "h1.txt"), str(gold)]) == 2
     assert "does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lr", "inf"],
+    ["--lr", "nan"],
+    ["--lr", "1e12", "--l2", "1"],   # diverges: each step overshoots the L2 pull
+], ids=["lr-inf", "lr-nan", "diverging"])
+def test_ensemble_train_bad_settings_is_exit_2(tmp_path, capsys, flags):
+    (tmp_path / "src.txt").write_text("a cat sat\nthe dog ran\n", encoding="utf-8")
+    (tmp_path / "h1.txt").write_text("a dog sat\nthe dog ran fast\n", encoding="utf-8")
+    (tmp_path / "h2.txt").write_text("a dog sat\nthe dog ran\n", encoding="utf-8")
+    gold = tmp_path / "gold.m2"
+    gold.write_text("S a cat sat\nA 1 2|||SUB|||dog\n\nS the dog ran\n"
+                    "A 3 3|||MISS|||fast\n", encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert main(["ensemble-train", *(str(tmp_path / f) for f in
+                                     ("src.txt", "h1.txt", "h2.txt")),
+                 str(gold), "-o", str(model), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--lr" in err and "Traceback" not in err
+    assert not model.exists()
 
 
 def test_score_self_is_perfect(tmp_path, capsys):

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from gecsyntax import edits as E
+from gecsyntax import ensemble
 from gecsyntax.ensemble import (
-    EditCandidate, LogRegModel, feature_names, gather, label_candidates,
-    loss_and_grad, model_from_dict, model_to_dict, select_and_apply,
-    select_edits, train,
+    EditCandidate, LogRegModel, feature_matrix, feature_names, gather,
+    label_candidates, loss_and_grad, model_from_dict, model_to_dict,
+    select_and_apply, select_edits, train,
 )
 from gecsyntax.scoring import corpus_score
 
-from tests.helpers import build_ensemble_corpus, numeric_grad
+from tests.helpers import build_ensemble_corpus, numeric_grad, selector_gd_oracle
 
 
 def test_gather_no_edits_when_all_hypotheses_match_source():
@@ -56,8 +57,8 @@ def test_gather_requires_a_hypothesis():
 
 def test_feature_vector_layout():
     cand = EditCandidate(E.red(2, "x"), (1, 0, 1))
-    feats = cand.features()
-    assert feats.tolist() == [1, 0, 1, 2 / 3, 0, 1, 0]
+    feats = feature_matrix([cand, EditCandidate(E.miss(0, ["y"]), (0, 0, 1))])
+    assert feats.tolist() == [[1, 0, 1, 2 / 3, 0, 1, 0], [0, 0, 1, 1 / 3, 0, 0, 1]]
     assert feature_names(3) == [
         "system_0", "system_1", "system_2",
         "vote_fraction", "is_sub", "is_red", "is_miss",
@@ -67,7 +68,7 @@ def test_feature_vector_layout():
 def test_zero_model_predicts_half():
     model = LogRegModel(np.zeros(7), 0.0)
     cand = EditCandidate(E.sub(0, "a", "b"), (1, 0, 0))
-    assert model.score(cand) == pytest.approx(0.5)
+    assert model.predict_proba(feature_matrix([cand])) == pytest.approx([0.5])
 
 
 def test_loss_gradient_matches_finite_differences():
@@ -102,7 +103,7 @@ def test_separable_toy_set_reaches_full_accuracy():
         cands.append(EditCandidate(cat, votes))
         labels.append(1.0 if positive else 0.0)
     model = train(cands, labels, lr=0.5, epochs=500, l2=0.0)
-    probs = model.predict_proba(np.stack([c.features() for c in cands]))
+    probs = model.predict_proba(feature_matrix(cands))
     acc = np.mean((probs >= 0.5) == np.asarray(labels, bool))
     assert acc == 1.0
     assert model.final_loss is not None and model.final_loss < 0.5
@@ -129,7 +130,7 @@ def test_select_all_gold_reconstructs_target():
     tgt = ["a", "dog", "sat", "down"]
     gold = E.align(src, tgt)
     cands = gather(src, [tgt])
-    model = LogRegModel(np.ones(len(cands[0].features())), 5.0)  # keep all
+    model = LogRegModel(np.ones(len(feature_names(1))), 5.0)  # keep all
     assert select_and_apply(src, cands, model) == tgt
 
 
@@ -139,8 +140,8 @@ def test_overlapping_candidates_resolved_by_score():
     model = LogRegModel(weights, 0.0, threshold=0.5)
     strong = EditCandidate(E.sub(1, "cat", "dog"), (1, 0))
     weak = EditCandidate(E.sub(1, "cat", "rat"), (0, 1))
-    assert model.score(strong) == pytest.approx(0.9)
-    assert model.score(weak) == pytest.approx(0.6)
+    assert model.predict_proba(feature_matrix([strong, weak])) == pytest.approx(
+        [0.9, 0.6])
     chosen = select_edits([weak, strong], model)
     assert [c.edit for c in chosen] == [strong.edit]
     assert select_and_apply(["a", "cat"], [weak, strong], model) == ["a", "dog"]
@@ -230,3 +231,88 @@ def test_sigmoid_stability_extreme_logits():
     assert model.predict_proba(np.array([[-1.0]]))[0] == pytest.approx(0.0)
     assert math.isfinite(loss_and_grad(np.array([1000.0]), 0.0,
                                        np.array([[1.0]]), np.array([0.0]))[0])
+
+
+def _corpus_candidates(seed):
+    """Per-sentence (candidates, labels) of a synthetic corpus."""
+    sources, golds, hyps = build_ensemble_corpus(seed=seed)
+    out = []
+    for i, src in enumerate(sources):
+        cands = gather(src, [h[i] for h in hyps])
+        out.append((cands, label_candidates(cands, E.align(src, golds[i]))))
+    return out
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+@pytest.mark.parametrize("l2", [0.0, 0.01])
+def test_grouped_training_matches_per_row_oracle(seed, l2):
+    sentences = _corpus_candidates(seed)
+    cands = [c for sent, _ in sentences for c in sent]
+    labels = [y for _, sent in sentences for y in sent]
+    model = train(cands, labels, lr=0.5, epochs=500, l2=l2)
+    w, b = selector_gd_oracle([(c.votes, c.edit.category) for c in cands],
+                              labels, lr=0.5, epochs=500, l2=l2)
+    np.testing.assert_allclose(model.weights, w, rtol=1e-9, atol=1e-12)
+    assert model.bias == pytest.approx(b, rel=1e-9)
+
+
+_RANK = {E.SUB: 0, E.RED: 1, E.MISS: 2}
+
+
+def _clash(a, b):
+    if a.category == E.MISS and b.category == E.MISS:
+        return a.i == b.i
+    return E.MISS not in (a.category, b.category) and a.i < b.j and b.i < a.j
+
+
+def _select_scoring_each_candidate(candidates, model):
+    """Threshold and greedy conflict resolution, scoring one candidate at
+    a time."""
+    scored = [(float(model.predict_proba(feature_matrix([c])[0])), c)
+              for c in candidates]
+    kept = sorted(((s, c) for s, c in scored if s >= model.threshold),
+                  key=lambda sc: (-sc[0], sc[1].edit.i, _RANK[sc[1].edit.category],
+                                  sc[1].edit.tgt_tokens))
+    chosen = []
+    for _, cand in kept:
+        if not any(_clash(cand.edit, c.edit) for c in chosen):
+            chosen.append(cand)
+    return sorted(chosen, key=lambda c: (c.edit.i, _RANK[c.edit.category]))
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_select_edits_matches_per_candidate_scoring(seed):
+    sentences = _corpus_candidates(seed)
+    model = train([c for sent, _ in sentences for c in sent],
+                  [y for _, sent in sentences for y in sent])
+    for threshold in (0.2, 0.5, 0.8):
+        model.threshold = threshold
+        for cands, _ in sentences:
+            assert select_edits(cands, model) == _select_scoring_each_candidate(
+                cands, model)
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_gather_aligns_each_distinct_hypothesis_once(seed, monkeypatch):
+    calls = []
+
+    def counting_align(src, hyp):
+        calls.append(tuple(hyp))
+        return E.align(src, hyp)
+
+    monkeypatch.setattr(ensemble, "align", counting_align)
+    sources, _, hyps = build_ensemble_corpus(seed=seed)
+    for i, src in enumerate(sources):
+        outputs = [h[i] for h in hyps]
+        union = {}
+        for sys_idx, hyp in enumerate(outputs):
+            for edit in E.align(src, hyp):
+                union.setdefault(edit.identity(), (edit, [0] * len(outputs)))
+                union[edit.identity()][1][sys_idx] = 1
+        expected = sorted(((edit, tuple(votes)) for edit, votes in union.values()),
+                          key=lambda ev: (ev[0].i, ev[0].category,
+                                          ev[0].tgt_tokens, ev[0].j))
+        start = len(calls)
+        assert [(c.edit, c.votes) for c in gather(src, outputs)] == expected
+        assert sorted(calls[start:]) == sorted({tuple(h) for h in outputs})
+    assert len(calls) < len(sources) * len(hyps)  # the gold systems agree

@@ -3,9 +3,13 @@
 Every subcommand runs in process on input files of arbitrary bytes: each
 file is either a well-formed example of its format with random splices,
 or free bytes biased toward the characters the formats are made of.
-Whatever the bytes, the command exits 0, or 2 with an ``error:`` line on
-stderr; only ``gcn-check`` may exit 1, when a self-check fails.  No
-exception may escape ``main``.
+``ensemble-train`` also draws its numeric training flags, each left at
+its default or set to a value from a small set of edge cases; in half of
+its examples the files are the well-formed seeds, so the flags reach
+training.  Whatever the bytes and flags, the command exits 0, or 2 with
+an ``error:`` line on stderr (argparse rejecting a flag value exits 2 the
+same way); only ``gcn-check`` may exit 1, when a self-check fails.  No
+other exception may escape ``main``.
 """
 
 import contextlib
@@ -44,12 +48,17 @@ _COMMANDS = {
     "subword": (["subword", 0, 1],
                 [b"(S (VBG playing) (NN cat))\n", b"play @@ing\tcat\n"]),
     "gcn-check": (["gcn-check", 0, "--d", "4", "--layers", "1"], [_TREES]),
-    "ensemble-train": (["ensemble-train", 0, 1, 2, 3, "--epochs", "5"],
+    "ensemble-train": (["ensemble-train", 0, 1, 2, 3],
                        [_SRC, _HYP1, _HYP2, _GOLD]),
     "ensemble-apply": (["ensemble-apply", 0, 1, 2, 3],
                        [_SRC, _HYP1, _HYP2, _MODEL]),
     "score": (["score", 0, 1], [_GOLD, _GOLD]),
 }
+
+
+# Numeric flags drawn per command; an undrawn flag keeps its default.
+_EDGE_NUMBERS = ["inf", "-inf", "nan", "0", "-1", "1e12", "0.5", "5"]
+_FLAGS = {"ensemble-train": ["--lr", "--l2", "--epochs"]}
 
 
 def _spliced(seed: bytes):
@@ -71,14 +80,24 @@ def _spliced(seed: bytes):
 def test_any_input_bytes_keep_the_exit_contract(tmp_path_factory, name, data):
     template, seeds = _COMMANDS[name]
     work = tmp_path_factory.getbasetemp()
+    flags = _FLAGS.get(name, [])
+    intact = bool(flags) and data.draw(st.booleans())
     paths = []
     for index, seed in enumerate(seeds):
         paths.append(work / f"input{index}")
-        paths[-1].write_bytes(data.draw(st.one_of(_spliced(seed), _FREE)))
+        paths[-1].write_bytes(
+            seed if intact else data.draw(st.one_of(_spliced(seed), _FREE)))
     argv = [str(paths[a]) if isinstance(a, int) else a for a in template]
+    for flag in flags:
+        value = data.draw(st.none() | st.sampled_from(_EDGE_NUMBERS))
+        if value is not None:
+            argv += [flag, value]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected a flag value
+            code = exc.code
     allowed = {0, 1, 2} if name == "gcn-check" else {0, 2}
     assert code in allowed, stderr.getvalue()
     if code == 2:

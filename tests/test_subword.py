@@ -37,6 +37,11 @@ def test_join_pieces_styles():
         join_pieces(["a"], style="infix")
 
 
+def test_join_pieces_with_empty_marker():
+    assert join_pieces(["play", "ing"], marker="", style="suffix") == "playing"
+    assert join_pieces(["play", "ing"], marker="", style="prefix") == "playing"
+
+
 def test_suffix_marker_convention():
     tree = T.parse_bracketed("(S (VBG playing))")
     out = to_subword_tree(tree, [["play@@", "ing"]], style="suffix")
