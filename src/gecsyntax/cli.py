@@ -6,6 +6,14 @@ Subcommands cover edit extraction (``align``), tree projection
 edit-ensemble selector (``ensemble-train``, ``ensemble-apply``) and
 edit-level scoring (``score``).
 
+Every command except ``gcn-check`` streams, holding one sentence at a
+time: line-parallel inputs are read in lockstep, each output line is
+written before the next input line is read, ``ensemble-train`` keeps
+only counts of its distinct feature rows and ``score`` only its edit
+counts.  A count mismatch is reported as ``path:line N: file ends, but
+OTHER goes on`` at the first line (for an ``.m2`` file, the first block)
+that only some of the files have.
+
 Exit codes: 0 on success, 2 on input-format errors (reported with line
 numbers) and on training settings out of range or training that diverges,
 1 when a numeric self-check fails.  Set ``CSYN_LOG`` to a level
@@ -22,7 +30,8 @@ import logging
 import math
 import os
 import sys
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,8 +47,8 @@ from .lines import read_lines
 logger = logging.getLogger("gecsyntax")
 
 
-def _read_token_lines(path: str) -> list[list[str]]:
-    return [line.split() for line in read_lines(path)]
+def _read_token_lines(path: str) -> Iterator[list[str]]:
+    return (line.split() for line in read_lines(path))
 
 
 def read_parallel_tsv(path: str) -> Iterator[tuple[list[str], list[str]]]:
@@ -59,18 +68,19 @@ def _read_tree_file(path: str) -> Iterator[T.NonTerminal]:
 _MISSING = object()
 
 
-def _lockstep(first: Iterable, first_path: str, second: Iterable, second_path: str):
-    """``(lineno, a, b)`` for the items of two line-parallel streams.
+def _lockstep(streams: Sequence[Iterable], paths: Sequence[str]) -> Iterator[tuple]:
+    """``(lineno, item, item, ...)``, one item from each line-parallel stream.
 
-    Raises :class:`FormatError` at the first line that only one file has.
+    Raises :class:`FormatError` at the first line (for ``.m2`` files, the
+    first block) that only some of the files have.
     """
-    for lineno, (a, b) in enumerate(
-            itertools.zip_longest(first, second, fillvalue=_MISSING), start=1):
-        if a is _MISSING or b is _MISSING:
-            short, other = ((first_path, second_path) if a is _MISSING
-                            else (second_path, first_path))
-            raise FormatError(f"file ends, but {other} goes on", lineno, short)
-        yield lineno, a, b
+    for lineno, row in enumerate(
+            itertools.zip_longest(*streams, fillvalue=_MISSING), start=1):
+        if any(item is _MISSING for item in row):
+            ended = next(p for p, item in zip(paths, row) if item is _MISSING)
+            going = next(p for p, item in zip(paths, row) if item is not _MISSING)
+            raise FormatError(f"file ends, but {going} goes on", lineno, ended)
+        yield lineno, *row
 
 
 @contextlib.contextmanager
@@ -112,8 +122,8 @@ def cmd_align(args) -> int:
 
 def cmd_project(args) -> int:
     summary = projection.ProjectionSummary()
-    lines = _lockstep(read_parallel_tsv(args.parallel), args.parallel,
-                      _read_tree_file(args.trees), args.trees)
+    lines = _lockstep([read_parallel_tsv(args.parallel), _read_tree_file(args.trees)],
+                      [args.parallel, args.trees])
     with _out_stream(args.output) as out:
         for lineno, (src, tgt), tree in lines:
             result = projection.project_pair(src, tgt, tree, summary, lineno,
@@ -143,8 +153,8 @@ def cmd_strip(args) -> int:
 def cmd_subword(args) -> int:
     segmentation = subword.read_segmentation(read_lines(args.segmentation),
                                              args.segmentation)
-    lines = _lockstep(_read_tree_file(args.trees), args.trees,
-                      segmentation, args.segmentation)
+    lines = _lockstep([_read_tree_file(args.trees), segmentation],
+                      [args.trees, args.segmentation])
     with _out_stream(args.output) as out:
         for lineno, tree, seg in lines:
             try:
@@ -179,16 +189,6 @@ def cmd_gcn_check(args) -> int:
     return 0 if ok else 1
 
 
-def _load_ensemble_inputs(args):
-    src = _read_token_lines(args.source)
-    hyps = [_read_token_lines(p) for p in args.hypotheses]
-    for p, hyp in zip(args.hypotheses, hyps):
-        if len(hyp) != len(src):
-            raise FormatError(
-                f"{len(hyp)} lines but source has {len(src)}", path=p)
-    return src, hyps
-
-
 def _check_training_settings(args) -> None:
     """:class:`FormatError` naming the first flag out of its range."""
     for flag, value, in_range, bound in (
@@ -201,69 +201,68 @@ def _check_training_settings(args) -> None:
 
 def cmd_ensemble_train(args) -> int:
     _check_training_settings(args)
-    src, hyps = _load_ensemble_inputs(args)
-    gold_blocks = ed.load_m2_file(args.gold)
-    if len(gold_blocks) != len(src):
-        raise FormatError(
-            f"{len(gold_blocks)} gold blocks but source has {len(src)} lines",
-            path=args.gold)
-    candidates: list[ensemble.EditCandidate] = []
-    labels: list[float] = []
-    for lineno, (tokens, (gold_src, gold_script)) in enumerate(
-            zip(src, gold_blocks), start=1):
-        if gold_src != tokens:
-            raise FormatError("gold source does not match source file",
-                              lineno, args.gold)
-        sent_cands = ensemble.gather(tokens, [h[lineno - 1] for h in hyps])
-        candidates.extend(sent_cands)
-        labels.extend(ensemble.label_candidates(sent_cands, gold_script))
-    if not candidates:
-        raise FormatError("no edits proposed by any system; nothing to train on")
+    paths = [args.source, *args.hypotheses, args.gold]
+    streams = [*map(_read_token_lines, paths[:-1]), ed.load_m2_file(args.gold)]
+    seen = 0
+
+    def labeled() -> Iterator[tuple[ensemble.EditCandidate, float]]:
+        nonlocal seen
+        for lineno, tokens, *hyps, (gold_src, gold_script) in _lockstep(streams, paths):
+            if gold_src != tokens:
+                raise FormatError("gold source does not match source file",
+                                  lineno, args.gold)
+            cands = ensemble.gather(tokens, hyps)
+            seen += len(cands)
+            yield from zip(cands, ensemble.label_candidates(cands, gold_script))
+
+    # Training zips the two halves in lockstep, so tee buffers one pair.
+    cands, labels = itertools.tee(labeled())
     try:
-        model = ensemble.train(candidates, labels, lr=args.lr, epochs=args.epochs,
-                               l2=args.l2, threshold=args.threshold)
+        model = ensemble.train(map(itemgetter(0), cands), map(itemgetter(1), labels),
+                               lr=args.lr, epochs=args.epochs, l2=args.l2,
+                               threshold=args.threshold)
+    except FormatError:
+        raise
     except ValueError as exc:
+        if not seen:
+            raise FormatError(
+                "no edits proposed by any system; nothing to train on") from None
         raise FormatError(f"--lr {args.lr} --l2 {args.l2}: {exc}") from None
     payload = json.dumps(ensemble.model_to_dict(model), sort_keys=True)
     with _out_stream(args.output) as out:
         out.write(payload + "\n")
-    if logger.isEnabledFor(logging.INFO):
-        probs = model.predict_proba(ensemble.feature_matrix(candidates))
-        acc = float(np.mean((probs >= model.threshold) == np.asarray(labels, bool)))
-        logger.info("trained on %d candidates, final loss %.6f, accuracy %.4f",
-                    len(candidates), model.final_loss, acc)
+    logger.info("trained on %d candidates, final loss %.6f", seen, model.final_loss)
     return 0
 
 
 def cmd_ensemble_apply(args) -> int:
-    src, hyps = _load_ensemble_inputs(args)
     model = ensemble.load_model(args.model)
-    if len(model.weights) != len(ensemble.feature_names(len(hyps))):
+    if len(model.weights) != len(ensemble.feature_names(len(args.hypotheses))):
         raise FormatError(f"{len(model.weights)} weights do not fit "
-                          f"{len(hyps)} hypothesis files", path=args.model)
+                          f"{len(args.hypotheses)} hypothesis files", path=args.model)
     if args.threshold is not None:
         model.threshold = args.threshold
+    paths = [args.source, *args.hypotheses]
     with _out_stream(args.output) as out:
-        for i, tokens in enumerate(src):
-            cands = ensemble.gather(tokens, [h[i] for h in hyps])
+        for _, tokens, *hyps in _lockstep([_read_token_lines(p) for p in paths], paths):
+            cands = ensemble.gather(tokens, hyps)
             out.write(" ".join(ensemble.select_and_apply(tokens, cands, model)) + "\n")
     return 0
 
 
 def cmd_score(args) -> int:
-    hyp_blocks = ed.load_m2_file(args.hypothesis)
-    gold_blocks = ed.load_m2_file(args.gold)
-    if len(hyp_blocks) != len(gold_blocks):
-        raise FormatError(
-            f"{len(hyp_blocks)} hypothesis blocks vs {len(gold_blocks)} gold blocks",
-            path=args.hypothesis)
-    for idx, ((hs, _), (gs, _)) in enumerate(zip(hyp_blocks, gold_blocks), start=1):
-        if hs != gs:
-            raise FormatError(
-                f"block {idx}: hypothesis and gold source sentences differ",
-                path=args.hypothesis)
-    result = scoring.corpus_score(
-        (h, g) for (_, h), (_, g) in zip(hyp_blocks, gold_blocks))
+    paths = [args.hypothesis, args.gold]
+
+    def pairs() -> Iterator[tuple[ed.EditScript, ed.EditScript]]:
+        for idx, (hs, h), (gs, g) in _lockstep([ed.load_m2_file(p) for p in paths],
+                                               paths):
+            if hs != gs:
+                raise FormatError(
+                    f"block {idx}: hypothesis and gold source sentences differ",
+                    path=args.hypothesis)
+            yield h, g
+
+    result = scoring.corpus_score(pairs())
     with _out_stream(args.output) as out:
         out.write(result.to_json() + "\n")
     print(result.summary(), file=sys.stderr)

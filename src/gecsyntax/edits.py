@@ -15,6 +15,7 @@ which doubles as the round-trip oracle for the aligner.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -289,36 +290,28 @@ def write_m2(blocks: Iterable[tuple[Sequence[str], EditScript]], fh) -> None:
             fh.write(f"A {e.i} {e.j}|||{e.category}|||{' '.join(e.tgt_tokens)}\n")
 
 
-def read_m2(lines: Iterable[str], path: str | None = None) -> list[tuple[list[str], EditScript]]:
-    """Parse ``S``/``A`` blocks; blocks are separated by blank lines.
+def read_m2(lines: Iterable[str], path: str | None = None) -> Iterator[tuple[list[str], EditScript]]:
+    """Parse ``S``/``A`` blocks lazily; blocks are separated by blank lines.
 
     A block whose edits do not form a valid script (bad shape, overlap)
     raises :class:`FormatError` at the line of its ``S``.
     """
-    blocks: list[tuple[list[str], EditScript]] = []
     src: list[str] | None = None
     src_lineno = 0
     edits: list[Edit] = []
-
-    def close() -> None:
-        nonlocal src, edits
-        if src is not None:
-            try:
-                script = make_script(edits)
-            except ValueError as exc:
-                raise FormatError(str(exc), src_lineno, path) from None
-            blocks.append((src, script))
-        src = None
-        edits = []
-
-    for lineno, line in enumerate(lines, start=1):
+    # A blank line after the last one closes the final block.
+    for lineno, line in enumerate(itertools.chain(lines, [""]), start=1):
         line = line.rstrip("\n")
-        if not line.strip():
-            close()
-            continue
-        if line.startswith("S ") or line == "S":
-            close()
-            src, src_lineno = line[2:].split(), lineno
+        if not line.strip() or line.startswith("S ") or line == "S":
+            if src is not None:
+                try:
+                    script = make_script(edits)
+                except ValueError as exc:
+                    raise FormatError(str(exc), src_lineno, path) from None
+                yield src, script
+            src, edits = None, []
+            if line.strip():
+                src, src_lineno = line[2:].split(), lineno
             continue
         if line.startswith("A "):
             if src is None:
@@ -341,9 +334,7 @@ def read_m2(lines: Iterable[str], path: str | None = None) -> list[tuple[list[st
             edits.append(Edit(cat, i, j, tuple(src[i:j]), tgt))
             continue
         raise FormatError(f"unrecognized line {line!r}", lineno, path)
-    close()
-    return blocks
 
 
-def load_m2_file(path: str) -> list[tuple[list[str], EditScript]]:
+def load_m2_file(path: str) -> Iterator[tuple[list[str], EditScript]]:
     return read_m2(read_lines(path), path)

@@ -13,7 +13,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -83,11 +83,10 @@ def gather(src_tokens: Sequence[str],
 
 
 def label_candidates(candidates: Sequence[EditCandidate],
-                     gold: EditScript) -> np.ndarray:
-    """1 where a candidate exactly matches a gold edit, else 0."""
+                     gold: EditScript) -> list[float]:
+    """1.0 where a candidate exactly matches a gold edit, else 0.0."""
     gold_keys = {e.identity() for e in gold}
-    return np.array([1.0 if c.edit.identity() in gold_keys else 0.0
-                     for c in candidates])
+    return [1.0 if c.edit.identity() in gold_keys else 0.0 for c in candidates]
 
 
 @dataclass
@@ -99,8 +98,9 @@ class LogRegModel:
     final_loss: float | None = None
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        z = np.asarray(features, dtype=float) @ self.weights + self.bias
-        return _sigmoid(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = np.asarray(features, dtype=float) @ self.weights + self.bias
+            return _sigmoid(z)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -129,7 +129,7 @@ def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray,
     return loss, grad_w, grad_b
 
 
-def train(candidates: Sequence[EditCandidate], labels: Sequence[float],
+def train(candidates: Iterable[EditCandidate], labels: Iterable[float],
           lr: float = 0.5, epochs: int = 500, l2: float = 0.0,
           threshold: float = 0.5) -> LogRegModel:
     """Full-batch gradient descent from zero-initialized parameters.
@@ -137,17 +137,16 @@ def train(candidates: Sequence[EditCandidate], labels: Sequence[float],
     Candidates with the same votes, category and label have the same
     feature row, so each distinct (votes, category, label) is one row
     weighted by how often it occurs; the loss is the same mean over all
-    candidates.  Deterministic: no sampling is involved.  Raises
-    ``ValueError`` if the loss or the parameters go non-finite (learning
-    rate too large).
+    candidates.  Both iterables are consumed once, in lockstep, so they
+    may be generators.  Deterministic: no sampling is involved.  Raises
+    ``ValueError`` if there are no candidates, if the two lengths differ,
+    or if the loss or the parameters go non-finite (learning rate too
+    large).
     """
-    if len(candidates) == 0:
+    groups = Counter((c.votes, c.edit.category, float(label))
+                     for c, label in zip(candidates, labels, strict=True))
+    if not groups:
         raise ValueError("no candidates to train on")
-    if len(labels) != len(candidates):
-        raise ValueError("labels do not match candidates")
-    labels = np.asarray(labels, dtype=float).tolist()
-    groups = Counter((c.votes, c.edit.category, label)
-                     for c, label in zip(candidates, labels))
     X = np.array([_feature_row(votes, cat) for votes, cat, _ in groups])
     y = np.array([label for _, _, label in groups])
     counts = np.array(list(groups.values()), dtype=float)
@@ -162,7 +161,7 @@ def train(candidates: Sequence[EditCandidate], labels: Sequence[float],
     loss, _, _ = loss_and_grad(w, b, X, y, l2, counts)
     if not (math.isfinite(loss) and math.isfinite(b) and np.isfinite(w).all()):
         raise ValueError(_DIVERGED)
-    return LogRegModel(w, b, threshold, feature_names(len(candidates[0].votes)),
+    return LogRegModel(w, b, threshold, feature_names(len(next(iter(groups))[0])),
                        final_loss=loss)
 
 

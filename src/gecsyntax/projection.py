@@ -244,7 +244,6 @@ class ProjectionSummary:
     pairs: int = 0
     skipped: int = 0
     pseudo_counts: dict[str, int] = field(default_factory=lambda: {SUB: 0, RED: 0, MISS: 0})
-    skipped_lines: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -270,7 +269,6 @@ def project_pair(src: Sequence[str], tgt: Sequence[str], target_tree: T.NonTermi
     except (ValueError, RuntimeError) as exc:
         logger.warning("line %d: skipped: %s", lineno, exc)
         summary.skipped += 1
-        summary.skipped_lines.append(lineno)
         return None
     for label, _ in result.inserted:
         summary.pseudo_counts[label] += 1

@@ -1,18 +1,25 @@
 import argparse
 import gc
 import json
+import logging
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gecsyntax
 from gecsyntax import edits as E
 from gecsyntax import tree as T
 from gecsyntax.cli import build_parser, main
 from gecsyntax.projection import build_training_trees, strip_pseudo
 
-from tests.helpers import SRC_VOCAB, random_script, random_tokens, random_tree
+from tests.helpers import (
+    SRC_VOCAB, build_ensemble_corpus, random_script, random_tokens, random_tree,
+)
 
 
 @pytest.fixture
@@ -324,6 +331,124 @@ def test_ensemble_train_bad_settings_is_exit_2(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--lr" in err and "Traceback" not in err
     assert not model.exists()
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+def _write_m2(path, sources, targets):
+    with open(path, "w", encoding="utf-8") as fh:
+        E.write_m2([(s.split(), E.align(s.split(), t.split()))
+                    for s, t in zip(sources, targets)], fh)
+    return str(path)
+
+
+_INPUTS = {"ensemble-train": ["src.txt", "h1.txt", "h2.txt", "gold.m2"],
+           "ensemble-apply": ["src.txt", "h1.txt", "h2.txt", "model.json"],
+           "score": ["hyp.m2", "gold.m2"]}
+
+
+@pytest.mark.parametrize("command,h2_lines,gold_blocks,short,other,line", [
+    ("ensemble-train", 2, 3, "h2.txt", "src.txt", 3),
+    ("ensemble-train", 3, 2, "gold.m2", "src.txt", 3),
+    ("ensemble-apply", 4, 3, "src.txt", "h2.txt", 4),
+    ("score", 3, 3, "hyp.m2", "gold.m2", 3),   # hyp.m2 has 2 blocks
+], ids=["train-short-hypothesis", "train-short-gold", "apply-long-hypothesis",
+        "score-short-hypothesis"])
+def test_ensemble_count_mismatch_names_file_and_line(
+        tmp_path, capsys, command, h2_lines, gold_blocks, short, other, line):
+    src = ["a cat sat", "the dog ran", "a bird flew"]
+    tgt = ["a dog sat", "the dog ran fast", "a bird flew"]
+    _write_lines(tmp_path / "src.txt", src)
+    _write_lines(tmp_path / "h1.txt", tgt)
+    _write_lines(tmp_path / "h2.txt", (tgt + ["one more"])[:h2_lines])
+    _write_m2(tmp_path / "gold.m2", src[:gold_blocks], tgt)
+    _write_m2(tmp_path / "hyp.m2", src[:2], tgt)
+    (tmp_path / "model.json").write_text('{"weights": [0, 0, 0, 0, 0, 0], "bias": 0}',
+                                         encoding="utf-8")
+    inputs = sorted(tmp_path.iterdir())
+    assert main([command, *(str(tmp_path / name) for name in _INPUTS[command]),
+                 "-o", str(tmp_path / "out.txt")]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: {tmp_path / short}:line {line}: "
+            f"file ends, but {tmp_path / other} goes on") in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+def test_ensemble_train_bad_gold_keeps_its_own_error(tmp_path, capsys):
+    source = _write_lines(tmp_path / "src.txt", ["a cat", "the dog"])
+    hyp = _write_lines(tmp_path / "h1.txt", ["a dog", "the cat"])
+    gold = _write_lines(tmp_path / "gold.m2", ["S a cat", "A 1 2|||SUB|||dog", "",
+                                               "S the dog", "A 0 1|||WHAT|||x"])
+    assert main(["ensemble-train", source, hyp, gold]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {gold}:line 5: unknown category") and "--lr" not in err
+
+
+def test_ensemble_train_without_edits_is_exit_2(tmp_path, capsys, caplog):
+    source = _write_lines(tmp_path / "src.txt", ["a cat", "the dog"])
+    hyp = _write_lines(tmp_path / "h1.txt", ["a cat", "the dog"])
+    gold = _write_m2(tmp_path / "gold.m2", ["a cat", "the dog"], ["a dog", "the dog"])
+    model = tmp_path / "model.json"
+    assert main(["ensemble-train", source, hyp, gold, "-o", str(model)]) == 2
+    assert "no edits proposed by any system" in capsys.readouterr().err
+    assert not model.exists()
+    hyp = _write_lines(tmp_path / "h1.txt", ["a dog", "the cat"])
+    with caplog.at_level(logging.INFO, logger="gecsyntax"):
+        assert main(["ensemble-train", source, hyp, gold, "-o", str(model)]) == 0
+    assert any(rec.getMessage().startswith("trained on 2 candidates, final loss ")
+               for rec in caplog.records)
+
+
+# A child process runs one command and prints its own peak resident size.
+_PEAK_RSS_CHILD = """
+import sys
+from gecsyntax.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def _has_vmhwm() -> bool:
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return any(line.startswith("VmHWM:") for line in fh)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
+def test_ensemble_commands_memory_is_flat_in_corpus_size(tmp_path):
+    src_dir = str(Path(gecsyntax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    peak_kb = {}
+    for n in (1_000, 4_000):
+        root = tmp_path / str(n)
+        root.mkdir()
+        sources, golds, hyps = build_ensemble_corpus(seed=11, n_sentences=n)
+        src = _write_lines(root / "src.txt", map(" ".join, sources))
+        hyp_files = [_write_lines(root / f"h{i}.txt", map(" ".join, h))
+                     for i, h in enumerate(hyps)]
+        gold = _write_m2(root / "gold.m2", map(" ".join, sources), map(" ".join, golds))
+        hyp_m2 = _write_m2(root / "hyp.m2", map(" ".join, sources),
+                           map(" ".join, hyps[-1]))
+        for command, argv in (("ensemble-train", [src, *hyp_files, gold]),
+                              ("score", [hyp_m2, gold])):
+            proc = subprocess.run(
+                [sys.executable, "-c", _PEAK_RSS_CHILD, command, *argv,
+                 "-o", str(root / "out")], env=env, capture_output=True, text=True,
+                timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            peak_kb[command, n] = int(proc.stdout.split()[-1])
+    growth_mb = {command: (peak_kb[command, 4_000] - peak_kb[command, 1_000]) / 1024
+                 for command in ("ensemble-train", "score")}
+    assert max(growth_mb.values()) < 5, (growth_mb, peak_kb)
 
 
 def test_score_self_is_perfect(tmp_path, capsys):

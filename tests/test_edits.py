@@ -130,7 +130,7 @@ def test_m2_round_trip():
     ]
     buf = io.StringIO()
     E.write_m2(pairs, buf)
-    parsed = E.read_m2(buf.getvalue().splitlines(True))
+    parsed = list(E.read_m2(buf.getvalue().splitlines(True)))
     assert parsed == [(list(s), sc) for s, sc in pairs]
 
 
@@ -144,7 +144,7 @@ def test_m2_round_trip():
 ])
 def test_m2_format_errors_carry_line_numbers(lines, lineno):
     with pytest.raises(FormatError) as err:
-        E.read_m2(lines)
+        list(E.read_m2(lines))
     assert err.value.lineno == lineno
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,30 @@ def test_training_rejects_divergence_and_empty_input():
              EditCandidate(E.red(1, "c"), (0, 1))]
     with pytest.raises(ValueError, match="diverged"):
         train(cands, [1.0, 0.0], lr=1e12, l2=1.0, epochs=500)
+
+
+def test_training_consumes_iterables_in_lockstep():
+    sources, golds, hyps = build_ensemble_corpus(seed=3, n_sentences=30)
+    cands, labels = [], []
+    for i, src in enumerate(sources):
+        sent = gather(src, [h[i] for h in hyps])
+        cands.extend(sent)
+        labels.extend(label_candidates(sent, E.align(src, golds[i])))
+    from_lists = train(cands, labels, epochs=50)
+    from_generators = train((c for c in cands), (y for y in labels), epochs=50)
+    assert model_to_dict(from_generators) == model_to_dict(from_lists)
+    assert from_generators.final_loss == from_lists.final_loss
+    with pytest.raises(ValueError):
+        train(iter(cands), iter(labels[:-1]))
+
+
+def test_predict_proba_with_huge_weights_warns_nothing():
+    # A finite model that training with --lr 1e308 can produce.
+    model = LogRegModel(np.full(7, 1e308), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs = model.predict_proba(np.ones((2, 7)))
+    assert probs.tolist() == [1.0, 1.0]
 
 
 def test_select_empty_candidates_leaves_source():

@@ -243,7 +243,6 @@ def test_build_training_trees_roundtrip_and_skip(caplog):
     assert results[2] is None
     assert summary.pairs == 3
     assert summary.skipped == 1
-    assert summary.skipped_lines == [3]
     assert summary.pseudo_counts == {"SUB": 1, "RED": 0, "MISS": 0}
     assert any("line 3" in rec.getMessage() for rec in caplog.records)
 
