@@ -6,7 +6,14 @@ them to subword level, encodes them with a reference graph-convolution
 stack, combines two syntax memories by dual cross-attention, ensembles
 edits from multiple correction systems, and scores corrections with
 edit-level P/R/F0.5.
+
+The tree, edit, projection, subword and scoring names are imported here.
+The numpy-backed ones (graphs, the GCN, attention and the ensemble
+selector) are imported on first use (PEP 562), so a program that needs
+only the former never loads numpy.
 """
+
+import importlib
 
 from .tree import (
     NonTerminal,
@@ -20,20 +27,19 @@ from .tree import (
 from .edits import Edit, EditScript, align, apply_edits, make_script
 from .projection import ProjectionResult, build_training_trees, project, strip_pseudo
 from .subword import to_subword_tree
-from .graph import SyntaxGraph, build_graph, build_graph_dep
-from .gcn import (
-    GcnLayerParams,
-    GcnStack,
-    fuse,
-    gcn_encode,
-    gcn_layer,
-    init_stack,
-)
-from .attention import AttentionParams, cross_attention, dual_combine
-from .ensemble import EditCandidate, LogRegModel, gather, select_and_apply, train
 from .scoring import Scores, corpus_score, f_beta, match_edits
 
 __version__ = "0.1.0"
+
+# The numpy-backed public names, by defining module.
+_LAZY = {name: module for module, names in (
+    ("graph", ("SyntaxGraph", "build_graph", "build_graph_dep")),
+    ("gcn", ("GcnStack", "GcnLayerParams", "init_stack", "gcn_layer", "gcn_encode",
+             "fuse")),
+    ("attention", ("AttentionParams", "cross_attention", "dual_combine")),
+    ("ensemble", ("EditCandidate", "LogRegModel", "gather", "train",
+                  "select_and_apply")),
+) for name in names}
 
 __all__ = [
     "NonTerminal", "Terminal", "PSEUDO_LABELS", "parse_bracketed", "serialize",
@@ -41,10 +47,16 @@ __all__ = [
     "Edit", "EditScript", "align", "apply_edits", "make_script",
     "ProjectionResult", "project", "strip_pseudo", "build_training_trees",
     "to_subword_tree",
-    "SyntaxGraph", "build_graph", "build_graph_dep",
-    "GcnStack", "GcnLayerParams", "init_stack",
-    "gcn_layer", "gcn_encode", "fuse",
-    "AttentionParams", "cross_attention", "dual_combine",
-    "EditCandidate", "LogRegModel", "gather", "train", "select_and_apply",
     "Scores", "match_edits", "f_beta", "corpus_score",
+    *_LAZY,
 ]
+
+
+def __getattr__(name):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -17,7 +17,11 @@ that only some of the files have.
 Exit codes: 0 on success, 2 on input-format errors (reported with line
 numbers) and on training settings out of range or training that diverges,
 1 when a numeric self-check fails.  Set ``CSYN_LOG`` to a level
-name (debug, info, warning, ...) for diagnostics on stderr.
+name (debug, info, warning, ...) for diagnostics on stderr; any other
+value means warning.
+
+Only ``gcn-check``, ``ensemble-train`` and ``ensemble-apply`` import
+numpy, inside the command; the other commands start without it.
 """
 
 from __future__ import annotations
@@ -33,14 +37,9 @@ import sys
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
-from . import ensemble, gcn, graph, projection, scoring, subword
+from . import projection, scoring, subword
 from . import edits as ed
 from . import tree as T
-from .checks import (
-    edge_encode_reference, gcn_gradient_check, sample_kink_free_instance,
-)
 from .errors import FormatError
 from .lines import read_lines
 
@@ -167,6 +166,13 @@ def cmd_subword(args) -> int:
 
 
 def cmd_gcn_check(args) -> int:
+    import numpy as np
+
+    from . import gcn, graph
+    from .checks import (
+        edge_encode_reference, gcn_gradient_check, sample_kink_free_instance,
+    )
+
     trees = T.load_tree_file(args.trees)
     graphs = [graph.build_graph(t) for t in trees]
     labels = sorted({lab for g in graphs for lab in g.nt_labels})
@@ -200,6 +206,8 @@ def _check_training_settings(args) -> None:
 
 
 def cmd_ensemble_train(args) -> int:
+    from . import ensemble
+
     _check_training_settings(args)
     paths = [args.source, *args.hypotheses, args.gold]
     streams = [*map(_read_token_lines, paths[:-1]), ed.load_m2_file(args.gold)]
@@ -236,6 +244,8 @@ def cmd_ensemble_train(args) -> int:
 
 
 def cmd_ensemble_apply(args) -> int:
+    from . import ensemble
+
     model = ensemble.load_model(args.model)
     if len(model.weights) != len(ensemble.feature_names(len(args.hypotheses))):
         raise FormatError(f"{len(model.weights)} weights do not fit "
@@ -343,9 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("CSYN_LOG", "warning").upper()
+    # A registered level name maps to its number; any other string to a
+    # "Level ..." string.
+    level = logging.getLevelName(os.environ.get("CSYN_LOG", "warning").upper())
     logging.basicConfig(stream=sys.stderr,
-                        level=getattr(logging, level, logging.WARNING),
+                        level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:

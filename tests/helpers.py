@@ -11,10 +11,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 
+import gecsyntax
 from gecsyntax import tree as T
 from gecsyntax.edits import (
     Edit, EditScript, MISS, RED, SUB, align, apply_edits, make_script, miss, red, sub,
@@ -348,3 +351,12 @@ def build_ensemble_corpus(seed=0, n_sentences=220, n_gold_systems=3,
             hyps[n_gold_systems + offset].append(
                 apply_edits(src, make_script(noisy)))
     return sources, golds, hyps
+
+
+# --- Child processes ----------------------------------------------------
+
+def child_env() -> dict:
+    """This environment, with the tested package importable in a child process."""
+    src_dir = str(Path(gecsyntax.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}

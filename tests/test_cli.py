@@ -2,7 +2,6 @@ import argparse
 import gc
 import json
 import logging
-import os
 import random
 import re
 import subprocess
@@ -11,14 +10,14 @@ from pathlib import Path
 
 import pytest
 
-import gecsyntax
 from gecsyntax import edits as E
 from gecsyntax import tree as T
 from gecsyntax.cli import build_parser, main
 from gecsyntax.projection import build_training_trees, strip_pseudo
 
 from tests.helpers import (
-    SRC_VOCAB, build_ensemble_corpus, random_script, random_tokens, random_tree,
+    SRC_VOCAB, build_ensemble_corpus, child_env, random_script, random_tokens,
+    random_tree,
 )
 
 
@@ -424,9 +423,7 @@ def _has_vmhwm() -> bool:
 
 @pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
 def test_ensemble_commands_memory_is_flat_in_corpus_size(tmp_path):
-    src_dir = str(Path(gecsyntax.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     peak_kb = {}
     for n in (1_000, 4_000):
         root = tmp_path / str(n)
@@ -449,6 +446,54 @@ def test_ensemble_commands_memory_is_flat_in_corpus_size(tmp_path):
     growth_mb = {command: (peak_kb[command, 4_000] - peak_kb[command, 1_000]) / 1024
                  for command in ("ensemble-train", "score")}
     assert max(growth_mb.values()) < 5, (growth_mb, peak_kb)
+
+
+
+# A child process imports the package, runs one command if given one, and
+# reports whether numpy was loaded.
+_NUMPY_CHILD = """
+import sys
+import gecsyntax
+code = 0
+if sys.argv[1:]:
+    from gecsyntax.cli import main
+    code = main(sys.argv[1:])
+print("numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv,loads_numpy", [
+    pytest.param([], False, id="import"),
+    pytest.param(["align", "pairs.tsv"], False, id="align"),
+    pytest.param(["align", "pairs.tsv", "--format", "m2"], False, id="align-m2"),
+    pytest.param(["project", "pairs.tsv", "targets.trees"], False, id="project"),
+    pytest.param(["strip", "targets.trees"], False, id="strip"),
+    pytest.param(["subword", "targets.trees", "seg.tsv"], False, id="subword"),
+    pytest.param(["score", "edits.m2", "edits.m2"], False, id="score"),
+    pytest.param(["ensemble-train", "src.txt", "hyp.txt", "edits.m2"], True,
+                 id="ensemble-train"),
+])
+def test_only_numeric_commands_load_numpy(tmp_path, argv, loads_numpy):
+    _write_lines(tmp_path / "pairs.tsv", ["a dog sat\ta cat sat"])
+    _write_lines(tmp_path / "targets.trees", ["(S (DT a) (NN cat) (VB sat))"])
+    _write_lines(tmp_path / "seg.tsv", ["a\tcat\tsat"])
+    _write_lines(tmp_path / "src.txt", ["a dog sat"])
+    _write_lines(tmp_path / "hyp.txt", ["a cat sat"])
+    _write_m2(tmp_path / "edits.m2", ["a dog sat"], ["a cat sat"])
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_CHILD, *argv], cwd=tmp_path,
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+@pytest.mark.parametrize("value", ["basic_format", "verbose"])
+def test_csyn_log_other_than_a_level_means_warning(tmp_path, value):
+    parallel = _write_lines(tmp_path / "p.tsv", ["a dog sat\ta cat sat"])
+    proc = subprocess.run([sys.executable, "-m", "gecsyntax.cli", "align", parallel],
+                          env={**child_env(), "CSYN_LOG": value},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 def test_score_self_is_perfect(tmp_path, capsys):

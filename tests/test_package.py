@@ -1,0 +1,66 @@
+"""The package's public names, and the demos that import them."""
+
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gecsyntax
+
+from tests.helpers import child_env
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+# Each public name, by the module that defines it.
+DEFINED_IN = {
+    "tree": ("NonTerminal", "Terminal", "PSEUDO_LABELS", "parse_bracketed",
+             "serialize", "validate", "yield_tokens"),
+    "edits": ("Edit", "EditScript", "align", "apply_edits", "make_script"),
+    "projection": ("ProjectionResult", "project", "strip_pseudo",
+                   "build_training_trees"),
+    "subword": ("to_subword_tree",),
+    "graph": ("SyntaxGraph", "build_graph", "build_graph_dep"),
+    "gcn": ("GcnStack", "GcnLayerParams", "init_stack", "gcn_layer", "gcn_encode",
+            "fuse"),
+    "attention": ("AttentionParams", "cross_attention", "dual_combine"),
+    "ensemble": ("EditCandidate", "LogRegModel", "gather", "train",
+                 "select_and_apply"),
+    "scoring": ("Scores", "match_edits", "f_beta", "corpus_score"),
+}
+
+
+def test_every_public_name_is_its_definition(monkeypatch):
+    # Drop the names already resolved, so the lazy lookup runs again.
+    for name in gecsyntax._LAZY:
+        monkeypatch.delitem(vars(gecsyntax), name, raising=False)
+    listed = [name for names in DEFINED_IN.values() for name in names]
+    assert sorted(listed) == sorted(gecsyntax.__all__)
+    for module, names in DEFINED_IN.items():
+        defining = importlib.import_module(f"gecsyntax.{module}")
+        for name in names:
+            assert getattr(gecsyntax, name) is getattr(defining, name), name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from gecsyntax import *", namespace)
+    assert set(gecsyntax.__all__) <= set(namespace)
+
+
+def test_unknown_name_is_attribute_error():
+    assert getattr(gecsyntax, "no_such_name", None) is None
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gecsyntax.no_such_name
+
+
+def test_lazy_names_are_public():
+    assert set(gecsyntax._LAZY) <= set(gecsyntax.__all__)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
