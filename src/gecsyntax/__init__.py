@@ -21,7 +21,6 @@ from .tree import (
     Terminal,
     parse_bracketed,
     serialize,
-    validate,
     yield_tokens,
 )
 from .edits import Edit, EditScript, align, apply_edits, make_script
@@ -43,7 +42,7 @@ _LAZY = {name: module for module, names in (
 
 __all__ = [
     "NonTerminal", "Terminal", "PSEUDO_LABELS", "parse_bracketed", "serialize",
-    "validate", "yield_tokens",
+    "yield_tokens",
     "Edit", "EditScript", "align", "apply_edits", "make_script",
     "ProjectionResult", "project", "strip_pseudo", "build_training_trees",
     "to_subword_tree",

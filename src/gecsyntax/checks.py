@@ -3,46 +3,17 @@
 Used by the command-line ``gcn-check`` to demonstrate that the encoder,
 which aggregates with one adjacency-matrix product per layer, matches a
 per-edge formulation over the neighbour lists and that analytic
-gradients agree with central finite differences.
+gradients agree with central finite differences.  One random instance
+per tree suffices: the gradient check skips each probe that moves a
+ReLU across its kink, and every other probe is exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gcn import (
-    KINK_MARGIN, GcnStack, _encode_with_cache, encode_backward, init_stack,
-    initial_node_matrix, min_abs_preactivation,
-)
+from .gcn import GcnStack, _encode_with_cache, encode_backward, initial_node_matrix
 from .graph import SyntaxGraph
-
-
-def sample_kink_free_instance(graph: SyntaxGraph, labels, d: int,
-                              num_layers: int, seed: int,
-                              self_loops: bool = False,
-                              max_trials: int = 50) -> tuple[GcnStack, np.ndarray]:
-    """Seeded stack and terminal inits with pre-activations clear of kinks.
-
-    Re-rolls stack and inits together (layer-1 pre-activations of
-    non-terminal nodes do not depend on the terminal inits, so re-sampling
-    inits alone cannot clear every kink).  Wide node matrices always have
-    some small pre-activation somewhere, so past ``max_trials`` the
-    clearest sample wins; :func:`gcn_gradient_check` additionally skips
-    any probe that actually crosses a kink.
-    """
-    best = None
-    best_margin = -1.0
-    for trial in range(max_trials):
-        stack = init_stack(labels, d=d, num_layers=num_layers,
-                           seed=seed + trial, self_loops=self_loops)
-        rng = np.random.default_rng(seed + 7919 * (trial + 1))
-        inits = rng.standard_normal((graph.num_terminals, d))
-        margin = min_abs_preactivation(graph, inits, stack)
-        if margin >= KINK_MARGIN:
-            return stack, inits
-        if margin > best_margin:
-            best, best_margin = (stack, inits), margin
-    return best
 
 
 def edge_encode_reference(graph: SyntaxGraph, terminal_inits: np.ndarray,
@@ -50,8 +21,8 @@ def edge_encode_reference(graph: SyntaxGraph, terminal_inits: np.ndarray,
     """Encoder recomputed edge by edge from the neighbour lists.
 
     Each node's pre-activation is built row by row as the sum of its
-    neighbours' messages (plus its own with self loops), without the
-    adjacency matrix the encoder multiplies by.
+    neighbours' messages, without the adjacency matrix the encoder
+    multiplies by.
     """
     H = initial_node_matrix(graph, terminal_inits, stack)
     for params in stack.layers:
@@ -60,8 +31,6 @@ def edge_encode_reference(graph: SyntaxGraph, terminal_inits: np.ndarray,
         for v, neigh in enumerate(graph.adjacency):
             for u in neigh:
                 pre[v] += msgs[u]
-            if stack.self_loops:
-                pre[v] += msgs[v]
         H = np.maximum(pre + params.b, 0.0)
     return H
 
@@ -80,7 +49,9 @@ def gcn_gradient_check(graph: SyntaxGraph, terminal_inits: np.ndarray,
     label embeddings, and of the terminal inits, for the loss
     ``sum(gcn_encode(...))``.  A probe whose perturbation flips any ReLU
     activation is skipped: central differences are meaningless across a
-    kink.
+    kink.  With every mask fixed the output is linear in any one
+    coordinate, so each probe that is kept gives the exact derivative up
+    to rounding, however close a pre-activation lies to its kink.
     """
     grads = encode_backward(graph, terminal_inits, stack)
 

@@ -15,10 +15,11 @@ OTHER goes on`` at the first line (for an ``.m2`` file, the first block)
 that only some of the files have.
 
 Exit codes: 0 on success, 2 on input-format errors (reported with line
-numbers) and on training settings out of range or training that diverges,
-1 when a numeric self-check fails.  Set ``CSYN_LOG`` to a level
-name (debug, info, warning, ...) for diagnostics on stderr; any other
-value means warning.
+numbers), on numeric flags out of range (``gcn-check``'s ``--d``,
+``--layers`` and ``--seed``, the training settings, a ``--threshold``
+that is not finite) and on training that diverges, 1 when a numeric
+self-check fails.  Set ``CSYN_LOG`` to a level name (debug, info,
+warning, ...) for diagnostics on stderr; any other value means warning.
 
 Only ``gcn-check``, ``ensemble-train`` and ``ensemble-apply`` import
 numpy, inside the command; the other commands start without it.
@@ -166,21 +167,25 @@ def cmd_subword(args) -> int:
 
 
 def cmd_gcn_check(args) -> int:
+    for flag, value, low in (("--d", args.d, 1), ("--layers", args.layers, 1),
+                             ("--seed", args.seed, 0)):
+        if value < low:
+            raise FormatError(f"{flag} must be >= {low}, got {value}")
+
     import numpy as np
 
     from . import gcn, graph
-    from .checks import (
-        edge_encode_reference, gcn_gradient_check, sample_kink_free_instance,
-    )
+    from .checks import edge_encode_reference, gcn_gradient_check
 
     trees = T.load_tree_file(args.trees)
     graphs = [graph.build_graph(t) for t in trees]
     labels = sorted({lab for g in graphs for lab in g.nt_labels})
     ok = True
     for idx, g in enumerate(graphs, start=1):
-        stack, inits = sample_kink_free_instance(
-            g, labels, args.d, args.layers, seed=args.seed + 1000 * idx,
-            self_loops=args.self_loops)
+        seed = args.seed + 1000 * idx
+        stack = gcn.init_stack(labels, args.d, args.layers, seed=seed)
+        inits = np.random.default_rng(seed + 7919).standard_normal(
+            (g.num_terminals, args.d))
         encoded = gcn.gcn_encode(g, inits, stack)
         oracle_diff = float(np.max(np.abs(
             encoded - edge_encode_reference(g, inits, stack))))
@@ -205,10 +210,16 @@ def _check_training_settings(args) -> None:
             raise FormatError(f"{flag} must be finite and {bound}, got {value}")
 
 
+def _check_threshold(value: float | None) -> None:
+    if value is not None and not math.isfinite(value):
+        raise FormatError(f"--threshold must be finite, got {value}")
+
+
 def cmd_ensemble_train(args) -> int:
     from . import ensemble
 
     _check_training_settings(args)
+    _check_threshold(args.threshold)
     paths = [args.source, *args.hypotheses, args.gold]
     streams = [*map(_read_token_lines, paths[:-1]), ed.load_m2_file(args.gold)]
     seen = 0
@@ -246,6 +257,7 @@ def cmd_ensemble_train(args) -> int:
 def cmd_ensemble_apply(args) -> int:
     from . import ensemble
 
+    _check_threshold(args.threshold)
     model = ensemble.load_model(args.model)
     if len(model.weights) != len(ensemble.feature_names(len(args.hypotheses))):
         raise FormatError(f"{len(model.weights)} weights do not fit "
@@ -320,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d", type=int, default=64)
     p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--self-loops", action="store_true")
     p.set_defaults(func=cmd_gcn_check)
 
     p = sub.add_parser("ensemble-train", help="train the edit selector")

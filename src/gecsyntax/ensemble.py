@@ -29,10 +29,6 @@ class EditCandidate:
     edit: Edit
     votes: tuple[int, ...]  # 0/1 per system
 
-    @property
-    def vote_fraction(self) -> float:
-        return sum(self.votes) / len(self.votes)
-
 
 def _feature_row(votes: tuple[int, ...], category: str) -> list[float]:
     onehot = [0.0, 0.0, 0.0]

@@ -5,11 +5,11 @@ One layer computes, for every node v,
     out_v = ReLU( sum_{u in N(v)} W @ h_u + b )
 
 summing over one-hop neighbours only: no self term and no degree
-normalization (an optional self-loop switch is provided, default off).
-Terminal nodes are initialized from caller-supplied token vectors,
-non-terminal nodes from a label embedding table.  The syntax-aware token
-representations are fused with the basic encoder states by a weighted
-sum, ``lam * h_syn + (1 - lam) * h_basic``.
+normalization, as the paper specifies.  Terminal nodes are initialized
+from caller-supplied token vectors, non-terminal nodes from a label
+embedding table.  The syntax-aware token representations are fused
+with the basic encoder states by a weighted sum,
+``lam * h_syn + (1 - lam) * h_basic``.
 
 Each layer aggregates with one product by the graph's dense 0/1
 adjacency matrix, so a graph of n nodes costs n * n floats of memory.
@@ -46,7 +46,6 @@ class GcnStack:
     labels: list[str]            # row i of E_nt embeds labels[i]
     E_nt: np.ndarray             # (n_labels, d)
     d: int
-    self_loops: bool = False
     _label_rows: dict[str, int] = field(default=None, init=False, repr=False,
                                         compare=False)
 
@@ -64,8 +63,7 @@ class GcnStack:
             raise ValueError(f"no embedding row for label {label!r}") from None
 
 
-def init_stack(labels, d: int = 64, num_layers: int = 3, seed: int = 0,
-               self_loops: bool = False) -> GcnStack:
+def init_stack(labels, d: int = 64, num_layers: int = 3, seed: int = 0) -> GcnStack:
     """Seeded random parameters; embeddings uniform in [-0.1, 0.1].
 
     Weights are uniform in +-sqrt(3/d) (unit variance per product column),
@@ -80,11 +78,10 @@ def init_stack(labels, d: int = 64, num_layers: int = 3, seed: int = 0,
         for _ in range(num_layers)
     ]
     E_nt = rng.uniform(-0.1, 0.1, (len(labels), d))
-    return GcnStack(layers, list(labels), E_nt, d, self_loops)
+    return GcnStack(layers, list(labels), E_nt, d)
 
 
-def gcn_layer(graph: SyntaxGraph, H: np.ndarray, params: GcnLayerParams,
-              self_loops: bool = False) -> np.ndarray:
+def gcn_layer(graph: SyntaxGraph, H: np.ndarray, params: GcnLayerParams) -> np.ndarray:
     """One graph-convolution layer over the node matrix H (nodes x d)."""
     d = params.W.shape[0]
     if H.ndim != 2 or H.shape != (graph.num_nodes, d):
@@ -92,14 +89,11 @@ def gcn_layer(graph: SyntaxGraph, H: np.ndarray, params: GcnLayerParams,
             f"node matrix shape {H.shape} does not match "
             f"({graph.num_nodes}, {d})"
         )
-    return _layer_forward(graph, H, params, self_loops)[0]
+    return _layer_forward(graph, H, params)[0]
 
 
-def _layer_forward(graph, H, params, self_loops):
-    msgs = H @ params.W.T
-    pre = graph.matrix @ msgs
-    if self_loops:
-        pre += msgs
+def _layer_forward(graph, H, params):
+    pre = graph.matrix @ (H @ params.W.T)
     pre += params.b
     return np.maximum(pre, 0.0), pre
 
@@ -123,7 +117,7 @@ def _encode_with_cache(graph, terminal_inits, stack):
     inputs, pres = [], []
     for params in stack.layers:
         inputs.append(H)
-        H, pre = _layer_forward(graph, H, params, stack.self_loops)
+        H, pre = _layer_forward(graph, H, params)
         pres.append(pre)
     return H, inputs, pres
 
@@ -134,11 +128,12 @@ def gcn_encode(graph: SyntaxGraph, terminal_inits: np.ndarray,
     return _encode_with_cache(graph, terminal_inits, stack)[0]
 
 
-# Finite-difference checks re-sample their inputs while any pre-activation
-# is closer to a ReLU kink than this.  The margin must comfortably exceed
-# the finite-difference step times the pre-activation's sensitivity to one
-# parameter entry, or the perturbed pass lands on the other side of the
-# kink and the numeric gradient is garbage.
+# A finite-difference check that takes every probe as valid needs inputs
+# whose pre-activations all lie at least this far from a ReLU kink.  The
+# margin must comfortably exceed the finite-difference step times the
+# pre-activation's sensitivity to one parameter entry, or the perturbed
+# pass lands on the other side of the kink and the numeric gradient is
+# garbage.
 KINK_MARGIN = 1e-3
 
 
@@ -176,11 +171,9 @@ def encode_backward(graph: SyntaxGraph, terminal_inits: np.ndarray,
         H_in = inputs[l]
         d_pre = grad * (pres[l] > 0)
         db[l] = d_pre.sum(axis=0)
-        # pre = A @ (H W^T) (+ H W^T with self loops) + b, and A is
-        # symmetric, so the message gradient is A @ d_pre.
+        # pre = A @ (H W^T) + b, and A is symmetric, so the message
+        # gradient is A @ d_pre.
         d_msgs = A @ d_pre
-        if stack.self_loops:
-            d_msgs += d_pre
         dW[l] = d_msgs.T @ H_in
         grad = d_msgs @ stack.layers[l].W
     nt = graph.num_terminals

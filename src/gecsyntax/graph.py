@@ -74,22 +74,22 @@ def build_graph(root: T.NonTerminal) -> SyntaxGraph:
     return SyntaxGraph(num_terminals, nt_labels, adjacency)
 
 
-def build_graph_dep(heads: Sequence[int], root_sentinel: int = 0) -> SyntaxGraph:
+def build_graph_dep(heads: Sequence[int]) -> SyntaxGraph:
     """Graph over the tokens of a dependency tree.
 
-    ``heads[i]`` is the 1-based head of token ``i + 1``; the sentinel
-    value (0 by convention) marks the root.  Raises ``ValueError`` unless
-    the heads encode a single-rooted tree.
+    ``heads[i]`` is the 1-based head of token ``i + 1``; head 0 marks the
+    root.  Raises ``ValueError`` unless the heads encode a single-rooted
+    tree.
     """
     n = len(heads)
-    roots = [i for i, h in enumerate(heads) if h == root_sentinel]
+    roots = [i for i, h in enumerate(heads) if h == 0]
     if n and not roots:
         raise ValueError("dependency heads contain no root")
     if len(roots) > 1:
         raise ValueError(f"multiple roots at tokens {[r + 1 for r in roots]}")
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for i, h in enumerate(heads):
-        if h == root_sentinel:
+        if h == 0:
             continue
         if not (1 <= h <= n):
             raise ValueError(f"head index {h} out of range for {n} tokens")
@@ -99,7 +99,7 @@ def build_graph_dep(heads: Sequence[int], root_sentinel: int = 0) -> SyntaxGraph
     for start in range(n):
         seen = set()
         i = start
-        while heads[i] != root_sentinel:
+        while heads[i] != 0:
             if i in seen:
                 raise ValueError("dependency heads contain a cycle")
             seen.add(i)

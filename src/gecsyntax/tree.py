@@ -5,7 +5,8 @@ are the words of the sentence (with their 0-based position); non-terminal
 nodes carry a constituent label and an ordered, non-empty child list.
 The reserved labels ``SUB``, ``RED`` and ``MISS`` mark substituted,
 redundant and missing-adjacent words in error-extended trees; ordinary
-parser output must not contain them (see :func:`validate`).
+parser output must not contain them (projection rejects a target tree
+that does).
 
 Trees are treated as immutable after construction: every operation in
 this package returns fresh nodes and never mutates its input.
@@ -135,80 +136,6 @@ def terminals(root: Node) -> Iterator[Terminal]:
 def yield_tokens(root: Node) -> list[str]:
     """The sentence spanned by the tree: its terminal tokens, left to right."""
     return [t.token for t in terminals(root)]
-
-
-def renumber(root: Node) -> Node:
-    """Assign terminal positions 0..n-1 in left-to-right order, in place."""
-    for i, t in enumerate(terminals(root)):
-        t.position = i
-    return root
-
-
-@dataclass
-class Violation:
-    """One invariant violation, located by the child-index path from the root."""
-
-    path: tuple[int, ...]
-    message: str
-
-    def __str__(self) -> str:
-        where = ".".join(map(str, self.path)) if self.path else "root"
-        return f"at {where}: {self.message}"
-
-
-def validate(root: Node, allow_pseudo: bool = True) -> list[Violation]:
-    """Check tree invariants; returns one :class:`Violation` per finding.
-
-    With ``allow_pseudo=False`` any SUB/RED/MISS label is reported, which
-    is how trees read from base-parser output are vetted.
-    """
-    findings: list[Violation] = []
-    seen_on_path: set[int] = set()
-    next_position = 0
-    # Each entry is a node and its trail, the path from the root as nested
-    # (child index, parent trail) pairs, so a deep tree costs linear time;
-    # a ``None`` trail marks the end of the node's subtree.
-    stack: list[tuple[Node, tuple | None]] = [(root, ())]
-    while stack:
-        node, trail = stack.pop()
-        if trail is None:
-            seen_on_path.discard(id(node))
-            continue
-        if id(node) in seen_on_path:
-            findings.append(Violation(_path(trail), "node is its own ancestor"))
-            continue
-        if isinstance(node, Terminal):
-            if node.position != next_position:
-                findings.append(
-                    Violation(
-                        _path(trail),
-                        f"terminal {node.token!r} has position {node.position}, "
-                        f"expected {next_position}",
-                    )
-                )
-            next_position += 1
-            continue
-        if not node.label or re.search(r"[\s()]", node.label):
-            findings.append(Violation(_path(trail), f"malformed label {node.label!r}"))
-        if not allow_pseudo and node.label in PSEUDO_LABELS:
-            findings.append(
-                Violation(_path(trail), f"pseudo label {node.label!r} not allowed"))
-        if not node.children:
-            findings.append(
-                Violation(_path(trail), f"non-terminal {node.label!r} has no children"))
-        seen_on_path.add(id(node))
-        stack.append((node, None))
-        stack.extend((child, (i, trail))
-                     for i, child in reversed(list(enumerate(node.children))))
-    return findings
-
-
-def _path(trail: tuple) -> tuple[int, ...]:
-    steps = []
-    while trail:
-        i, trail = trail
-        steps.append(i)
-    return tuple(reversed(steps))
 
 
 def read_trees(lines: Iterable[str], path: str | None = None) -> Iterator[NonTerminal]:

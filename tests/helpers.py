@@ -141,7 +141,7 @@ def random_tree(tokens, rng: random.Random, unary_prob=0.15) -> T.NonTerminal:
 
     def build(lo, hi):
         if hi - lo == 1:
-            node = T.NonTerminal(rng.choice(POS_LABELS), [T.Terminal(tokens[lo])])
+            node = T.NonTerminal(rng.choice(POS_LABELS), [T.Terminal(tokens[lo], lo)])
             while rng.random() < unary_prob:
                 node = T.NonTerminal(rng.choice(PHRASE_LABELS), [node])
             return node
@@ -154,9 +154,7 @@ def random_tree(tokens, rng: random.Random, unary_prob=0.15) -> T.NonTerminal:
             node = T.NonTerminal(rng.choice(PHRASE_LABELS), [node])
         return node
 
-    root = build(0, len(tokens))
-    T.renumber(root)
-    return root
+    return build(0, len(tokens))
 
 
 def random_script(src, rng: random.Random, vocab,
@@ -201,15 +199,13 @@ def random_pair(rng: random.Random, vocab, max_len=12):
 
 # --- numeric oracles ----------------------------------------------------
 
-def gcn_dense_oracle(graph: SyntaxGraph, H, W, b, self_loops=False) -> np.ndarray:
+def gcn_dense_oracle(graph: SyntaxGraph, H, W, b) -> np.ndarray:
     """ReLU(A @ H @ W^T + b) with an explicit dense adjacency matrix."""
     n = graph.num_nodes
     A = np.zeros((n, n))
     for v, neigh in enumerate(graph.adjacency):
         for u in neigh:
             A[v, u] = 1.0
-    if self_loops:
-        A = A + np.eye(n)
     return np.maximum(A @ np.asarray(H) @ np.asarray(W).T + np.asarray(b), 0.0)
 
 

@@ -232,12 +232,27 @@ def test_gcn_check_command(tmp_path, capsys):
     assert out.count("tree") == 2
 
 
-def test_gcn_check_with_self_loops(tmp_path, capsys):
+def test_gcn_check_has_no_self_loops_flag(tmp_path):
     trees = tmp_path / "t.trees"
     trees.write_text("(S (X a) (Y b))\n", encoding="utf-8")
-    assert main(["gcn-check", str(trees), "--seed", "1", "--d", "6",
-                 "--layers", "1", "--self-loops"]) == 0
-    assert "all checks passed" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["gcn-check", str(trees), "--self-loops"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--d", "0"), ("--d", "-3"), ("--layers", "0"), ("--layers", "-1"),
+    ("--seed", "-5"),
+])
+def test_gcn_check_flag_out_of_range_is_exit_2(tmp_path, capsys, flag, value):
+    trees = tmp_path / "t.trees"
+    trees.write_text("(S (X a) (Y b))\n", encoding="utf-8")
+    # The flag is checked first: a missing tree file is not reached.
+    for path in (trees, tmp_path / "absent.trees"):
+        assert main(["gcn-check", str(path), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} must be >= ")
+        assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_gcn_check_on_deeply_nested_tree(tmp_path, capsys):
@@ -315,21 +330,40 @@ def test_ensemble_train_source_mismatch_is_exit_2(tmp_path, capsys):
     ["--lr", "inf"],
     ["--lr", "nan"],
     ["--lr", "1e12", "--l2", "1"],   # diverges: each step overshoots the L2 pull
-], ids=["lr-inf", "lr-nan", "diverging"])
+    ["--threshold", "nan"],
+    ["--threshold", "inf"],
+], ids=["lr-inf", "lr-nan", "diverging", "threshold-nan", "threshold-inf"])
 def test_ensemble_train_bad_settings_is_exit_2(tmp_path, capsys, flags):
+    model = tmp_path / "model.json"
+    assert main(["ensemble-train", *_two_system_files(tmp_path), "-o", str(model),
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flags[0] in err and "Traceback" not in err
+    assert not model.exists()
+
+
+def _two_system_files(tmp_path):
+    """Source, two hypothesis files and gold edits for two sentences."""
     (tmp_path / "src.txt").write_text("a cat sat\nthe dog ran\n", encoding="utf-8")
     (tmp_path / "h1.txt").write_text("a dog sat\nthe dog ran fast\n", encoding="utf-8")
     (tmp_path / "h2.txt").write_text("a dog sat\nthe dog ran\n", encoding="utf-8")
     gold = tmp_path / "gold.m2"
     gold.write_text("S a cat sat\nA 1 2|||SUB|||dog\n\nS the dog ran\n"
                     "A 3 3|||MISS|||fast\n", encoding="utf-8")
+    return [str(tmp_path / f) for f in ("src.txt", "h1.txt", "h2.txt", "gold.m2")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_ensemble_apply_non_finite_threshold_is_exit_2(tmp_path, capsys, value):
+    src, h1, h2, _ = _two_system_files(tmp_path)
     model = tmp_path / "model.json"
-    assert main(["ensemble-train", *(str(tmp_path / f) for f in
-                                     ("src.txt", "h1.txt", "h2.txt")),
-                 str(gold), "-o", str(model), *flags]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--lr" in err and "Traceback" not in err
-    assert not model.exists()
+    model.write_text('{"weights": [1, 1, 0, 0, 0, 0], "bias": -1.5, "threshold": 0.5}',
+                     encoding="utf-8")
+    assert main(["ensemble-apply", src, h1, h2, str(model),
+                 f"--threshold={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --threshold must be finite")
+    assert captured.out == ""
 
 
 def _write_lines(path, lines):

@@ -30,7 +30,6 @@ def test_gather_deduplicates_shared_edit():
     assert len(cands) == 1
     assert cands[0].votes == (1, 1)
     assert cands[0].edit == E.sub(1, "cat", "dog")
-    assert cands[0].vote_fraction == 1.0
 
 
 def test_gather_matches_per_system_alignments():
@@ -194,8 +193,8 @@ def test_threshold_monotonicity():
             del hyp[rng.randrange(len(hyp))]
         hyps.append(hyp)
     cands = gather(src, hyps)
-    model = train(cands, [1.0 if c.vote_fraction > 0.3 else 0.0 for c in cands],
-                  epochs=200)
+    labels = [1.0 if sum(c.votes) / len(c.votes) > 0.3 else 0.0 for c in cands]
+    model = train(cands, labels, epochs=200)
     prev = None
     for thr in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0):
         model.threshold = thr
@@ -211,7 +210,7 @@ def test_training_is_deterministic():
     for i, src in enumerate(sources):
         sent = gather(src, [h[i] for h in hyps])
         cands.extend(sent)
-        labels.extend([1.0 if c.vote_fraction == 1.0 else 0.0 for c in sent])
+        labels.extend([1.0 if all(c.votes) else 0.0 for c in sent])
     m1 = train(cands, labels, epochs=50)
     m2 = train(cands, labels, epochs=50)
     assert json.dumps(model_to_dict(m1)) == json.dumps(model_to_dict(m2))

@@ -3,10 +3,10 @@
 Every subcommand runs in process on input files of arbitrary bytes: each
 file is either a well-formed example of its format with random splices,
 or free bytes biased toward the characters the formats are made of.
-``ensemble-train`` also draws its numeric training flags, each left at
-its default or set to a value from a small set of edge cases; in half of
-its examples the files are the well-formed seeds, so the flags reach
-training.  Whatever the bytes and flags, the command exits 0, or 2 with
+``ensemble-train`` also draws its numeric training flags and
+``gcn-check`` its width, depth and seed, each left at its default or set
+to a value from a small set of edge cases; in half of their examples the
+files are the well-formed seeds, so the flags reach the computation.  Whatever the bytes and flags, the command exits 0, or 2 with
 an ``error:`` line on stderr (argparse rejecting a flag value exits 2 the
 same way); only ``gcn-check`` may exit 1, when a self-check fails.  No
 other exception may escape ``main``.
@@ -47,7 +47,7 @@ _COMMANDS = {
     "strip": (["strip", 0], [b"(S (NP (SUB (DT a)) (RED b)) (MISS (NN c)))\n"]),
     "subword": (["subword", 0, 1],
                 [b"(S (VBG playing) (NN cat))\n", b"play @@ing\tcat\n"]),
-    "gcn-check": (["gcn-check", 0, "--d", "4", "--layers", "1"], [_TREES]),
+    "gcn-check": (["gcn-check", 0], [_TREES]),
     "ensemble-train": (["ensemble-train", 0, 1, 2, 3],
                        [_SRC, _HYP1, _HYP2, _GOLD]),
     "ensemble-apply": (["ensemble-apply", 0, 1, 2, 3],
@@ -56,9 +56,11 @@ _COMMANDS = {
 }
 
 
-# Numeric flags drawn per command; an undrawn flag keeps its default.
+# Numeric flags drawn per command, and the values they draw from; an
+# undrawn flag keeps its default.  gcn-check draws no large width.
 _EDGE_NUMBERS = ["inf", "-inf", "nan", "0", "-1", "1e12", "0.5", "5"]
-_FLAGS = {"ensemble-train": ["--lr", "--l2", "--epochs"]}
+_FLAGS = {"ensemble-train": (["--lr", "--l2", "--epochs"], _EDGE_NUMBERS),
+          "gcn-check": (["--d", "--layers", "--seed"], ["0", "-3", "1", "4"])}
 
 
 def _spliced(seed: bytes):
@@ -80,7 +82,7 @@ def _spliced(seed: bytes):
 def test_any_input_bytes_keep_the_exit_contract(tmp_path_factory, name, data):
     template, seeds = _COMMANDS[name]
     work = tmp_path_factory.getbasetemp()
-    flags = _FLAGS.get(name, [])
+    flags, values = _FLAGS.get(name, ([], []))
     intact = bool(flags) and data.draw(st.booleans())
     paths = []
     for index, seed in enumerate(seeds):
@@ -89,7 +91,7 @@ def test_any_input_bytes_keep_the_exit_contract(tmp_path_factory, name, data):
             seed if intact else data.draw(st.one_of(_spliced(seed), _FREE)))
     argv = [str(paths[a]) if isinstance(a, int) else a for a in template]
     for flag in flags:
-        value = data.draw(st.none() | st.sampled_from(_EDGE_NUMBERS))
+        value = data.draw(st.none() | st.sampled_from(values))
         if value is not None:
             argv += [flag, value]
     stdout, stderr = io.StringIO(), io.StringIO()

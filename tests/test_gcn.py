@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 
 import numpy as np
@@ -5,11 +7,12 @@ import pytest
 
 from gecsyntax import tree as T
 from gecsyntax.gcn import (
-    KINK_MARGIN, GcnLayerParams, GcnStack, encode_backward,
+    KINK_MARGIN, GcnLayerParams, GcnStack, _encode_with_cache, encode_backward,
     fuse, gcn_encode, gcn_layer, init_stack, min_abs_preactivation,
     terminal_rows,
 )
-from gecsyntax.checks import edge_encode_reference
+from gecsyntax.checks import edge_encode_reference, gcn_gradient_check
+from gecsyntax.cli import main
 from gecsyntax.graph import SyntaxGraph, build_graph, build_graph_dep
 
 from tests.helpers import (
@@ -47,10 +50,9 @@ def test_layer_matches_dense_oracle_on_random_graphs():
         H = np_rng.standard_normal((g.num_nodes, d))
         params = GcnLayerParams(np_rng.standard_normal((d, d)),
                                 np_rng.standard_normal(d))
-        for self_loops in (False, True):
-            got = gcn_layer(g, H, params, self_loops=self_loops)
-            want = gcn_dense_oracle(g, H, params.W, params.b, self_loops)
-            assert np.max(np.abs(got - want)) < 1e-6
+        got = gcn_layer(g, H, params)
+        want = gcn_dense_oracle(g, H, params.W, params.b)
+        assert np.max(np.abs(got - want)) < 1e-6
 
 
 def test_edge_reference_matches_dense_oracle():
@@ -64,14 +66,12 @@ def test_edge_reference_matches_dense_oracle():
     for g in graphs:
         labels = sorted(set(g.nt_labels))
         inits = np_rng.standard_normal((g.num_terminals, d))
-        for self_loops in (False, True):
-            stack = init_stack(labels, d=d, num_layers=2,
-                               seed=rng.randrange(1000), self_loops=self_loops)
-            want = np.vstack([inits, stack.E_nt[[labels.index(l) for l in g.nt_labels]]])
-            for params in stack.layers:
-                want = gcn_dense_oracle(g, want, params.W, params.b, self_loops)
-            got = edge_encode_reference(g, inits, stack)
-            assert np.max(np.abs(got - want)) < 1e-9
+        stack = init_stack(labels, d=d, num_layers=2, seed=rng.randrange(1000))
+        want = np.vstack([inits, stack.E_nt[[labels.index(l) for l in g.nt_labels]]])
+        for params in stack.layers:
+            want = gcn_dense_oracle(g, want, params.W, params.b)
+        got = edge_encode_reference(g, inits, stack)
+        assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_layer_rejects_bad_width():
@@ -149,7 +149,7 @@ def test_terminal_inits_shape_checked():
         gcn_encode(g, np.zeros((g.num_terminals + 1, 4)), stack)
 
 
-def _sample_instance(seed, d=5, layers=2, max_tokens=4, self_loops=False):
+def _sample_instance(seed, d=5, layers=2, max_tokens=4):
     """Graph, stack and inits with pre-activations clear of ReLU kinks.
 
     Stack and inits are re-rolled together: non-terminal pre-activations
@@ -160,8 +160,7 @@ def _sample_instance(seed, d=5, layers=2, max_tokens=4, self_loops=False):
     g = build_graph(random_tree(tokens, rng))
     labels = sorted(set(g.nt_labels))
     for trial in range(100):
-        stack = init_stack(labels, d=d, num_layers=layers,
-                           seed=seed + 31 * trial, self_loops=self_loops)
+        stack = init_stack(labels, d=d, num_layers=layers, seed=seed + 31 * trial)
         np_rng = np.random.default_rng(seed + 977 * (trial + 1))
         inits = np_rng.uniform(-0.5, 0.5, (g.num_terminals, d))
         if min_abs_preactivation(g, inits, stack) >= KINK_MARGIN:
@@ -184,15 +183,35 @@ def test_gradients_match_finite_differences():
         assert max_rel_err(grads.d_terminal_inits, numeric_grad(loss, inits)) < 1e-4
 
 
-def test_backward_with_self_loops():
-    g, stack, inits = _sample_instance(17, self_loops=True)
-    grads = encode_backward(g, inits, stack)
+def test_gradient_check_holds_next_to_a_kink():
+    g, stack, inits = _sample_instance(17, d=3)
+    # Move one layer-1 pre-activation to 1e-7 through the bias, so the
+    # bias probe of its column (h = 1e-5) flips that ReLU both ways.
+    _, _, pres = _encode_with_cache(g, inits, stack)
+    v, c = np.unravel_index(np.argmax(pres[0]), pres[0].shape)
+    stack.layers[0].b[c] -= pres[0][v, c] - 1e-7
+    assert min_abs_preactivation(g, inits, stack) < 1e-6
+    every = max(arr.size for arr in (stack.E_nt, inits, *(p.W for p in stack.layers)))
+    worst = gcn_gradient_check(g, inits, stack, np.random.default_rng(0),
+                               samples_per_tensor=every)
+    assert worst <= 1e-4
 
-    def loss():
-        return float(gcn_encode(g, inits, stack).sum())
 
-    assert max_rel_err(grads.dW[0], numeric_grad(loss, stack.layers[0].W)) < 1e-4
-    assert max_rel_err(grads.d_terminal_inits, numeric_grad(loss, inits)) < 1e-4
+def test_gcn_check_defaults_pass_on_random_trees(tmp_path):
+    rng = random.Random(41)
+    trees = tmp_path / "t.trees"
+    trees.write_text("".join(
+        T.serialize(random_tree(random_tokens(rng, rng.randint(10, 20), SRC_VOCAB),
+                                rng)) + "\n"
+        for _ in range(5)), encoding="utf-8")
+    outputs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["gcn-check", str(trees)]) == 0
+        outputs.append(out.getvalue())
+    assert outputs[0].count(" ok\n") == 5
+    assert outputs[0] == outputs[1]
 
 
 def test_terminal_rows_slices_tokens():

@@ -16,7 +16,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 # Each public name, by the module that defines it.
 DEFINED_IN = {
     "tree": ("NonTerminal", "Terminal", "PSEUDO_LABELS", "parse_bracketed",
-             "serialize", "validate", "yield_tokens"),
+             "serialize", "yield_tokens"),
     "edits": ("Edit", "EditScript", "align", "apply_edits", "make_script"),
     "projection": ("ProjectionResult", "project", "strip_pseudo",
                    "build_training_trees"),

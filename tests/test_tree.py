@@ -66,41 +66,10 @@ def test_unary_chains_preserved():
     assert T.serialize(T.parse_bracketed(text)) == text
 
 
-def test_validate_clean_tree():
-    tree = T.parse_bracketed("(S (NP (DT a) (NN cat)))")
-    assert T.validate(tree) == []
-    assert T.validate(tree, allow_pseudo=False) == []
-
-
-def test_validate_flags_pseudo():
-    tree = T.parse_bracketed("(S (NP (DT a) (NN (SUB cat))))")
-    assert T.validate(tree, allow_pseudo=True) == []
-    findings = T.validate(tree, allow_pseudo=False)
-    assert len(findings) == 1
-    assert "SUB" in findings[0].message
-    assert findings[0].path == (0, 1, 0)
-
-
-def test_validate_bad_positions_and_children():
-    tree = T.NonTerminal("S", [T.Terminal("a", 5)])
-    messages = [f.message for f in T.validate(tree)]
-    assert any("position" in m for m in messages)
-    empty = T.NonTerminal("S", [T.NonTerminal("NP", [])])
-    assert any("no children" in f.message for f in T.validate(empty))
-
-
-def test_validate_detects_cycle():
-    inner = T.NonTerminal("NP", [T.Terminal("a", 0)])
-    root = T.NonTerminal("S", [inner])
-    inner.children.append(root)
-    assert any("ancestor" in f.message for f in T.validate(root))
-
-
 def test_deep_nesting_needs_no_recursion():
     depth = 100_000
     tree = T.parse_bracketed("(S " * depth + "(X w)" + ")" * depth)
-    assert T.validate(tree) == []
-    assert T.yield_tokens(T.renumber(tree)) == ["w"]
+    assert T.yield_tokens(tree) == ["w"]
 
 
 def test_read_trees_rejects_blank_lines():
@@ -127,23 +96,21 @@ def bracketed_trees(draw, max_tokens=6):
     token = st.text(alphabet="abcxyz()", min_size=1, max_size=4)
     tokens = draw(st.lists(token, min_size=1, max_size=max_tokens))
 
-    def build(toks):
-        if len(toks) == 1 and not draw(st.booleans()):
-            return T.NonTerminal(draw(label), [T.Terminal(toks[0])])
-        if len(toks) == 1:
-            return T.NonTerminal(draw(label), [build(toks)])
-        width = draw(st.integers(min_value=2, max_value=min(3, len(toks))))
-        cuts = sorted(draw(st.lists(st.integers(1, len(toks) - 1),
+    def build(lo, hi):
+        if hi - lo == 1 and not draw(st.booleans()):
+            return T.NonTerminal(draw(label), [T.Terminal(tokens[lo], lo)])
+        if hi - lo == 1:
+            return T.NonTerminal(draw(label), [build(lo, hi)])
+        width = draw(st.integers(min_value=2, max_value=min(3, hi - lo)))
+        cuts = sorted(draw(st.lists(st.integers(lo + 1, hi - 1),
                                     min_size=width - 1, max_size=width - 1,
                                     unique=True)))
-        bounds = [0, *cuts, len(toks)]
-        children = [build(toks[bounds[i]:bounds[i + 1]])
+        bounds = [lo, *cuts, hi]
+        children = [build(bounds[i], bounds[i + 1])
                     for i in range(len(bounds) - 1)]
         return T.NonTerminal(draw(label), children)
 
-    root = build(tokens)
-    T.renumber(root)
-    return root
+    return build(0, len(tokens))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
