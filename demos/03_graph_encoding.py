@@ -13,7 +13,6 @@ import numpy as np
 
 from gecsyntax import build_graph, build_graph_dep, fuse, gcn_encode, init_stack
 from gecsyntax import parse_bracketed
-from gecsyntax.gcn import terminal_rows
 
 tree = parse_bracketed("(S (NP (DT a) (NN (SUB cat))) (VP (VBD sat)))")
 graph = build_graph(tree)
@@ -31,8 +30,9 @@ token_states = rng.standard_normal((graph.num_terminals, d))
 encoded = gcn_encode(graph, token_states, stack)
 print("encoded node matrix:", encoded.shape)
 
-# Fuse the syntax-aware token rows back into the basic representation.
-h_syn = terminal_rows(graph, encoded)
+# Fuse the syntax-aware token rows back into the basic representation;
+# terminals come first in the node matrix.
+h_syn = encoded[:graph.num_terminals]
 h_final = fuse(h_syn, token_states, lam=0.5)
 print("fused token matrix: ", h_final.shape)
 

@@ -24,7 +24,7 @@ from .tree import (
     yield_tokens,
 )
 from .edits import Edit, EditScript, align, apply_edits, make_script
-from .projection import ProjectionResult, build_training_trees, project, strip_pseudo
+from .projection import ProjectionResult, project, strip_pseudo
 from .subword import to_subword_tree
 from .scoring import Scores, corpus_score, f_beta, match_edits
 
@@ -44,7 +44,7 @@ __all__ = [
     "NonTerminal", "Terminal", "PSEUDO_LABELS", "parse_bracketed", "serialize",
     "yield_tokens",
     "Edit", "EditScript", "align", "apply_edits", "make_script",
-    "ProjectionResult", "project", "strip_pseudo", "build_training_trees",
+    "ProjectionResult", "project", "strip_pseudo",
     "to_subword_tree",
     "Scores", "match_edits", "f_beta", "corpus_score",
     *_LAZY,

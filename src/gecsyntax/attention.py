@@ -42,13 +42,9 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=1, keepdims=True)
 
 
-def cross_attention(Q: np.ndarray, M: np.ndarray, params: AttentionParams,
-                    return_weights: bool = False):
-    """Scaled dot-product attention of queries Q (m x d) over memory M (k x d).
-
-    Returns the m x d output; with ``return_weights=True`` also the
-    row-stochastic m x k attention matrix.
-    """
+def _forward(Q: np.ndarray, M: np.ndarray, params: AttentionParams):
+    """``(Q, M, Qp, Kp, Vp, weights)``: the checked inputs as float arrays,
+    their projections and the row-stochastic attention weights."""
     Q = np.asarray(Q, dtype=float)
     M = np.asarray(M, dtype=float)
     if Q.ndim != 2 or M.ndim != 2 or Q.shape[1] != M.shape[1]:
@@ -57,8 +53,19 @@ def cross_attention(Q: np.ndarray, M: np.ndarray, params: AttentionParams,
         raise ValueError("attention over an empty memory")
     d = Q.shape[1]
     params.check(d)
-    weights = _softmax_rows((Q @ params.Wq) @ (M @ params.Wk).T / np.sqrt(d))
-    out = weights @ (M @ params.Wv)
+    Qp, Kp, Vp = Q @ params.Wq, M @ params.Wk, M @ params.Wv
+    return Q, M, Qp, Kp, Vp, _softmax_rows(Qp @ Kp.T / np.sqrt(d))
+
+
+def cross_attention(Q: np.ndarray, M: np.ndarray, params: AttentionParams,
+                    return_weights: bool = False):
+    """Scaled dot-product attention of queries Q (m x d) over memory M (k x d).
+
+    Returns the m x d output; with ``return_weights=True`` also the
+    row-stochastic m x k attention matrix.
+    """
+    *_, Vp, weights = _forward(Q, M, params)
+    out = weights @ Vp
     if return_weights:
         return out, weights
     return out
@@ -67,17 +74,11 @@ def cross_attention(Q: np.ndarray, M: np.ndarray, params: AttentionParams,
 def cross_attention_backward(Q: np.ndarray, M: np.ndarray, params: AttentionParams,
                              d_out: np.ndarray | None = None) -> AttentionParams:
     """Analytic gradients of sum(d_out * output) w.r.t. Wq, Wk, Wv."""
-    Q = np.asarray(Q, dtype=float)
-    M = np.asarray(M, dtype=float)
-    d = Q.shape[1]
-    scale = 1.0 / np.sqrt(d)
-    Qp = Q @ params.Wq
-    Kp = M @ params.Wk
-    Vp = M @ params.Wv
-    A = _softmax_rows(Qp @ Kp.T * scale)
-    out_shape = (Q.shape[0], d)
-    g = np.ones(out_shape) if d_out is None else np.asarray(d_out, dtype=float)
-    if g.shape != out_shape:
+    Q, M, Qp, Kp, Vp, A = _forward(Q, M, params)
+    scale = 1.0 / np.sqrt(Q.shape[1])
+    # The output has the shape of the projected queries.
+    g = np.ones(Qp.shape) if d_out is None else np.asarray(d_out, dtype=float)
+    if g.shape != Qp.shape:
         raise ValueError("d_out shape does not match attention output")
     dA = g @ Vp.T
     dVp = A.T @ g

@@ -14,12 +14,13 @@ counts.  A count mismatch is reported as ``path:line N: file ends, but
 OTHER goes on`` at the first line (for an ``.m2`` file, the first block)
 that only some of the files have.
 
+Each numeric flag's range is part of its argparse ``type``: a value out
+of range is rejected by the argument parser before any file is opened.
 Exit codes: 0 on success, 2 on input-format errors (reported with line
-numbers), on numeric flags out of range (``gcn-check``'s ``--d``,
-``--layers`` and ``--seed``, the training settings, a ``--threshold``
-that is not finite) and on training that diverges, 1 when a numeric
-self-check fails.  Set ``CSYN_LOG`` to a level name (debug, info,
-warning, ...) for diagnostics on stderr; any other value means warning.
+numbers), on a flag the parser rejects and on training that diverges, 1
+when a numeric self-check fails.  Set ``CSYN_LOG`` to a level name
+(debug, info, warning, ...) for diagnostics on stderr; any other value
+means warning.
 
 Only ``gcn-check``, ``ensemble-train`` and ``ensemble-apply`` import
 numpy, inside the command; the other commands start without it.
@@ -167,17 +168,12 @@ def cmd_subword(args) -> int:
 
 
 def cmd_gcn_check(args) -> int:
-    for flag, value, low in (("--d", args.d, 1), ("--layers", args.layers, 1),
-                             ("--seed", args.seed, 0)):
-        if value < low:
-            raise FormatError(f"{flag} must be >= {low}, got {value}")
-
     import numpy as np
 
     from . import gcn, graph
     from .checks import edge_encode_reference, gcn_gradient_check
 
-    trees = T.load_tree_file(args.trees)
+    trees = list(_read_tree_file(args.trees))
     graphs = [graph.build_graph(t) for t in trees]
     labels = sorted({lab for g in graphs for lab in g.nt_labels})
     ok = True
@@ -200,26 +196,9 @@ def cmd_gcn_check(args) -> int:
     return 0 if ok else 1
 
 
-def _check_training_settings(args) -> None:
-    """:class:`FormatError` naming the first flag out of its range."""
-    for flag, value, in_range, bound in (
-            ("--lr", args.lr, args.lr > 0, "> 0"),
-            ("--l2", args.l2, args.l2 >= 0, ">= 0"),
-            ("--epochs", args.epochs, args.epochs >= 0, ">= 0")):
-        if not (in_range and math.isfinite(value)):
-            raise FormatError(f"{flag} must be finite and {bound}, got {value}")
-
-
-def _check_threshold(value: float | None) -> None:
-    if value is not None and not math.isfinite(value):
-        raise FormatError(f"--threshold must be finite, got {value}")
-
-
 def cmd_ensemble_train(args) -> int:
     from . import ensemble
 
-    _check_training_settings(args)
-    _check_threshold(args.threshold)
     paths = [args.source, *args.hypotheses, args.gold]
     streams = [*map(_read_token_lines, paths[:-1]), ed.load_m2_file(args.gold)]
     seen = 0
@@ -257,7 +236,6 @@ def cmd_ensemble_train(args) -> int:
 def cmd_ensemble_apply(args) -> int:
     from . import ensemble
 
-    _check_threshold(args.threshold)
     model = ensemble.load_model(args.model)
     if len(model.weights) != len(ensemble.feature_names(len(args.hypotheses))):
         raise FormatError(f"{len(model.weights)} weights do not fit "
@@ -289,6 +267,23 @@ def cmd_score(args) -> int:
         out.write(result.to_json() + "\n")
     print(result.summary(), file=sys.stderr)
     return 0
+
+
+_SIGNS = {"finite": lambda v: True, "positive": lambda v: v > 0,
+          "non-negative": lambda v: v >= 0}
+
+
+def _number(kind: type, sign: str = "finite"):
+    """An argparse ``type``: a finite ``kind`` of ``sign``, named for
+    argparse's message, e.g. ``invalid positive int value: '0'``."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and _SIGNS[sign](value)):
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = f"{sign} {kind.__name__}"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gcn-check", help="verify the encoder against a per-edge "
                                          "reference and finite differences")
     p.add_argument("trees")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--d", type=int, default=64)
-    p.add_argument("--layers", type=int, default=3)
+    p.add_argument("--seed", type=_number(int, "non-negative"), default=0)
+    p.add_argument("--d", type=_number(int, "positive"), default=64)
+    p.add_argument("--layers", type=_number(int, "positive"), default=3)
     p.set_defaults(func=cmd_gcn_check)
 
     p = sub.add_parser("ensemble-train", help="train the edit selector")
@@ -339,10 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hypotheses", nargs="+")
     p.add_argument("gold", help="gold edits in S/A block format")
     p.add_argument("-o", "--output")
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--lr", type=_number(float, "positive"), default=0.5)
+    p.add_argument("--epochs", type=_number(int, "non-negative"), default=500)
+    p.add_argument("--l2", type=_number(float, "non-negative"), default=0.0)
+    p.add_argument("--threshold", type=_number(float), default=0.5)
     p.set_defaults(func=cmd_ensemble_train)
 
     p = sub.add_parser("ensemble-apply", help="apply a trained edit selector")
@@ -350,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hypotheses", nargs="+")
     p.add_argument("model")
     p.add_argument("-o", "--output")
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=_number(float), default=None,
                    help="override the model's stored threshold")
     p.set_defaults(func=cmd_ensemble_apply)
 

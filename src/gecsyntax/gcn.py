@@ -183,11 +183,6 @@ def encode_backward(graph: SyntaxGraph, terminal_inits: np.ndarray,
     return GcnGradients(dW, db, dE, grad[:nt].copy())
 
 
-def terminal_rows(graph: SyntaxGraph, H: np.ndarray) -> np.ndarray:
-    """Token-order slice of a node matrix (terminals come first)."""
-    return H[:graph.num_terminals]
-
-
 def fuse(h_syn: np.ndarray, h_basic: np.ndarray, lam: float) -> np.ndarray:
     """Weighted sum of syntax-aware and basic representations."""
     h_syn = np.asarray(h_syn, dtype=float)

@@ -273,23 +273,3 @@ def project_pair(src: Sequence[str], tgt: Sequence[str], target_tree: T.NonTermi
     for label, _ in result.inserted:
         summary.pseudo_counts[label] += 1
     return result.source_tree
-
-
-def build_training_trees(
-    pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
-    target_trees: Sequence[T.NonTerminal],
-    placement: str = "below",
-) -> tuple[list[T.NonTerminal | None], ProjectionSummary]:
-    """Project every (source, target) pair with :func:`project_pair`.
-
-    Pair and tree sequences must have equal length (fatal otherwise).
-    Output order matches input order, with ``None`` at skipped slots.
-    """
-    if len(pairs) != len(target_trees):
-        raise ValueError(
-            f"{len(pairs)} sentence pairs but {len(target_trees)} trees"
-        )
-    summary = ProjectionSummary()
-    out = [project_pair(src, tgt, tree, summary, lineno, placement)
-           for lineno, ((src, tgt), tree) in enumerate(zip(pairs, target_trees), start=1)]
-    return out, summary

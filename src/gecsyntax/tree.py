@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
 from .errors import FormatError
-from .lines import read_lines
 
 PSEUDO_LABELS = frozenset({"SUB", "RED", "MISS"})
 
@@ -145,7 +144,3 @@ def read_trees(lines: Iterable[str], path: str | None = None) -> Iterator[NonTer
         if not stripped:
             raise FormatError("blank line in tree file", lineno, path)
         yield parse_bracketed(stripped, lineno, path)
-
-
-def load_tree_file(path: str) -> list[NonTerminal]:
-    return list(read_trees(read_lines(path), path))

@@ -72,6 +72,25 @@ def test_shape_mismatch_rejected():
         cross_attention(np.zeros((1, 2)), np.zeros((2, 3)), params)
 
 
+def _params_with_nan_wq(d):
+    params = init_attention(d)
+    params.Wq[0, 0] = np.nan
+    return params
+
+
+@pytest.mark.parametrize("Q,M,params", [
+    (np.ones((2, 3)), np.ones((4, 3)), _params_with_nan_wq(3)),
+    (np.ones((2, 2)), np.ones((4, 3)), init_attention(3)),
+    (np.ones((2, 3)), np.zeros((0, 3)), init_attention(3)),
+], ids=["nan-Wq", "width-mismatch", "empty-memory"])
+def test_backward_rejects_what_forward_rejects(Q, M, params):
+    with pytest.raises(ValueError) as forward:
+        cross_attention(Q, M, params)
+    with pytest.raises(ValueError) as backward:
+        cross_attention_backward(Q, M, params)
+    assert str(backward.value) == str(forward.value)
+
+
 def test_dual_zero_value_memory_adds_nothing():
     d = 3
     rng = np.random.default_rng(8)

@@ -13,7 +13,7 @@ import pytest
 from gecsyntax import edits as E
 from gecsyntax import tree as T
 from gecsyntax.cli import build_parser, main
-from gecsyntax.projection import build_training_trees, strip_pseudo
+from gecsyntax.projection import ProjectionSummary, project_pair, strip_pseudo
 
 from tests.helpers import (
     SRC_VOCAB, build_ensemble_corpus, child_env, random_script, random_tokens,
@@ -88,8 +88,10 @@ def test_end_to_end_matches_module_calls(tmp_path, three_pair_fixture):
     pairs = [(s.split(), t.split()) for s, t in
              (line.split("\t") for line in
               parallel.read_text().splitlines())]
-    trees = T.load_tree_file(str(tree_file))
-    expected, summary = build_training_trees(pairs, trees)
+    trees = T.read_trees(tree_file.read_text().splitlines())
+    summary = ProjectionSummary()
+    expected = [project_pair(src, tgt, tree, summary, lineno)
+                for lineno, ((src, tgt), tree) in enumerate(zip(pairs, trees), start=1)]
     assert projected.read_text() == "".join(
         T.serialize(t) + "\n" for t in expected if t is not None)
     assert json.loads(summary_file.read_text()) == summary.to_dict()
@@ -247,11 +249,13 @@ def test_gcn_check_has_no_self_loops_flag(tmp_path):
 def test_gcn_check_flag_out_of_range_is_exit_2(tmp_path, capsys, flag, value):
     trees = tmp_path / "t.trees"
     trees.write_text("(S (X a) (Y b))\n", encoding="utf-8")
-    # The flag is checked first: a missing tree file is not reached.
+    # The parser checks the flag: a missing tree file is not reached.
     for path in (trees, tmp_path / "absent.trees"):
-        assert main(["gcn-check", str(path), flag, value]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["gcn-check", str(path), flag, value])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {flag} must be >= ")
+        assert f"error: argument {flag}: invalid " in captured.err
         assert captured.out == "" and "Traceback" not in captured.err
 
 
@@ -326,19 +330,32 @@ def test_ensemble_train_source_mismatch_is_exit_2(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [
-    ["--lr", "inf"],
-    ["--lr", "nan"],
-    ["--lr", "1e12", "--l2", "1"],   # diverges: each step overshoots the L2 pull
-    ["--threshold", "nan"],
-    ["--threshold", "inf"],
-], ids=["lr-inf", "lr-nan", "diverging", "threshold-nan", "threshold-inf"])
-def test_ensemble_train_bad_settings_is_exit_2(tmp_path, capsys, flags):
+@pytest.mark.parametrize("flags,by_parser", [
+    (["--lr", "inf"], True),
+    (["--lr", "nan"], True),
+    (["--lr=-inf"], True),
+    (["--l2=-1"], True),
+    (["--epochs=-1"], True),
+    # Diverges: each step overshoots the L2 pull.  The parser accepts
+    # both values; training reports the failure.
+    (["--lr", "1e12", "--l2", "1"], False),
+    (["--threshold", "nan"], True),
+    (["--threshold", "inf"], True),
+], ids=["lr-inf", "lr-nan", "lr-minus-inf", "l2-negative", "epochs-negative",
+        "diverging", "threshold-nan", "threshold-inf"])
+def test_ensemble_train_bad_settings_is_exit_2(tmp_path, capsys, flags, by_parser):
     model = tmp_path / "model.json"
-    assert main(["ensemble-train", *_two_system_files(tmp_path), "-o", str(model),
-                 *flags]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and flags[0] in err and "Traceback" not in err
+    argv = ["ensemble-train", *_two_system_files(tmp_path), "-o", str(model), *flags]
+    if by_parser:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    flag = flags[0].split("=")[0]
+    assert re.search(rf"error: (argument )?{flag}[: ]", captured.err)
+    assert captured.out == "" and "Traceback" not in captured.err
     assert not model.exists()
 
 
@@ -359,11 +376,42 @@ def test_ensemble_apply_non_finite_threshold_is_exit_2(tmp_path, capsys, value):
     model = tmp_path / "model.json"
     model.write_text('{"weights": [1, 1, 0, 0, 0, 0], "bias": -1.5, "threshold": 0.5}',
                      encoding="utf-8")
-    assert main(["ensemble-apply", src, h1, h2, str(model),
-                 f"--threshold={value}"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["ensemble-apply", src, h1, h2, str(model), f"--threshold={value}"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: --threshold must be finite")
-    assert captured.out == ""
+    assert "error: argument --threshold: invalid " in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def _numeric_flags():
+    """``(command, positional count, flag)`` for every option whose type
+    parses '1' as a number."""
+    commands = next(a.choices for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.items():
+        positionals = sum(not a.option_strings for a in sub._actions)
+        for action in sub._actions:
+            if (action.option_strings and action.type is not None
+                    and isinstance(action.type("1"), (int, float))):
+                yield name, positionals, action.option_strings[-1]
+
+
+NUMERIC_FLAGS = list(_numeric_flags())
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command,positionals,flag", NUMERIC_FLAGS,
+                         ids=[f"{name}{flag}" for name, _, flag in NUMERIC_FLAGS])
+def test_every_numeric_flag_rejects_non_finite_values(tmp_path, capsys, command,
+                                                      positionals, flag, value):
+    # Every input file is missing: the parser rejects the flag first.
+    absent = [str(tmp_path / f"absent{i}") for i in range(positionals)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *absent, f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and "Traceback" not in err
 
 
 def _write_lines(path, lines):

@@ -3,13 +3,17 @@
 Every subcommand runs in process on input files of arbitrary bytes: each
 file is either a well-formed example of its format with random splices,
 or free bytes biased toward the characters the formats are made of.
-``ensemble-train`` also draws its numeric training flags and
-``gcn-check`` its width, depth and seed, each left at its default or set
-to a value from a small set of edge cases; in half of their examples the
-files are the well-formed seeds, so the flags reach the computation.  Whatever the bytes and flags, the command exits 0, or 2 with
-an ``error:`` line on stderr (argparse rejecting a flag value exits 2 the
-same way); only ``gcn-check`` may exit 1, when a self-check fails.  No
-other exception may escape ``main``.
+``ensemble-train`` also draws its numeric training flags and threshold,
+``ensemble-apply`` its threshold and ``gcn-check`` its width, depth and
+seed, each left at its default or set to a value from a small set of
+edge cases.  A drawn flag is one ``--flag=value`` argument, so a value
+such as ``-inf`` reaches the flag's type instead of reading as an
+option.  In half of these commands' examples the files are the
+well-formed seeds, so the flags reach the computation.  Whatever the
+bytes and flags, the command exits 0, or 2 with an ``error:`` line on
+stderr (argparse rejecting a flag value exits 2 the same way); only
+``gcn-check`` may exit 1, when a self-check fails.  No other exception
+may escape ``main``.
 """
 
 import contextlib
@@ -59,7 +63,9 @@ _COMMANDS = {
 # Numeric flags drawn per command, and the values they draw from; an
 # undrawn flag keeps its default.  gcn-check draws no large width.
 _EDGE_NUMBERS = ["inf", "-inf", "nan", "0", "-1", "1e12", "0.5", "5"]
-_FLAGS = {"ensemble-train": (["--lr", "--l2", "--epochs"], _EDGE_NUMBERS),
+_FLAGS = {"ensemble-train": (["--lr", "--l2", "--epochs", "--threshold"],
+                             _EDGE_NUMBERS),
+          "ensemble-apply": (["--threshold"], _EDGE_NUMBERS),
           "gcn-check": (["--d", "--layers", "--seed"], ["0", "-3", "1", "4"])}
 
 
@@ -93,7 +99,7 @@ def test_any_input_bytes_keep_the_exit_contract(tmp_path_factory, name, data):
     for flag in flags:
         value = data.draw(st.none() | st.sampled_from(values))
         if value is not None:
-            argv += [flag, value]
+            argv.append(f"{flag}={value}")
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:

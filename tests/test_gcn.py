@@ -9,7 +9,6 @@ from gecsyntax import tree as T
 from gecsyntax.gcn import (
     KINK_MARGIN, GcnLayerParams, GcnStack, _encode_with_cache, encode_backward,
     fuse, gcn_encode, gcn_layer, init_stack, min_abs_preactivation,
-    terminal_rows,
 )
 from gecsyntax.checks import edge_encode_reference, gcn_gradient_check
 from gecsyntax.cli import main
@@ -212,12 +211,6 @@ def test_gcn_check_defaults_pass_on_random_trees(tmp_path):
         outputs.append(out.getvalue())
     assert outputs[0].count(" ok\n") == 5
     assert outputs[0] == outputs[1]
-
-
-def test_terminal_rows_slices_tokens():
-    g = small_graph()
-    H = np.arange(g.num_nodes * 2.0).reshape(g.num_nodes, 2)
-    assert np.array_equal(terminal_rows(g, H), H[:2])
 
 
 def test_fuse_basics():

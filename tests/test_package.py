@@ -18,8 +18,7 @@ DEFINED_IN = {
     "tree": ("NonTerminal", "Terminal", "PSEUDO_LABELS", "parse_bracketed",
              "serialize", "yield_tokens"),
     "edits": ("Edit", "EditScript", "align", "apply_edits", "make_script"),
-    "projection": ("ProjectionResult", "project", "strip_pseudo",
-                   "build_training_trees"),
+    "projection": ("ProjectionResult", "project", "strip_pseudo"),
     "subword": ("to_subword_tree",),
     "graph": ("SyntaxGraph", "build_graph", "build_graph_dep"),
     "gcn": ("GcnStack", "GcnLayerParams", "init_stack", "gcn_layer", "gcn_encode",

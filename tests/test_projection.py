@@ -5,7 +5,9 @@ import pytest
 
 from gecsyntax import edits as E
 from gecsyntax import tree as T
-from gecsyntax.projection import build_training_trees, project, strip_pseudo
+from gecsyntax.projection import (
+    ProjectionSummary, project, project_pair, strip_pseudo,
+)
 
 from tests.helpers import SRC_VOCAB, random_script, random_tokens, random_tree
 
@@ -225,7 +227,7 @@ def test_sub_only_scripts_strip_back_to_target():
         assert stripped == target_tree
 
 
-def test_build_training_trees_roundtrip_and_skip(caplog):
+def test_project_pair_roundtrip_and_skip(caplog):
     pairs = [
         (["a", "cat"], ["a", "cat"]),
         (["a", "dog"], ["a", "cat"]),
@@ -236,8 +238,11 @@ def test_build_training_trees_roundtrip_and_skip(caplog):
         T.parse_bracketed("(S (DT a) (NN cat))"),
         T.parse_bracketed("(S (DT wrong) (NN words))"),
     ]
+    summary = ProjectionSummary()
     with caplog.at_level(logging.WARNING, logger="gecsyntax"):
-        results, summary = build_training_trees(pairs, trees)
+        results = [project_pair(src, tgt, tree, summary, lineno)
+                   for lineno, ((src, tgt), tree)
+                   in enumerate(zip(pairs, trees), start=1)]
     assert results[0] == trees[0]
     assert T.serialize(results[1]) == "(S (DT a) (NN (SUB dog)))"
     assert results[2] is None
@@ -247,12 +252,7 @@ def test_build_training_trees_roundtrip_and_skip(caplog):
     assert any("line 3" in rec.getMessage() for rec in caplog.records)
 
 
-def test_build_training_trees_length_mismatch_fatal():
-    with pytest.raises(ValueError):
-        build_training_trees([(["a"], ["a"])], [])
-
-
-def test_build_training_trees_category_fixture():
+def test_project_pair_category_fixture():
     pairs = [
         (["a", "dog", "sat"], ["a", "cat", "sat"]),
         (["a", "the", "cat"], ["a", "cat"]),
@@ -263,7 +263,9 @@ def test_build_training_trees_category_fixture():
         T.parse_bracketed("(S (DT a) (NN cat))"),
         T.parse_bracketed("(S (DT the) (NN cat) (VB sat))"),
     ]
-    results, summary = build_training_trees(pairs, trees)
+    summary = ProjectionSummary()
+    results = [project_pair(src, tgt, tree, summary, lineno)
+               for lineno, ((src, tgt), tree) in enumerate(zip(pairs, trees), start=1)]
     assert summary.skipped == 0
     multisets = []
     for tree in results:
