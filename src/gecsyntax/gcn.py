@@ -178,8 +178,9 @@ def encode_backward(graph: SyntaxGraph, terminal_inits: np.ndarray,
         grad = d_msgs @ stack.layers[l].W
     nt = graph.num_terminals
     dE = np.zeros_like(stack.E_nt)
-    for k, lab in enumerate(graph.nt_labels):
-        dE[stack.label_row(lab)] += grad[nt + k]
+    # intp, not float: a graph without non-terminals gives an empty index.
+    rows = np.array([stack.label_row(lab) for lab in graph.nt_labels], dtype=np.intp)
+    np.add.at(dE, rows, grad[nt:])
     return GcnGradients(dW, db, dE, grad[:nt].copy())
 
 

@@ -1,9 +1,9 @@
 """Undirected syntax graphs over constituency and dependency trees.
 
 All tree nodes become graph nodes and every parent-child connection
-becomes one undirected edge.  Node order is fixed: terminals first, by
-position, then non-terminals in pre-order, so the first ``num_terminals``
-rows of any node matrix are the token representations.
+becomes one undirected edge.  Node order is fixed: terminals first, in
+yield order, then non-terminals in pre-order, so the first
+``num_terminals`` rows of any node matrix are the token representations.
 """
 
 from __future__ import annotations
@@ -58,12 +58,15 @@ def build_graph(root: T.NonTerminal) -> SyntaxGraph:
     num_terminals = sum(1 for _ in T.terminals(root))
     nt_labels: list[str] = []
     adjacency: list[list[int]] = [[] for _ in range(num_terminals)]
-    # Pre-order walk; each entry is a node and its parent's id (-1 at the root).
+    # Pre-order walk, which meets terminals left to right; each entry is a
+    # node and its parent's id (-1 at the root).
     stack: list[tuple[T.Node, int]] = [(root, -1)]
+    word = 0
     while stack:
         node, parent = stack.pop()
         if isinstance(node, T.Terminal):
-            v = node.position
+            v = word
+            word += 1
         else:
             v = len(adjacency)
             adjacency.append([])

@@ -180,7 +180,7 @@ def project(
     n = len(src_tokens)
     # Right to left so sibling insertions for chained redundant words stack
     # correctly; at one position SUB/RED land before MISS so MISS wraps them.
-    for e in sorted(edits, key=lambda e: (-e.i, 0 if e.category != MISS else 1)):
+    for e in reversed(edits):
         if e.category == SUB:
             term = src_node[e.i]
             term.token = src_tokens[e.i]
@@ -198,8 +198,6 @@ def project(
             tree.mark(src_node[apos], MISS, placement)
             inserted.append((MISS, apos))
 
-    for pos, word in src_node.items():
-        word.position = pos
     result = tree.top.children[0]
     if T.yield_tokens(result) != src_tokens:
         raise RuntimeError("projection produced a tree with the wrong yield")
@@ -215,7 +213,6 @@ def strip_pseudo(root: T.NonTerminal) -> T.NonTerminal:
     emptied by a deletion are pruned.
     """
     kept: list[T.Node] = []
-    position = 0
     # Each entry is a node and the list its output joins; ``(None, out)``
     # closes the constituent last added to ``out``, pruning it if empty.
     stack: list[tuple[T.Node | None, list[T.Node]]] = [(root, kept)]
@@ -225,8 +222,7 @@ def strip_pseudo(root: T.NonTerminal) -> T.NonTerminal:
             if not out[-1].children:
                 out.pop()
         elif isinstance(node, T.Terminal):
-            out.append(T.Terminal(node.token, position))
-            position += 1
+            out.append(T.Terminal(node.token))
         elif node.label in (SUB, MISS):
             stack.extend(zip(reversed(node.children), repeat(out)))
         elif node.label != RED:

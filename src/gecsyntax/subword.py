@@ -66,14 +66,13 @@ def to_subword_tree(
             )
 
     result = T.NonTerminal(root.label, [])
-    position = word = 0
+    word = 0
     stack = list(zip(reversed(root.children), repeat(result.children)))
     while stack:
         node, siblings = stack.pop()
         if isinstance(node, T.Terminal):
             for piece in segmentation[word]:
-                siblings.append(T.Terminal(piece, position))
-                position += 1
+                siblings.append(T.Terminal(piece))
             word += 1
         else:
             made = T.NonTerminal(node.label, [])

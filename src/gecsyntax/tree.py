@@ -1,8 +1,8 @@
 """Constituency trees in bracketed treebank notation.
 
 A tree is represented by its root :class:`NonTerminal`.  Terminal nodes
-are the words of the sentence (with their 0-based position); non-terminal
-nodes carry a constituent label and an ordered, non-empty child list.
+are the words of the sentence, in yield order; non-terminal nodes carry
+a constituent label and an ordered, non-empty child list.
 The reserved labels ``SUB``, ``RED`` and ``MISS`` mark substituted,
 redundant and missing-adjacent words in error-extended trees; ordinary
 parser output must not contain them (projection rejects a target tree
@@ -27,10 +27,9 @@ _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 
 @dataclass
 class Terminal:
-    """A word of the sentence. ``position`` is its 0-based index in the yield."""
+    """A word of the sentence; its index is its place in the yield."""
 
     token: str
-    position: int = -1
 
 
 @dataclass
@@ -58,11 +57,10 @@ def parse_bracketed(text: str, lineno: int | None = None,
                     path: str | None = None) -> NonTerminal:
     """Parse one bracketed tree, e.g. ``"(S (NP (DT the) (NN cat)))"``.
 
-    The input must be a single balanced-parenthesis expression.  Terminal
-    positions are assigned left to right.  Raises :class:`FormatError` on
-    empty input, unbalanced parentheses, an empty constituent ``()``, a
-    non-terminal with zero children, or trailing material; the error
-    carries ``lineno`` and ``path`` when given.
+    The input must be a single balanced-parenthesis expression.  Raises
+    :class:`FormatError` on empty input, unbalanced parentheses, an empty
+    constituent ``()``, a non-terminal with zero children, or trailing
+    material; the error carries ``lineno`` and ``path`` when given.
     """
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
@@ -71,7 +69,6 @@ def parse_bracketed(text: str, lineno: int | None = None,
         raise FormatError(f"expected '(', got {tokens[0]!r}", lineno, path)
     root = None
     open_nodes: list[NonTerminal] = []
-    position = 0
     it = iter(tokens)
     for tok in it:
         if root is not None and not open_nodes:
@@ -96,8 +93,7 @@ def parse_bracketed(text: str, lineno: int | None = None,
                 raise FormatError(f"non-terminal {node.label!r} has no children",
                                   lineno, path)
         else:
-            open_nodes[-1].children.append(Terminal(unescape_token(tok), position))
-            position += 1
+            open_nodes[-1].children.append(Terminal(unescape_token(tok)))
     if open_nodes:
         raise FormatError("unbalanced parentheses", lineno, path)
     return root

@@ -141,7 +141,7 @@ def random_tree(tokens, rng: random.Random, unary_prob=0.15) -> T.NonTerminal:
 
     def build(lo, hi):
         if hi - lo == 1:
-            node = T.NonTerminal(rng.choice(POS_LABELS), [T.Terminal(tokens[lo], lo)])
+            node = T.NonTerminal(rng.choice(POS_LABELS), [T.Terminal(tokens[lo])])
             while rng.random() < unary_prob:
                 node = T.NonTerminal(rng.choice(PHRASE_LABELS), [node])
             return node

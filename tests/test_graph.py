@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from gecsyntax import tree as T
+from gecsyntax.edits import apply_edits
 from gecsyntax.graph import SyntaxGraph, build_graph, build_graph_dep
+from gecsyntax.projection import project, strip_pseudo
+from gecsyntax.subword import to_subword_tree
 
-from tests.helpers import SRC_VOCAB, random_tokens, random_tree
+from tests.helpers import SRC_VOCAB, random_script, random_tokens, random_tree
 
 
 def test_single_terminal_tree():
@@ -30,10 +33,22 @@ def test_small_tree_counts_and_degrees():
 
 
 def test_adjacency_symmetric_and_tree_edge_count():
+    # Trees built from Terminal(token) alone, by hand or by project,
+    # strip_pseudo and to_subword_tree, give the graph of their reparsed text.
+    roots = [T.NonTerminal("S", [T.NonTerminal("NP", [T.Terminal("a")]),
+                                 T.NonTerminal("VP", [T.Terminal("b")])])]
     rng = random.Random(3)
     for _ in range(50):
-        tokens = random_tokens(rng, rng.randint(1, 9), SRC_VOCAB)
-        g = build_graph(random_tree(tokens, rng))
+        src = random_tokens(rng, rng.randint(1, 9), SRC_VOCAB)
+        script = random_script(src, rng, SRC_VOCAB)
+        target = random_tree(apply_edits(src, script), rng)
+        projected = project(target, script, src).source_tree
+        pieces = [[w[:1], "@@" + w[1:]] if len(w) > 1 else [w] for w in src]
+        roots += [target, projected, strip_pseudo(projected),
+                  to_subword_tree(projected, pieces)]
+    for root in roots:
+        g = build_graph(root)
+        assert g == build_graph(T.parse_bracketed(T.serialize(root)))
         assert g.num_edges == g.num_nodes - 1
         for v, neigh in enumerate(g.adjacency):
             assert v not in neigh

@@ -220,10 +220,9 @@ def test_sub_only_scripts_strip_back_to_target():
         target_tree = random_tree(tgt, rng)
         projected = project(target_tree, script, src).source_tree
         stripped = strip_pseudo(projected)
+        words = list(T.terminals(stripped))
         for e in script:
-            for term in T.terminals(stripped):
-                if term.position == e.i:
-                    term.token = e.tgt_tokens[0]
+            words[e.i].token = e.tgt_tokens[0]
         assert stripped == target_tree
 
 

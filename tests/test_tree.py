@@ -13,8 +13,6 @@ def test_parse_simple():
     tree = T.parse_bracketed("(S (NP (DT the) (NN cat)))")
     assert T.yield_tokens(tree) == ["the", "cat"]
     assert tree.label == "S"
-    positions = [t.position for t in T.terminals(tree)]
-    assert positions == [0, 1]
 
 
 def test_parse_single_nonterminal_round_trip():
@@ -52,8 +50,8 @@ def test_parse_errors(bad):
 
 
 def test_bracket_tokens_escaped():
-    tree = T.NonTerminal("S", [T.NonTerminal("X", [T.Terminal("(", 0)]),
-                               T.NonTerminal("Y", [T.Terminal(")", 1)])])
+    tree = T.NonTerminal("S", [T.NonTerminal("X", [T.Terminal("(")]),
+                               T.NonTerminal("Y", [T.Terminal(")")])])
     text = T.serialize(tree)
     assert "-LRB-" in text and "-RRB-" in text
     again = T.parse_bracketed(text)
@@ -98,7 +96,7 @@ def bracketed_trees(draw, max_tokens=6):
 
     def build(lo, hi):
         if hi - lo == 1 and not draw(st.booleans()):
-            return T.NonTerminal(draw(label), [T.Terminal(tokens[lo], lo)])
+            return T.NonTerminal(draw(label), [T.Terminal(tokens[lo])])
         if hi - lo == 1:
             return T.NonTerminal(draw(label), [build(lo, hi)])
         width = draw(st.integers(min_value=2, max_value=min(3, hi - lo)))
