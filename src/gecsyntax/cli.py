@@ -17,10 +17,10 @@ that only some of the files have.
 Each numeric flag's range is part of its argparse ``type``: a value out
 of range is rejected by the argument parser before any file is opened.
 Exit codes: 0 on success, 2 on input-format errors (reported with line
-numbers), on a flag the parser rejects and on training that diverges, 1
-when a numeric self-check fails.  Set ``CSYN_LOG`` to a level name
-(debug, info, warning, ...) for diagnostics on stderr; any other value
-means warning.
+numbers), on a flag the parser rejects, on training that diverges and
+when memory runs out, 1 when a numeric self-check fails.  Set
+``CSYN_LOG`` to a level name (debug, info, warning, ...) for diagnostics
+on stderr; any other value means warning.
 
 Only ``gcn-check``, ``ensemble-train`` and ``ensemble-apply`` import
 numpy, inside the command; the other commands start without it.
@@ -377,6 +377,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         reason = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {reason}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {args.command}: not enough memory ({exc})", file=sys.stderr)
         return 2
 
 

@@ -10,7 +10,9 @@ from its correction:
 
 :func:`align` extracts a minimal-cost script deterministically;
 :func:`apply_edits` reconstructs the target from a source and a script,
-which doubles as the round-trip oracle for the aligner.
+which doubles as the round-trip oracle for the aligner.  The tie-break
+contract is pinned by ``tests/helpers.align_table_oracle``, a full-table
+aligner that shares no code with this module.
 """
 
 from __future__ import annotations
@@ -136,6 +138,11 @@ def align(src_tokens: Sequence[str], tgt_tokens: Sequence[str]) -> EditScript:
     pairs become SUBs, leftover source words become REDs, leftover target
     words form one trailing MISS.
 
+    Suffix costs come from bit-parallel columns (Myers 1999, in Hyyro's
+    2004 global form): each source token adds one column of vertical cost
+    deltas, one bit per target token.  Time is O(n * ceil(m / 64)) word
+    operations and memory is two ints per source token.
+
     ``apply_edits(src_tokens, align(src_tokens, tgt_tokens))`` always
     reconstructs ``tgt_tokens``.
     """
@@ -155,27 +162,41 @@ def align(src_tokens: Sequence[str], tgt_tokens: Sequence[str]) -> EditScript:
     n -= offset
     m -= offset
 
-    # Suffix costs: dist[i][j] = minimal cost of aligning s[i:] with t[j:].
-    dist = [None] * (n + 1)
-    dist[n] = list(range(m, -1, -1))
-    for i in range(n - 1, -1, -1):
-        below = dist[i + 1]
-        row = [0] * (m + 1)
-        row[m] = n - i
-        si = s[i]
-        for j in range(m - 1, -1, -1):
-            best = below[j + 1] + (si != t[j])
-            alt = below[j] + 1
-            if alt < best:
-                best = alt
-            alt = row[j + 1] + 1
-            if alt < best:
-                best = alt
-            row[j] = best
-        dist[i] = row
+    # Over the reversed sequences, column a holds the costs of aligning the
+    # last a source tokens with the last b target tokens, b = 0..m.  Bit
+    # b - 1 of vp[a] (vn[a]) is set when row b costs one more (less) than
+    # row b - 1, so cost(i, j) of s[i:] against t[j:] is
+    # a + popcount(vp[a] & low) - popcount(vn[a] & low), a = n - i, with
+    # low masking the m - j rows below.
+    full = (1 << m) - 1
+    match: dict[str, int] = {}
+    for j, tok in enumerate(t):
+        match[tok] = match.get(tok, 0) | 1 << (m - 1 - j)
+    pv, nv = full, 0
+    vp = [pv]
+    vn = [nv]
+    # One column per source token: d0 marks the rows reached by a zero-cost
+    # diagonal step, hp the horizontal +1 deltas and d0 & pv the -1 deltas;
+    # row 0 always grows by one (a global alignment), hence the low bit
+    # shifted into hp.
+    for tok in reversed(s):
+        eq = match.get(tok, 0)
+        d0 = (((eq & pv) + pv) ^ pv) | eq | nv
+        hp = (nv | ~(d0 | pv)) << 1 | 1
+        pv = ((d0 & pv) << 1 | ~(d0 | hp)) & full
+        nv = d0 & hp & full
+        vp.append(pv)
+        vn.append(nv)
+
+    def cost(i: int, j: int) -> int:
+        a = n - i
+        low = (1 << (m - j)) - 1
+        return a + (vp[a] & low).bit_count() - (vn[a] & low).bit_count()
 
     # Walk forward, taking the most-preferred op that stays on a minimal
-    # path; flush each maximal non-match run as per-word edits.
+    # path; flush each maximal non-match run as per-word edits.  A match is
+    # always on a minimal path under unit costs, and every other op costs
+    # one, so costs are looked up only on a mismatch.
     edits: list[Edit] = []
     pend_src: list[str] = []
     pend_tgt: list[str] = []
@@ -197,30 +218,28 @@ def align(src_tokens: Sequence[str], tgt_tokens: Sequence[str]) -> EditScript:
         pend_src.clear()
         pend_tgt.clear()
 
+    cur = cost(0, 0)
     i = j = 0
     while i < n or j < m:
-        cur = dist[i][j]
-        if i < n and j < m and s[i] == t[j] and dist[i + 1][j + 1] == cur:
+        if i < n and j < m and s[i] == t[j]:
             if pend_src or pend_tgt:
                 flush()
             i += 1
             j += 1
             run_start = offset + i
-        elif i < n and j < m and dist[i + 1][j + 1] + 1 == cur:
-            if not pend_src and not pend_tgt:
-                run_start = offset + i
+            continue
+        if not pend_src and not pend_tgt:
+            run_start = offset + i
+        cur -= 1
+        if i < n and j < m and cost(i + 1, j + 1) == cur:
             pend_src.append(s[i])
             pend_tgt.append(t[j])
             i += 1
             j += 1
-        elif i < n and dist[i + 1][j] + 1 == cur:
-            if not pend_src and not pend_tgt:
-                run_start = offset + i
+        elif i < n and cost(i + 1, j) == cur:
             pend_src.append(s[i])
             i += 1
         else:
-            if not pend_src and not pend_tgt:
-                run_start = offset + i
             pend_tgt.append(t[j])
             j += 1
     if pend_src or pend_tgt:

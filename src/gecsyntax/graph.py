@@ -98,13 +98,19 @@ def build_graph_dep(heads: Sequence[int]) -> SyntaxGraph:
             raise ValueError(f"head index {h} out of range for {n} tokens")
         _add_edge(adjacency, i, h - 1)
     # A single-rooted, (n-1)-edge head assignment is a tree iff every token
-    # reaches the root without revisiting a node.
+    # reaches the root without revisiting a node.  mark[i] is start + 1
+    # while the walk from start passes token i, and -1 once i is known to
+    # reach the root, so each token is walked at most twice.
+    mark = [0] * n
     for start in range(n):
-        seen = set()
         i = start
-        while heads[i] != 0:
-            if i in seen:
-                raise ValueError("dependency heads contain a cycle")
-            seen.add(i)
+        while mark[i] == 0 and heads[i] != 0:
+            mark[i] = start + 1
+            i = heads[i] - 1
+        if mark[i] == start + 1:
+            raise ValueError("dependency heads contain a cycle")
+        i = start
+        while mark[i] == start + 1:
+            mark[i] = -1
             i = heads[i] - 1
     return SyntaxGraph(n, [], adjacency)

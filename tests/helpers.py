@@ -40,6 +40,78 @@ def levenshtein_scalar(a, b) -> int:
     return prev[m]
 
 
+def align_table_oracle(src, tgt) -> list[tuple]:
+    """The aligner's tie-break contract, computed from a full cost table.
+
+    Fills the (n+1) x (m+1) table of suffix costs after trimming the common
+    prefix, then walks forward taking the first op of match > substitute >
+    delete > insert that stays on a minimal path.  Each maximal run of
+    non-matches becomes SUBs for its first min(run) source/target pairs,
+    REDs for leftover source words and one trailing MISS for leftover
+    target words.  Returns ``(category, i, j, src_tokens, tgt_tokens)``
+    tuples and uses nothing from the library.
+    """
+    s, t = list(src), list(tgt)
+    offset = 0
+    while offset < len(s) and offset < len(t) and s[offset] == t[offset]:
+        offset += 1
+    s, t = s[offset:], t[offset:]
+    n, m = len(s), len(t)
+    dist = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n, -1, -1):
+        for j in range(m, -1, -1):
+            if i == n or j == m:
+                dist[i][j] = (n - i) + (m - j)
+            else:
+                dist[i][j] = min(dist[i + 1][j + 1] + (s[i] != t[j]),
+                                 dist[i + 1][j] + 1, dist[i][j + 1] + 1)
+
+    edits: list[tuple] = []
+    run_src: list[str] = []
+    run_tgt: list[str] = []
+    run_start = offset
+
+    def flush():
+        k = min(len(run_src), len(run_tgt))
+        for p in range(len(run_src)):
+            pos = run_start + p
+            if p < k:
+                edits.append(("SUB", pos, pos + 1, (run_src[p],), (run_tgt[p],)))
+            else:
+                edits.append(("RED", pos, pos + 1, (run_src[p],), ()))
+        if len(run_tgt) > len(run_src):
+            point = run_start + len(run_src)
+            edits.append(("MISS", point, point, (), tuple(run_tgt[len(run_src):])))
+        run_src.clear()
+        run_tgt.clear()
+
+    i = j = 0
+    while i < n or j < m:
+        cur = dist[i][j]
+        both = i < n and j < m
+        if both and s[i] == t[j] and dist[i + 1][j + 1] == cur:
+            flush()
+            i += 1
+            j += 1
+            run_start = offset + i
+            continue
+        if not run_src and not run_tgt:
+            run_start = offset + i
+        if both and dist[i + 1][j + 1] + 1 == cur:
+            run_src.append(s[i])
+            run_tgt.append(t[j])
+            i += 1
+            j += 1
+        elif i < n and dist[i + 1][j] + 1 == cur:
+            run_src.append(s[i])
+            i += 1
+        else:
+            run_tgt.append(t[j])
+            j += 1
+    flush()
+    return edits
+
+
 @functools.lru_cache(maxsize=None)
 def all_sequences(alphabet=("a", "b", "c"), max_len=6) -> tuple[tuple[str, ...], ...]:
     seqs = []
@@ -356,3 +428,12 @@ def child_env() -> dict:
     src_dir = str(Path(gecsyntax.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+
+
+def has_vmhwm() -> bool:
+    """Whether this platform reports peak resident size as ``VmHWM``."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return any(line.startswith("VmHWM:") for line in fh)
+    except OSError:
+        return False

@@ -16,8 +16,8 @@ from gecsyntax.cli import build_parser, main
 from gecsyntax.projection import ProjectionSummary, project_pair, strip_pseudo
 
 from tests.helpers import (
-    SRC_VOCAB, build_ensemble_corpus, child_env, random_script, random_tokens,
-    random_tree,
+    SRC_VOCAB, build_ensemble_corpus, child_env, has_vmhwm, random_script,
+    random_tokens, random_tree,
 )
 
 
@@ -259,6 +259,16 @@ def test_gcn_check_flag_out_of_range_is_exit_2(tmp_path, capsys, flag, value):
         assert captured.out == "" and "Traceback" not in captured.err
 
 
+def test_gcn_check_out_of_memory_is_exit_2(tmp_path, capsys):
+    # A 10^6 x 10^6 weight matrix is 7.28 TiB: numpy refuses it at once.
+    trees = tmp_path / "t.trees"
+    trees.write_text("(S (NP (DT a) (NN cat)) (VP (VB sat)))\n", encoding="utf-8")
+    assert main(["gcn-check", str(trees), "--d", "1000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: gcn-check: not enough memory (")
+    assert "Traceback" not in captured.err
+
+
 def test_gcn_check_on_deeply_nested_tree(tmp_path, capsys):
     depth = 1_500
     trees = tmp_path / "deep.trees"
@@ -495,15 +505,7 @@ sys.exit(code)
 """
 
 
-def _has_vmhwm() -> bool:
-    try:
-        with open("/proc/self/status", encoding="ascii") as fh:
-            return any(line.startswith("VmHWM:") for line in fh)
-    except OSError:
-        return False
-
-
-@pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
+@pytest.mark.skipif(not has_vmhwm(), reason="needs VmHWM in /proc/self/status")
 def test_ensemble_commands_memory_is_flat_in_corpus_size(tmp_path):
     env = child_env()
     peak_kb = {}

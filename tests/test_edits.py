@@ -1,6 +1,8 @@
 import io
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,8 @@ from gecsyntax import edits as E
 from gecsyntax.errors import FormatError
 
 from tests.helpers import (
-    SRC_VOCAB, enumerate_scripts, levenshtein_scalar, random_pair,
+    SRC_VOCAB, align_table_oracle, all_sequences, child_env, enumerate_scripts,
+    has_vmhwm, levenshtein_scalar, random_pair,
 )
 
 
@@ -101,6 +104,67 @@ def test_cost_matches_scalar_oracle_random():
         if not src and not tgt:
             continue
         assert E.align(src, tgt).cost == levenshtein_scalar(src, tgt)
+
+
+def _as_tuples(script):
+    return [(e.category, e.i, e.j, e.src_tokens, e.tgt_tokens) for e in script]
+
+
+def test_align_matches_table_oracle_on_every_short_pair():
+    # Every pair up to length 5 over {a, b, c}: 132,496 pairs.
+    seqs = [list(s) for s in all_sequences(max_len=5)]
+    for src in seqs:
+        for tgt in seqs:
+            assert _as_tuples(E.align(src, tgt)) == align_table_oracle(src, tgt), \
+                (src, tgt)
+
+
+def test_align_matches_table_oracle_on_long_random_pairs():
+    rng = random.Random(29)
+    vocab = ["a", "b", "c", "d", "e"]
+    for _ in range(100):
+        src = [rng.choice(vocab) for _ in range(rng.randint(0, 200))]
+        if rng.random() < 0.5:
+            tgt = [rng.choice(vocab) for _ in range(rng.randint(0, 200))]
+        else:  # a lightly edited copy, so long matching stretches remain
+            tgt = [w for w in src if rng.random() > 0.05]
+            for _ in range(rng.randint(0, 10)):
+                tgt.insert(rng.randint(0, len(tgt)), rng.choice(vocab))
+        assert _as_tuples(E.align(src, tgt)) == align_table_oracle(src, tgt)
+
+
+# A child process aligns one seeded pair of 4,000-token lines and prints the
+# seconds taken and the growth of its peak resident size in kB.
+_LONG_LINE_CHILD = """
+import random, time
+from gecsyntax.edits import align, apply_edits
+
+def peak_kb():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+
+rng = random.Random(4000)
+vocab = [f"w{k}" for k in range(50)]
+src = [rng.choice(vocab) for _ in range(4000)]
+tgt = [rng.choice(vocab) for _ in range(4000)]
+before = peak_kb()
+start = time.perf_counter()
+script = align(src, tgt)
+seconds = time.perf_counter() - start
+grown = peak_kb() - before
+assert apply_edits(src, script) == tgt
+print(seconds, grown)
+"""
+
+
+@pytest.mark.skipif(not has_vmhwm(), reason="needs VmHWM in /proc/self/status")
+def test_align_long_lines_in_bounded_time_and_memory():
+    proc = subprocess.run([sys.executable, "-c", _LONG_LINE_CHILD], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seconds, grown_kb = proc.stdout.split()
+    assert int(grown_kb) < 50 * 1024
+    assert float(seconds) < 0.5
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

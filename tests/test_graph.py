@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -79,6 +81,45 @@ def test_dep_graph_rejects_cycles_and_bad_roots():
         build_graph_dep([3, 0])
     with pytest.raises(ValueError):
         build_graph_dep([0, 3, 2])  # 2 -> 3 -> 2 cycle beside the root
+
+
+def test_dep_graph_accepts_exactly_the_trees():
+    # Every head vector of up to 4 tokens: a tree has one root and every
+    # token reaches it within n steps.
+    for n in range(1, 5):
+        for heads in itertools.product(range(n + 1), repeat=n):
+            def reaches_root(i):
+                for _ in range(n):
+                    if heads[i] == 0:
+                        return True
+                    i = heads[i] - 1
+                return heads[i] == 0
+            is_tree = heads.count(0) == 1 and all(map(reaches_root, range(n)))
+            try:
+                build_graph_dep(heads)
+            except ValueError:
+                assert not is_tree, heads
+            else:
+                assert is_tree, heads
+
+
+def test_dep_graph_long_chain_builds_in_linear_time():
+    n = 20_000
+    heads = list(range(n))  # token 1 is the root, token k + 1 hangs off token k
+    start = time.perf_counter()
+    g = build_graph_dep(heads)
+    assert time.perf_counter() - start < 1.0
+    assert g.num_edges == n - 1
+
+
+def test_dep_graph_rejects_cycle_behind_long_chain():
+    n = 20_000
+    # Token 1 is the root; tokens 2 .. n - 2 form a chain that ends in the
+    # two-token cycle n - 1 <-> n.
+    heads = [0] + [k + 1 for k in range(2, n - 1)] + [n, n - 1]
+    assert len(heads) == n
+    with pytest.raises(ValueError, match="dependency heads contain a cycle"):
+        build_graph_dep(heads)
 
 
 def test_dense_adjacency_matches_lists():
