@@ -6,13 +6,18 @@ Subcommands cover edit extraction (``align``), tree projection
 edit-ensemble selector (``ensemble-train``, ``ensemble-apply``) and
 edit-level scoring (``score``).
 
-Every command except ``gcn-check`` streams, holding one sentence at a
-time: line-parallel inputs are read in lockstep, each output line is
-written before the next input line is read, ``ensemble-train`` keeps
-only counts of its distinct feature rows and ``score`` only its edit
-counts.  A count mismatch is reported as ``path:line N: file ends, but
-OTHER goes on`` at the first line (for an ``.m2`` file, the first block)
-that only some of the files have.
+Every command except ``gcn-check`` streams: line-parallel inputs are
+read in lockstep, ``ensemble-train`` keeps only counts of its distinct
+feature rows and ``score`` only its edit counts.  ``align``,
+``project``, ``strip``, ``subword`` and ``score`` hold one sentence at a
+time, writing each output line before the next input line is read.
+``ensemble-train`` and ``ensemble-apply`` work in 256-row batches, with
+at most two batches per usable CPU in flight: once the input exceeds one
+batch they use every CPU in the process's affinity mask (``taskset``
+limits this), with output and errors the same as on one CPU.  A count
+mismatch is reported as ``path:line N: file ends, but OTHER goes on`` at
+the first line (for an ``.m2`` file, the first block) that only some of
+the files have.
 
 Each numeric flag's range is part of its argparse ``type``: a value out
 of range is rejected by the argument parser before any file is opened.
@@ -30,14 +35,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import logging
 import math
 import os
 import sys
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from collections import Counter, deque
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import projection, scoring, subword
 from . import edits as ed
@@ -46,10 +52,6 @@ from .errors import FormatError
 from .lines import read_lines
 
 logger = logging.getLogger("gecsyntax")
-
-
-def _read_token_lines(path: str) -> Iterator[list[str]]:
-    return (line.split() for line in read_lines(path))
 
 
 def read_parallel_tsv(path: str) -> Iterator[tuple[list[str], list[str]]]:
@@ -82,6 +84,90 @@ def _lockstep(streams: Sequence[Iterable], paths: Sequence[str]) -> Iterator[tup
             going = next(p for p, item in zip(paths, row) if item is not _MISSING)
             raise FormatError(f"file ends, but {going} goes on", lineno, ended)
         yield lineno, *row
+
+
+BATCH_ROWS = 256
+
+
+def _batches(rows: Iterable) -> Iterator[list]:
+    """Consecutive ``BATCH_ROWS``-row lists of ``rows``.
+
+    If reading a row raises, the rows read before it come first, as a
+    last, short batch, and the error is raised on the next request.
+    """
+    rows = iter(rows)
+    while True:
+        batch = []
+        try:
+            for row in itertools.islice(rows, BATCH_ROWS):
+                batch.append(row)
+        except Exception:
+            if batch:
+                yield batch
+            raise
+        if not batch:
+            return
+        yield batch
+
+
+def _map_batches(fn: Callable[[list], Any], rows: Iterable) -> Iterator:
+    """``fn(batch)`` for each ``BATCH_ROWS``-row batch of ``rows``, in input order.
+
+    Once there is more than one batch, batches run in a ``fork`` pool of
+    one worker per CPU in this process's affinity mask, with at most two
+    batches per worker in flight; with one batch or one CPU, ``fn`` runs
+    here.  Errors come in row order: when reading a row raises, the
+    batches before it are finished first.  Close the iterator (for
+    example with :func:`contextlib.closing`) if it is not run to the end:
+    that stops the workers.
+    """
+    # Platforms without affinity masks (not Linux) run on one CPU.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    batches = _batches(rows)
+    head: list[list] = []  # the first two batches, read to pick the path
+    if cpus > 1:
+        try:
+            for batch in batches:
+                head.append(batch)
+                if len(head) == 2:
+                    break
+        except Exception:
+            yield from map(fn, head)
+            raise
+    if len(head) < 2:
+        yield from map(fn, itertools.chain(head, batches))
+        return
+
+    # Imported here: only inputs of more than one batch pay for it.  Forked
+    # workers start with the package and the command's state loaded, where
+    # spawned ones would import both again.  The command has started no
+    # thread and written no output yet, so no worker inherits a held lock
+    # or unflushed output.
+    import multiprocessing
+
+    pool = multiprocessing.get_context("fork").Pool(cpus)
+    try:
+        pending: deque = deque()
+        batches = itertools.chain(head, batches)
+        while True:
+            try:
+                batch = next(batches, None)
+            except Exception:
+                while pending:
+                    yield pending.popleft().get()
+                raise
+            if batch is None:
+                break
+            pending.append(pool.apply_async(fn, (batch,)))
+            if len(pending) == 2 * cpus:
+                yield pending.popleft().get()
+        while pending:
+            yield pending.popleft().get()
+    except BaseException:
+        pool.terminate()
+        raise
+    pool.close()
+    pool.join()
 
 
 @contextlib.contextmanager
@@ -196,41 +282,61 @@ def cmd_gcn_check(args) -> int:
     return 0 if ok else 1
 
 
+def _train_batch(gold_path: str, rows: list) -> Counter:
+    """Feature-row counts of a batch of ``(lineno, source, *hypotheses,
+    gold block)`` rows of raw lines."""
+    from . import ensemble
+
+    def labeled() -> Iterator[tuple[ensemble.EditCandidate, float]]:
+        for lineno, source, *hyps, (gold_lineno, gold_lines) in rows:
+            tokens = source.split()
+            gold_src, gold_script = ed.parse_m2_block(gold_lineno, gold_lines, gold_path)
+            if gold_src != tokens:
+                raise FormatError("gold source does not match source file",
+                                  lineno, gold_path)
+            cands = ensemble.gather(tokens, [h.split() for h in hyps])
+            yield from zip(cands, ensemble.label_candidates(cands, gold_script))
+
+    return ensemble.row_counts(labeled())
+
+
 def cmd_ensemble_train(args) -> int:
     from . import ensemble
 
     paths = [args.source, *args.hypotheses, args.gold]
-    streams = [*map(_read_token_lines, paths[:-1]), ed.load_m2_file(args.gold)]
-    seen = 0
-
-    def labeled() -> Iterator[tuple[ensemble.EditCandidate, float]]:
-        nonlocal seen
-        for lineno, tokens, *hyps, (gold_src, gold_script) in _lockstep(streams, paths):
-            if gold_src != tokens:
-                raise FormatError("gold source does not match source file",
-                                  lineno, args.gold)
-            cands = ensemble.gather(tokens, hyps)
-            seen += len(cands)
-            yield from zip(cands, ensemble.label_candidates(cands, gold_script))
-
-    # Training zips the two halves in lockstep, so tee buffers one pair.
-    cands, labels = itertools.tee(labeled())
+    streams = [*map(read_lines, paths[:-1]), ed.m2_blocks(read_lines(args.gold), args.gold)]
+    counts: Counter = Counter()
+    batches = _map_batches(functools.partial(_train_batch, args.gold),
+                           _lockstep(streams, paths))
+    with contextlib.closing(batches):
+        for batch_counts in batches:
+            counts.update(batch_counts)
+    if not counts:
+        raise FormatError("no edits proposed by any system; nothing to train on")
     try:
-        model = ensemble.train(map(itemgetter(0), cands), map(itemgetter(1), labels),
-                               lr=args.lr, epochs=args.epochs, l2=args.l2,
-                               threshold=args.threshold)
-    except FormatError:
-        raise
+        model = ensemble.fit(counts, lr=args.lr, epochs=args.epochs, l2=args.l2,
+                             threshold=args.threshold)
     except ValueError as exc:
-        if not seen:
-            raise FormatError(
-                "no edits proposed by any system; nothing to train on") from None
         raise FormatError(f"--lr {args.lr} --l2 {args.l2}: {exc}") from None
     payload = json.dumps(ensemble.model_to_dict(model), sort_keys=True)
     with _out_stream(args.output) as out:
         out.write(payload + "\n")
-    logger.info("trained on %d candidates, final loss %.6f", seen, model.final_loss)
+    logger.info("trained on %d candidates, final loss %.6f",
+                sum(counts.values()), model.final_loss)
     return 0
+
+
+def _apply_batch(model, rows: list) -> str:
+    """The corrected lines of a batch of ``(lineno, source, *hypotheses)``
+    rows of raw lines."""
+    from . import ensemble
+
+    out = []
+    for _, source, *hyps in rows:
+        tokens = source.split()
+        cands = ensemble.gather(tokens, [h.split() for h in hyps])
+        out.append(" ".join(ensemble.select_and_apply(tokens, cands, model)) + "\n")
+    return "".join(out)
 
 
 def cmd_ensemble_apply(args) -> int:
@@ -244,9 +350,11 @@ def cmd_ensemble_apply(args) -> int:
         model.threshold = args.threshold
     paths = [args.source, *args.hypotheses]
     with _out_stream(args.output) as out:
-        for _, tokens, *hyps in _lockstep([_read_token_lines(p) for p in paths], paths):
-            cands = ensemble.gather(tokens, hyps)
-            out.write(" ".join(ensemble.select_and_apply(tokens, cands, model)) + "\n")
+        batches = _map_batches(functools.partial(_apply_batch, model),
+                               _lockstep([read_lines(p) for p in paths], paths))
+        with contextlib.closing(batches):
+            for text in batches:
+                out.write(text)
     return 0
 
 

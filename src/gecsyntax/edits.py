@@ -17,7 +17,6 @@ aligner that shares no code with this module.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -309,50 +308,75 @@ def write_m2(blocks: Iterable[tuple[Sequence[str], EditScript]], fh) -> None:
             fh.write(f"A {e.i} {e.j}|||{e.category}|||{' '.join(e.tgt_tokens)}\n")
 
 
+def m2_blocks(lines: Iterable[str],
+              path: str | None = None) -> Iterator[tuple[int, list[str]]]:
+    """Group ``S``/``A`` lines into blocks, unparsed, lazily.
+
+    Yields ``(line number of the S line, [S line, A lines...])``.  A block
+    ends at a blank line or at the next ``S`` line.  A non-blank line
+    outside any block raises :class:`FormatError` at that line.
+    """
+    block: tuple[int, list[str]] | None = None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if line.startswith("S ") or line == "S":
+            if block is not None:
+                yield block
+            block = (lineno, [line])
+        elif not line.strip():
+            if block is not None:
+                yield block
+            block = None
+        elif block is not None:
+            block[1].append(line)
+        elif line.startswith("A "):
+            raise FormatError("'A' line before its 'S' line", lineno, path)
+        else:
+            raise FormatError(f"unrecognized line {line!r}", lineno, path)
+    if block is not None:
+        yield block
+
+
+def parse_m2_block(lineno: int, lines: Sequence[str],
+                   path: str | None = None) -> tuple[list[str], EditScript]:
+    """The source tokens and edit script of one block from :func:`m2_blocks`.
+
+    ``lineno`` is the line number of the block's ``S`` line.  Edits that do
+    not form a valid script (bad shape, overlap) raise
+    :class:`FormatError` at that line.
+    """
+    src = lines[0][2:].split()
+    edits: list[Edit] = []
+    for a_lineno, line in enumerate(lines[1:], start=lineno + 1):
+        if not line.startswith("A "):
+            raise FormatError(f"unrecognized line {line!r}", a_lineno, path)
+        parts = line[2:].split("|||")
+        if len(parts) != 3:
+            raise FormatError("expected 'A i j|||CAT|||replacement'", a_lineno, path)
+        span, cat, replacement = parts
+        try:
+            i_s, j_s = span.split()
+            i, j = int(i_s), int(j_s)
+        except ValueError:
+            raise FormatError(f"bad span {span!r}", a_lineno, path) from None
+        if cat not in CATEGORIES:
+            raise FormatError(f"unknown category {cat!r}", a_lineno, path)
+        if not (0 <= i <= j <= len(src)):
+            raise FormatError(f"span [{i},{j}) out of range", a_lineno, path)
+        edits.append(Edit(cat, i, j, tuple(src[i:j]), tuple(replacement.split())))
+    try:
+        return src, make_script(edits)
+    except ValueError as exc:
+        raise FormatError(str(exc), lineno, path) from None
+
+
 def read_m2(lines: Iterable[str], path: str | None = None) -> Iterator[tuple[list[str], EditScript]]:
     """Parse ``S``/``A`` blocks lazily; blocks are separated by blank lines.
 
-    A block whose edits do not form a valid script (bad shape, overlap)
-    raises :class:`FormatError` at the line of its ``S``.
+    Errors are those of :func:`m2_blocks` and :func:`parse_m2_block`.
     """
-    src: list[str] | None = None
-    src_lineno = 0
-    edits: list[Edit] = []
-    # A blank line after the last one closes the final block.
-    for lineno, line in enumerate(itertools.chain(lines, [""]), start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("S ") or line == "S":
-            if src is not None:
-                try:
-                    script = make_script(edits)
-                except ValueError as exc:
-                    raise FormatError(str(exc), src_lineno, path) from None
-                yield src, script
-            src, edits = None, []
-            if line.strip():
-                src, src_lineno = line[2:].split(), lineno
-            continue
-        if line.startswith("A "):
-            if src is None:
-                raise FormatError("'A' line before its 'S' line", lineno, path)
-            body = line[2:]
-            parts = body.split("|||")
-            if len(parts) != 3:
-                raise FormatError("expected 'A i j|||CAT|||replacement'", lineno, path)
-            span, cat, replacement = parts
-            try:
-                i_s, j_s = span.split()
-                i, j = int(i_s), int(j_s)
-            except ValueError:
-                raise FormatError(f"bad span {span!r}", lineno, path) from None
-            if cat not in CATEGORIES:
-                raise FormatError(f"unknown category {cat!r}", lineno, path)
-            if not (0 <= i <= j <= len(src)):
-                raise FormatError(f"span [{i},{j}) out of range", lineno, path)
-            tgt = tuple(replacement.split())
-            edits.append(Edit(cat, i, j, tuple(src[i:j]), tgt))
-            continue
-        raise FormatError(f"unrecognized line {line!r}", lineno, path)
+    for lineno, block in m2_blocks(lines, path):
+        yield parse_m2_block(lineno, block, path)
 
 
 def load_m2_file(path: str) -> Iterator[tuple[list[str], EditScript]]:

@@ -13,7 +13,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -125,55 +125,67 @@ def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray,
     return loss, grad_w, grad_b
 
 
-def train(candidates: Iterable[EditCandidate], labels: Iterable[float],
-          lr: float = 0.5, epochs: int = 500, l2: float = 0.0,
-          threshold: float = 0.5) -> LogRegModel:
+def row_counts(labeled: Iterable[tuple[EditCandidate, float]]) -> Counter:
+    """How many of the ``(candidate, label)`` pairs share each feature row
+    and label, keyed ``(votes, category, label)`` in first-seen order."""
+    return Counter((c.votes, c.edit.category, float(label)) for c, label in labeled)
+
+
+def fit(counts: Mapping[tuple[tuple[int, ...], str, float], int],
+        lr: float = 0.5, epochs: int = 500, l2: float = 0.0,
+        threshold: float = 0.5) -> LogRegModel:
     """Full-batch gradient descent from zero-initialized parameters.
 
-    Candidates with the same votes, category and label have the same
-    feature row, so each distinct (votes, category, label) is one row
-    weighted by how often it occurs; the loss is the same mean over all
-    candidates.  Both iterables are consumed once, in lockstep, so they
-    may be generators.  Deterministic: no sampling is involved.  Raises
-    ``ValueError`` if there are no candidates, if the two lengths differ,
-    or if the loss or the parameters go non-finite (learning rate too
-    large).
+    ``counts`` maps each distinct ``(votes, category, label)`` to how many
+    candidates have it, as :func:`row_counts` gives; each is one row
+    weighted by its count, so the loss is the mean over all candidates.
+    Rows follow the mapping's order.  Deterministic: no sampling is
+    involved.  Raises ``ValueError`` if there are no candidates or if the
+    loss or the parameters go non-finite (learning rate too large).
     """
-    groups = Counter((c.votes, c.edit.category, float(label))
-                     for c, label in zip(candidates, labels, strict=True))
-    if not groups:
+    if not counts:
         raise ValueError("no candidates to train on")
-    X = np.array([_feature_row(votes, cat) for votes, cat, _ in groups])
-    y = np.array([label for _, _, label in groups])
-    counts = np.array(list(groups.values()), dtype=float)
+    X = np.array([_feature_row(votes, cat) for votes, cat, _ in counts])
+    y = np.array([label for _, _, label in counts])
+    freq = np.array(list(counts.values()), dtype=float)
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(epochs):
-        loss, gw, gb = loss_and_grad(w, b, X, y, l2, counts)
+        loss, gw, gb = loss_and_grad(w, b, X, y, l2, freq)
         if not np.isfinite(loss):
             raise ValueError(_DIVERGED)
         w -= lr * gw
         b -= lr * gb
-    loss, _, _ = loss_and_grad(w, b, X, y, l2, counts)
+    loss, _, _ = loss_and_grad(w, b, X, y, l2, freq)
     if not (math.isfinite(loss) and math.isfinite(b) and np.isfinite(w).all()):
         raise ValueError(_DIVERGED)
-    return LogRegModel(w, b, threshold, feature_names(len(next(iter(groups))[0])),
+    return LogRegModel(w, b, threshold, feature_names(len(next(iter(counts))[0])),
                        final_loss=loss)
 
 
-def _conflicts(a: Edit, b: Edit) -> bool:
-    if a.category == MISS and b.category == MISS:
-        return a.i == b.i
-    if a.category == MISS or b.category == MISS:
-        return False
-    return a.i < b.j and b.i < a.j
+def train(candidates: Iterable[EditCandidate], labels: Iterable[float],
+          lr: float = 0.5, epochs: int = 500, l2: float = 0.0,
+          threshold: float = 0.5) -> LogRegModel:
+    """:func:`fit` on the rows of ``candidates`` and their ``labels``.
+
+    Both iterables are consumed once, in lockstep, so they may be
+    generators.  Raises ``ValueError`` as :func:`fit` does, and if the two
+    lengths differ.
+    """
+    return fit(row_counts(zip(candidates, labels, strict=True)),
+               lr=lr, epochs=epochs, l2=l2, threshold=threshold)
 
 
 def select_edits(candidates: Sequence[EditCandidate],
                  model: LogRegModel) -> list[EditCandidate]:
     """Keep candidates scoring at or above the threshold, then resolve
     span conflicts greedily by descending score (ties: leftmost span,
-    then SUB > RED > MISS)."""
+    then SUB > RED > MISS).
+
+    Two MISS edits conflict at the same point, and two SUB/RED edits when
+    their spans share a source position; a MISS never conflicts with a
+    SUB/RED edit.
+    """
     if not candidates:
         return []
     scores = model.predict_proba(feature_matrix(candidates)).tolist()
@@ -182,9 +194,20 @@ def select_edits(candidates: Sequence[EditCandidate],
                                 _CATEGORY_ORDER[item[1].edit.category],
                                 item[1].edit.tgt_tokens))
     chosen: list[EditCandidate] = []
+    points: set[int] = set()   # points of chosen MISS edits
+    covered: set[int] = set()  # source positions under chosen SUB/RED spans
     for _, cand in kept:
-        if not any(_conflicts(cand.edit, c.edit) for c in chosen):
-            chosen.append(cand)
+        edit = cand.edit
+        if edit.category == MISS:
+            if edit.i in points:
+                continue
+            points.add(edit.i)
+        else:
+            span = range(edit.i, edit.j)
+            if not covered.isdisjoint(span):
+                continue
+            covered.update(span)
+        chosen.append(cand)
     chosen.sort(key=lambda c: (c.edit.i, _CATEGORY_ORDER[c.edit.category]))
     return chosen
 

@@ -353,6 +353,35 @@ def selector_gd_oracle(examples, labels, lr, epochs, l2):
     return w, b
 
 
+def select_edits_oracle(scored, threshold):
+    """The edit selector's greedy conflict resolution, pair by pair.
+
+    ``scored`` holds ``(score, candidate)`` pairs, each candidate with an
+    ``edit`` that has ``category`` ("SUB", "RED" or "MISS"), source span
+    ``i``, ``j`` and ``tgt_tokens``.  Candidates scoring at or above
+    ``threshold`` are taken by descending score (ties: leftmost span, then
+    SUB, RED, MISS, then replacement); one is skipped when it conflicts
+    with any candidate already taken.  Two MISS edits conflict at the same
+    point, two SUB/RED edits when their spans overlap.  Returns the chosen
+    candidates by span start, then category.
+    """
+    rank = {"SUB": 0, "RED": 1, "MISS": 2}
+
+    def conflict(a, b):
+        if a.category == "MISS" and b.category == "MISS":
+            return a.i == b.i
+        return "MISS" not in (a.category, b.category) and a.i < b.j and b.i < a.j
+
+    kept = sorted(((s, c) for s, c in scored if s >= threshold),
+                  key=lambda sc: (-sc[0], sc[1].edit.i, rank[sc[1].edit.category],
+                                  sc[1].edit.tgt_tokens))
+    chosen = []
+    for _, cand in kept:
+        if not any(conflict(cand.edit, c.edit) for c in chosen):
+            chosen.append(cand)
+    return sorted(chosen, key=lambda c: (c.edit.i, rank[c.edit.category]))
+
+
 # --- ensemble corpus ----------------------------------------------------
 
 SRC_VOCAB = [f"w{i}" for i in range(30)]

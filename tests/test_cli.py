@@ -2,6 +2,7 @@ import argparse
 import gc
 import json
 import logging
+import os
 import random
 import re
 import subprocess
@@ -494,13 +495,27 @@ def test_ensemble_train_without_edits_is_exit_2(tmp_path, capsys, caplog):
                for rec in caplog.records)
 
 
-# A child process runs one command and prints its own peak resident size.
+def _write_ensemble_corpus(root, n_sentences, seed):
+    """Source, hypothesis and gold files of a generated corpus of six systems."""
+    sources, golds, hyps = build_ensemble_corpus(seed=seed, n_sentences=n_sentences)
+    src = _write_lines(root / "src.txt", map(" ".join, sources))
+    hyp_files = [_write_lines(root / f"h{i}.txt", map(" ".join, h))
+                 for i, h in enumerate(hyps)]
+    gold = _write_m2(root / "gold.m2", map(" ".join, sources), map(" ".join, golds))
+    return src, hyp_files, gold
+
+
+# A child process runs one command and prints its own peak resident size,
+# then the largest peak among the processes it reaped (its pool workers),
+# both in KB.
 _PEAK_RSS_CHILD = """
+import resource
 import sys
 from gecsyntax.cli import main
 code = main(sys.argv[1:])
 with open("/proc/self/status", encoding="ascii") as fh:
-    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")),
+          resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 sys.exit(code)
 """
 
@@ -512,25 +527,152 @@ def test_ensemble_commands_memory_is_flat_in_corpus_size(tmp_path):
     for n in (1_000, 4_000):
         root = tmp_path / str(n)
         root.mkdir()
-        sources, golds, hyps = build_ensemble_corpus(seed=11, n_sentences=n)
-        src = _write_lines(root / "src.txt", map(" ".join, sources))
-        hyp_files = [_write_lines(root / f"h{i}.txt", map(" ".join, h))
-                     for i, h in enumerate(hyps)]
-        gold = _write_m2(root / "gold.m2", map(" ".join, sources), map(" ".join, golds))
+        src, hyp_files, gold = _write_ensemble_corpus(root, n, seed=11)
+        sources, _, hyps = build_ensemble_corpus(seed=11, n_sentences=n)
         hyp_m2 = _write_m2(root / "hyp.m2", map(" ".join, sources),
                            map(" ".join, hyps[-1]))
-        for command, argv in (("ensemble-train", [src, *hyp_files, gold]),
-                              ("score", [hyp_m2, gold])):
+        model = str(root / "model.json")
+        for command, argv in (("ensemble-train", [src, *hyp_files, gold, "-o", model]),
+                              ("ensemble-apply", [src, *hyp_files, model,
+                                                  "-o", str(root / "out.txt")]),
+                              ("score", [hyp_m2, gold, "-o", str(root / "score.json")])):
             proc = subprocess.run(
-                [sys.executable, "-c", _PEAK_RSS_CHILD, command, *argv,
-                 "-o", str(root / "out")], env=env, capture_output=True, text=True,
-                timeout=300)
+                [sys.executable, "-c", _PEAK_RSS_CHILD, command, *argv], env=env,
+                capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
-            peak_kb[command, n] = int(proc.stdout.split()[-1])
-    growth_mb = {command: (peak_kb[command, 4_000] - peak_kb[command, 1_000]) / 1024
-                 for command in ("ensemble-train", "score")}
+            own, workers = map(int, proc.stdout.split()[-2:])
+            peak_kb[command, "own", n] = own
+            peak_kb[command, "workers", n] = workers
+    growth_mb = {(command, whose): (peak_kb[command, whose, 4_000] - kb) / 1024
+                 for (command, whose, n), kb in peak_kb.items() if n == 1_000}
     assert max(growth_mb.values()) < 5, (growth_mb, peak_kb)
 
+
+def _run_with_cpus(monkeypatch, capsys, cpus, argv):
+    """``main(argv)`` as if ``cpus`` CPUs were usable: the exit code, stderr
+    and the sizes of the batches sent to a worker pool.  No worker outlives
+    the command."""
+    import multiprocessing.pool
+
+    sent = []
+    submit = multiprocessing.pool.Pool.apply_async
+
+    def counting(pool, fn, args, *more, **kwargs):
+        sent.append(len(args[0]))
+        return submit(pool, fn, args, *more, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    code = main(argv)
+    assert multiprocessing.active_children() == []
+    return code, capsys.readouterr().err, sent
+
+
+def test_ensemble_pool_writes_what_one_cpu_writes(tmp_path, monkeypatch, capsys):
+    src, hyps, gold = _write_ensemble_corpus(tmp_path, 700, seed=17)
+    written = {}
+    for cpus, batches in ((1, []), (2, [256, 256, 188])):
+        model, out = tmp_path / f"model{cpus}.json", tmp_path / f"out{cpus}.txt"
+        for argv in (["ensemble-train", src, *hyps, gold, "-o", str(model)],
+                     ["ensemble-apply", src, *hyps, str(model), "-o", str(out)]):
+            code, err, sent = _run_with_cpus(monkeypatch, capsys, cpus, argv)
+            assert (code, sent) == (0, batches), err
+        written[cpus] = model.read_bytes(), out.read_bytes()
+    assert written[1] == written[2]
+
+
+def _lines(path):
+    return Path(path).read_text(encoding="utf-8").splitlines()
+
+
+def _s_line(lines, block):
+    """Index of the S line of 0-based block ``block``."""
+    return [i for i, line in enumerate(lines) if line.startswith("S ")][block]
+
+
+def _bad_category(rng, gold, lo, hi):
+    """Adds a line with an unknown category to a gold block in rows
+    [lo, hi); returns the added line's number."""
+    lines = _lines(gold)
+    at = _s_line(lines, rng.randrange(lo, hi)) + 1
+    _write_lines(Path(gold), lines[:at] + ["A 0 1|||WHAT|||x"] + lines[at:])
+    return at + 1
+
+
+def _cut(rng, path, lo, hi):
+    """Cuts a file to a length in [lo, hi); returns its new length."""
+    keep = rng.randrange(lo, hi)
+    _write_lines(Path(path), _lines(path)[:keep])
+    return keep
+
+
+def _gold_error_then_short_hypothesis(rng, src, hyps, gold):
+    line = _bad_category(rng, gold, 0, 256)
+    _cut(rng, hyps[2], 512, 700)
+    return "ensemble-train", f"error: {gold}:line {line}: unknown category 'WHAT'"
+
+
+def _short_hypothesis_then_gold_error(rng, src, hyps, gold):
+    keep = _cut(rng, hyps[0], 1, 256)
+    _bad_category(rng, gold, 256, 700)
+    return "ensemble-train", f"error: {hyps[0]}:line {keep + 1}: file ends, but {src} goes on"
+
+
+def _foreign_gold_source_then_gold_error(rng, src, hyps, gold):
+    row = rng.randrange(256, 512)
+    lines = _lines(gold)
+    at = _s_line(lines, row)
+    # The same length, so the block's edits stay in range.
+    lines[at] = "S " + " ".join("x" + token for token in lines[at].split()[1:])
+    _write_lines(Path(gold), lines)
+    _bad_category(rng, gold, 512, 700)
+    return ("ensemble-train",
+            f"error: {gold}:line {row + 1}: gold source does not match source file")
+
+
+def _bad_utf8_then_short_hypothesis(rng, src, hyps, gold):
+    row = rng.randrange(256, 512)
+    lines = Path(src).read_bytes().splitlines(keepends=True)
+    lines[row] = b"\xff" + lines[row]
+    Path(src).write_bytes(b"".join(lines))
+    _cut(rng, hyps[1], 512, 700)
+    return "ensemble-apply", f"error: {src}:line {row + 1}: not valid UTF-8"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("corrupt", [
+    _gold_error_then_short_hypothesis, _short_hypothesis_then_gold_error,
+    _foreign_gold_source_then_gold_error, _bad_utf8_then_short_hypothesis,
+], ids=lambda f: f.__name__.strip("_").replace("_", "-"))
+def test_ensemble_pool_reports_the_first_error_as_one_cpu_does(
+        tmp_path, monkeypatch, capsys, corrupt, seed):
+    src, hyps, gold = _write_ensemble_corpus(tmp_path, 700, seed=17)
+    command, expected = corrupt(random.Random(seed), src, hyps, gold)
+    model = tmp_path / "model.json"
+    model.write_text('{"weights": [1, 1, 1, 0, 0, 0, 0, 0, 0, 0], "bias": -1.5}',
+                     encoding="utf-8")
+    last = gold if command == "ensemble-train" else str(model)
+    out = tmp_path / "out.txt"
+    reported = []
+    for cpus in (1, 2):
+        code, err, _ = _run_with_cpus(monkeypatch, capsys, cpus,
+                                      [command, src, *hyps, last, "-o", str(out)])
+        assert code == 2 and err.startswith(expected), err
+        assert not out.exists()
+        reported.append(err)
+    assert reported[0] == reported[1]
+
+
+def _write_one_line_inputs(root):
+    """One-line inputs for every command except ``gcn-check``."""
+    _write_lines(root / "pairs.tsv", ["a dog sat\ta cat sat"])
+    _write_lines(root / "targets.trees", ["(S (DT a) (NN cat) (VB sat))"])
+    _write_lines(root / "seg.tsv", ["a\tcat\tsat"])
+    _write_lines(root / "src.txt", ["a dog sat"])
+    _write_lines(root / "hyp.txt", ["a cat sat"])
+    _write_m2(root / "edits.m2", ["a dog sat"], ["a cat sat"])
+    (root / "model.json").write_text('{"weights": [1, 0, 0, 0, 0], "bias": 0}',
+                                     encoding="utf-8")
 
 
 # A child process imports the package, runs one command if given one, and
@@ -559,16 +701,39 @@ sys.exit(code)
                  id="ensemble-train"),
 ])
 def test_only_numeric_commands_load_numpy(tmp_path, argv, loads_numpy):
-    _write_lines(tmp_path / "pairs.tsv", ["a dog sat\ta cat sat"])
-    _write_lines(tmp_path / "targets.trees", ["(S (DT a) (NN cat) (VB sat))"])
-    _write_lines(tmp_path / "seg.tsv", ["a\tcat\tsat"])
-    _write_lines(tmp_path / "src.txt", ["a dog sat"])
-    _write_lines(tmp_path / "hyp.txt", ["a cat sat"])
-    _write_m2(tmp_path / "edits.m2", ["a dog sat"], ["a cat sat"])
+    _write_one_line_inputs(tmp_path)
     proc = subprocess.run([sys.executable, "-c", _NUMPY_CHILD, *argv], cwd=tmp_path,
                           env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+# A child process runs one command and reports whether the worker pool
+# module was loaded.
+_POOL_CHILD = """
+import sys
+from gecsyntax.cli import main
+code = main(sys.argv[1:])
+print("multiprocessing.pool" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["align", "pairs.tsv"],
+    ["project", "pairs.tsv", "targets.trees"],
+    ["subword", "targets.trees", "seg.tsv"],
+    ["strip", "targets.trees"],
+    ["score", "edits.m2", "edits.m2"],
+    ["ensemble-train", "src.txt", "hyp.txt", "edits.m2"],
+    ["ensemble-apply", "src.txt", "hyp.txt", "model.json"],
+], ids=lambda argv: argv[0])
+def test_one_batch_commands_do_not_load_the_worker_pool(tmp_path, argv):
+    _write_one_line_inputs(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", _POOL_CHILD, *argv], cwd=tmp_path,
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("value", ["basic_format", "verbose"])

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 import warnings
 
 import numpy as np
@@ -15,7 +16,9 @@ from gecsyntax.ensemble import (
 )
 from gecsyntax.scoring import corpus_score
 
-from tests.helpers import build_ensemble_corpus, numeric_grad, selector_gd_oracle
+from tests.helpers import (
+    build_ensemble_corpus, numeric_grad, select_edits_oracle, selector_gd_oracle,
+)
 
 
 def test_gather_no_edits_when_all_hypotheses_match_source():
@@ -280,28 +283,12 @@ def test_grouped_training_matches_per_row_oracle(seed, l2):
     assert model.bias == pytest.approx(b, rel=1e-9)
 
 
-_RANK = {E.SUB: 0, E.RED: 1, E.MISS: 2}
-
-
-def _clash(a, b):
-    if a.category == E.MISS and b.category == E.MISS:
-        return a.i == b.i
-    return E.MISS not in (a.category, b.category) and a.i < b.j and b.i < a.j
-
-
 def _select_scoring_each_candidate(candidates, model):
     """Threshold and greedy conflict resolution, scoring one candidate at
     a time."""
-    scored = [(float(model.predict_proba(feature_matrix([c])[0])), c)
-              for c in candidates]
-    kept = sorted(((s, c) for s, c in scored if s >= model.threshold),
-                  key=lambda sc: (-sc[0], sc[1].edit.i, _RANK[sc[1].edit.category],
-                                  sc[1].edit.tgt_tokens))
-    chosen = []
-    for _, cand in kept:
-        if not any(_clash(cand.edit, c.edit) for c in chosen):
-            chosen.append(cand)
-    return sorted(chosen, key=lambda c: (c.edit.i, _RANK[c.edit.category]))
+    return select_edits_oracle(
+        [(float(model.predict_proba(feature_matrix([c])[0])), c) for c in candidates],
+        model.threshold)
 
 
 @pytest.mark.parametrize("seed", [5, 7])
@@ -314,6 +301,47 @@ def test_select_edits_matches_per_candidate_scoring(seed):
         for cands, _ in sentences:
             assert select_edits(cands, model) == _select_scoring_each_candidate(
                 cands, model)
+
+
+def _random_candidate(rng, n):
+    """A candidate over ``n`` source tokens from two systems: a MISS, or a
+    SUB/RED span of one to three tokens."""
+    category = rng.choice(E.CATEGORIES)
+    if category == E.MISS:
+        i = j = rng.randint(0, n)
+    else:
+        i = rng.randrange(n)
+        j = min(n, i + rng.choice((1, 1, 1, 2, 3)))
+    tgt = () if category == E.RED else (rng.choice("xyz"),)
+    return EditCandidate(E.Edit(category, i, j, ("s",) * (j - i), tgt),
+                         (rng.randint(0, 1), rng.randint(0, 1)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_select_edits_matches_pairwise_oracle_on_tied_scores(seed):
+    # Two systems and three categories give at most 12 distinct scores, so
+    # most candidates tie and the tie-breaks decide.
+    rng = random.Random(seed)
+    model = LogRegModel(np.array([1.0, -1.0, 0.5, 0.5, 0.0, -0.5]), 0.0, threshold=0.4)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        cands = [_random_candidate(rng, n) for _ in range(rng.randint(1, 25))]
+        scores = model.predict_proba(feature_matrix(cands)).tolist()
+        assert select_edits(cands, model) == select_edits_oracle(
+            list(zip(scores, cands)), model.threshold)
+
+
+def test_select_edits_scales_linearly():
+    # 20,000 kept, mutually compatible candidates: a pairwise conflict check
+    # makes 2e8 comparisons.
+    cands = [EditCandidate(E.miss(i, ["x"]) if i % 3 == 0 else E.sub(i, "s", "x"), (1,))
+             for i in range(20_000)]
+    model = LogRegModel(np.zeros(len(feature_names(1))), 5.0)
+    start = time.perf_counter()
+    chosen = select_edits(cands, model)
+    elapsed = time.perf_counter() - start
+    assert len(chosen) == len(cands)
+    assert elapsed < 1.0, elapsed
 
 
 @pytest.mark.parametrize("seed", [5, 7])
