@@ -22,10 +22,11 @@ the files have.
 Each numeric flag's range is part of its argparse ``type``: a value out
 of range is rejected by the argument parser before any file is opened.
 Exit codes: 0 on success, 2 on input-format errors (reported with line
-numbers), on a flag the parser rejects, on training that diverges and
-when memory runs out, 1 when a numeric self-check fails.  Set
-``CSYN_LOG`` to a level name (debug, info, warning, ...) for diagnostics
-on stderr; any other value means warning.
+numbers), on a flag the parser rejects, on training that diverges,
+when memory runs out and when a worker process ends abruptly, 1 when a
+numeric self-check fails.  Set ``CSYN_LOG`` to a level name (debug,
+info, warning, ...) for diagnostics on stderr; any other value means
+warning.
 
 Only ``gcn-check``, ``ensemble-train`` and ``ensemble-apply`` import
 numpy, inside the command; the other commands start without it.
@@ -117,9 +118,10 @@ def _map_batches(fn: Callable[[list], Any], rows: Iterable) -> Iterator:
     one worker per CPU in this process's affinity mask, with at most two
     batches per worker in flight; with one batch or one CPU, ``fn`` runs
     here.  Errors come in row order: when reading a row raises, the
-    batches before it are finished first.  Close the iterator (for
-    example with :func:`contextlib.closing`) if it is not run to the end:
-    that stops the workers.
+    batches before it are finished first.  A worker that ends abruptly
+    (killed, or out of memory) raises :class:`ChildProcessError`.  Close
+    the iterator (for example with :func:`contextlib.closing`) if it is
+    not run to the end: that stops the workers.
     """
     # Platforms without affinity masks (not Linux) run on one CPU.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -144,8 +146,10 @@ def _map_batches(fn: Callable[[list], Any], rows: Iterable) -> Iterator:
     # thread and written no output yet, so no worker inherits a held lock
     # or unflushed output.
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    pool = multiprocessing.get_context("fork").Pool(cpus)
+    pool = ProcessPoolExecutor(cpus, mp_context=multiprocessing.get_context("fork"))
     try:
         pending: deque = deque()
         batches = itertools.chain(head, batches)
@@ -154,20 +158,21 @@ def _map_batches(fn: Callable[[list], Any], rows: Iterable) -> Iterator:
                 batch = next(batches, None)
             except Exception:
                 while pending:
-                    yield pending.popleft().get()
+                    yield pending.popleft().result()
                 raise
             if batch is None:
                 break
-            pending.append(pool.apply_async(fn, (batch,)))
+            pending.append(pool.submit(fn, batch))
             if len(pending) == 2 * cpus:
-                yield pending.popleft().get()
+                yield pending.popleft().result()
         while pending:
-            yield pending.popleft().get()
-    except BaseException:
-        pool.terminate()
-        raise
-    pool.close()
-    pool.join()
+            yield pending.popleft().result()
+    except BrokenProcessPool:
+        raise ChildProcessError(
+            "a worker process ended abruptly (killed, or out of memory)") from None
+    finally:
+        # Waits for the batches already running; the others are dropped.
+        pool.shutdown(cancel_futures=True)
 
 
 @contextlib.contextmanager
@@ -314,8 +319,8 @@ def cmd_ensemble_train(args) -> int:
     if not counts:
         raise FormatError("no edits proposed by any system; nothing to train on")
     try:
-        model = ensemble.fit(counts, lr=args.lr, epochs=args.epochs, l2=args.l2,
-                             threshold=args.threshold)
+        model = ensemble.train(counts=counts, lr=args.lr, epochs=args.epochs,
+                               l2=args.l2, threshold=args.threshold)
     except ValueError as exc:
         raise FormatError(f"--lr {args.lr} --l2 {args.l2}: {exc}") from None
     payload = json.dumps(ensemble.model_to_dict(model), sort_keys=True)

@@ -131,23 +131,30 @@ def row_counts(labeled: Iterable[tuple[EditCandidate, float]]) -> Counter:
     return Counter((c.votes, c.edit.category, float(label)) for c, label in labeled)
 
 
-def fit(counts: Mapping[tuple[tuple[int, ...], str, float], int],
-        lr: float = 0.5, epochs: int = 500, l2: float = 0.0,
-        threshold: float = 0.5) -> LogRegModel:
+def train(candidates: Iterable[EditCandidate] = (), labels: Iterable[float] = (),
+          lr: float = 0.5, epochs: int = 500, l2: float = 0.0,
+          threshold: float = 0.5,
+          counts: Mapping[tuple[tuple[int, ...], str, float], int] | None = None,
+          ) -> LogRegModel:
     """Full-batch gradient descent from zero-initialized parameters.
 
-    ``counts`` maps each distinct ``(votes, category, label)`` to how many
-    candidates have it, as :func:`row_counts` gives; each is one row
-    weighted by its count, so the loss is the mean over all candidates.
-    Rows follow the mapping's order.  Deterministic: no sampling is
-    involved.  Raises ``ValueError`` if there are no candidates or if the
-    loss or the parameters go non-finite (learning rate too large).
+    Trains on the rows of ``candidates`` and their ``labels``, consumed
+    once, in lockstep, so they may be generators, and then on ``counts``,
+    rows already counted elsewhere (for example by worker processes) as
+    :func:`row_counts` gives them.  Each distinct ``(votes, category,
+    label)`` is one row weighted by its count, in first-seen order, so the
+    loss is the mean over all candidates.  Deterministic: no sampling is
+    involved.  Raises ``ValueError`` if the two lengths differ, if there
+    are no candidates, or if the loss or the parameters go non-finite
+    (learning rate too large).
     """
-    if not counts:
+    groups = row_counts(zip(candidates, labels, strict=True))
+    groups.update(counts or {})
+    if not groups:
         raise ValueError("no candidates to train on")
-    X = np.array([_feature_row(votes, cat) for votes, cat, _ in counts])
-    y = np.array([label for _, _, label in counts])
-    freq = np.array(list(counts.values()), dtype=float)
+    X = np.array([_feature_row(votes, cat) for votes, cat, _ in groups])
+    y = np.array([label for _, _, label in groups])
+    freq = np.array(list(groups.values()), dtype=float)
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(epochs):
@@ -159,21 +166,8 @@ def fit(counts: Mapping[tuple[tuple[int, ...], str, float], int],
     loss, _, _ = loss_and_grad(w, b, X, y, l2, freq)
     if not (math.isfinite(loss) and math.isfinite(b) and np.isfinite(w).all()):
         raise ValueError(_DIVERGED)
-    return LogRegModel(w, b, threshold, feature_names(len(next(iter(counts))[0])),
+    return LogRegModel(w, b, threshold, feature_names(len(next(iter(groups))[0])),
                        final_loss=loss)
-
-
-def train(candidates: Iterable[EditCandidate], labels: Iterable[float],
-          lr: float = 0.5, epochs: int = 500, l2: float = 0.0,
-          threshold: float = 0.5) -> LogRegModel:
-    """:func:`fit` on the rows of ``candidates`` and their ``labels``.
-
-    Both iterables are consumed once, in lockstep, so they may be
-    generators.  Raises ``ValueError`` as :func:`fit` does, and if the two
-    lengths differ.
-    """
-    return fit(row_counts(zip(candidates, labels, strict=True)),
-               lr=lr, epochs=epochs, l2=l2, threshold=threshold)
 
 
 def select_edits(candidates: Sequence[EditCandidate],

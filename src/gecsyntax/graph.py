@@ -55,30 +55,26 @@ def _add_edge(adjacency: list[list[int]], u: int, v: int) -> None:
 
 def build_graph(root: T.NonTerminal) -> SyntaxGraph:
     """Graph over all nodes of a constituency tree, edges per tree link."""
+    num_terminals = sum(1 for _ in T.terminals(root))
     nt_labels: list[str] = []
-    # One pre-order walk, which meets terminals left to right.  Each entry
-    # is a node and its parent's non-terminal index (-1 at the root).
-    # Non-terminals are indexed from 0 here and shifted past the terminals
-    # once their count is known; links holds (parent, child) in walk order,
-    # the child a terminal's word index or ~k for non-terminal k.
+    adjacency: list[list[int]] = [[] for _ in range(num_terminals)]
+    # Pre-order walk, which meets terminals left to right; each entry is a
+    # node and its parent's id (-1 at the root).
     stack: list[tuple[T.Node, int]] = [(root, -1)]
-    links: list[tuple[int, int]] = []
     word = 0
     while stack:
         node, parent = stack.pop()
         if isinstance(node, T.Terminal):
-            links.append((parent, word))
+            v = word
             word += 1
         else:
-            k = len(nt_labels)
+            v = len(adjacency)
+            adjacency.append([])
             nt_labels.append(node.label)
-            if parent >= 0:
-                links.append((parent, ~k))
-            stack.extend(zip(reversed(node.children), repeat(k)))
-    adjacency: list[list[int]] = [[] for _ in range(word + len(nt_labels))]
-    for parent, child in links:
-        _add_edge(adjacency, word + parent, child if child >= 0 else word + ~child)
-    return SyntaxGraph(word, nt_labels, adjacency)
+            stack.extend(zip(reversed(node.children), repeat(v)))
+        if parent >= 0:
+            _add_edge(adjacency, parent, v)
+    return SyntaxGraph(num_terminals, nt_labels, adjacency)
 
 
 def build_graph_dep(heads: Sequence[int]) -> SyntaxGraph:

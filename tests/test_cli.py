@@ -5,12 +5,14 @@ import logging
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from gecsyntax import cli
 from gecsyntax import edits as E
 from gecsyntax import tree as T
 from gecsyntax.cli import build_parser, main
@@ -552,16 +554,17 @@ def _run_with_cpus(monkeypatch, capsys, cpus, argv):
     """``main(argv)`` as if ``cpus`` CPUs were usable: the exit code, stderr
     and the sizes of the batches sent to a worker pool.  No worker outlives
     the command."""
-    import multiprocessing.pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     sent = []
-    submit = multiprocessing.pool.Pool.apply_async
+    submit = ProcessPoolExecutor.submit
 
-    def counting(pool, fn, args, *more, **kwargs):
-        sent.append(len(args[0]))
-        return submit(pool, fn, args, *more, **kwargs)
+    def counting(pool, fn, batch):
+        sent.append(len(batch))
+        return submit(pool, fn, batch)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", counting)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     code = main(argv)
     assert multiprocessing.active_children() == []
@@ -663,6 +666,33 @@ def test_ensemble_pool_reports_the_first_error_as_one_cpu_does(
     assert reported[0] == reported[1]
 
 
+_APPLY_BATCH = cli._apply_batch
+
+
+def _killed_in_second_batch(model, rows):
+    """``cli._apply_batch``, except that the worker given the second batch
+    is killed."""
+    if rows[0][0] > 256:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _APPLY_BATCH(model, rows)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_ensemble_pool_worker_killed_is_exit_2(tmp_path, monkeypatch, capsys):
+    src, hyps, _ = _write_ensemble_corpus(tmp_path, 700, seed=17)
+    model = tmp_path / "model.json"
+    model.write_text('{"weights": [1, 1, 1, 0, 0, 0, 0, 0, 0, 0], "bias": -1.5}',
+                     encoding="utf-8")
+    out = tmp_path / "out.txt"
+    monkeypatch.setattr(cli, "_apply_batch", _killed_in_second_batch)
+    code, err, _ = _run_with_cpus(monkeypatch, capsys, 2,
+                                  ["ensemble-apply", src, *hyps, str(model),
+                                   "-o", str(out)])
+    assert (code, err) == (2, "error: a worker process ended abruptly "
+                              "(killed, or out of memory)\n")
+    assert not out.exists()
+
+
 def _write_one_line_inputs(root):
     """One-line inputs for every command except ``gcn-check``."""
     _write_lines(root / "pairs.tsv", ["a dog sat\ta cat sat"])
@@ -708,13 +738,13 @@ def test_only_numeric_commands_load_numpy(tmp_path, argv, loads_numpy):
     assert proc.stdout.splitlines()[-1] == str(loads_numpy)
 
 
-# A child process runs one command and reports whether the worker pool
-# module was loaded.
+# A child process runs one command and reports whether multiprocessing,
+# which the worker pool needs, was loaded.
 _POOL_CHILD = """
 import sys
 from gecsyntax.cli import main
 code = main(sys.argv[1:])
-print("multiprocessing.pool" in sys.modules)
+print("multiprocessing" in sys.modules)
 sys.exit(code)
 """
 

@@ -138,6 +138,25 @@ def test_training_consumes_iterables_in_lockstep():
         train(iter(cands), iter(labels[:-1]))
 
 
+def test_training_on_counts_matches_training_on_candidates():
+    sources, golds, hyps = build_ensemble_corpus(seed=3, n_sentences=30)
+    labeled = []
+    for i, src in enumerate(sources):
+        sent = gather(src, [h[i] for h in hyps])
+        labeled.extend(zip(sent, label_candidates(sent, E.align(src, golds[i]))))
+    cands, labels = map(list, zip(*labeled))
+    expected = model_to_dict(train(cands, labels, epochs=50))
+    half = len(labeled) // 2
+    # Counts merged in row order, as from consecutive batches.
+    merged = ensemble.row_counts(labeled[:half])
+    merged.update(ensemble.row_counts(labeled[half:]))
+    assert model_to_dict(train(counts=merged, epochs=50)) == expected
+    assert model_to_dict(train(cands[:half], labels[:half], epochs=50,
+                               counts=ensemble.row_counts(labeled[half:]))) == expected
+    with pytest.raises(ValueError, match="no candidates"):
+        train(counts={})
+
+
 def test_predict_proba_with_huge_weights_warns_nothing():
     # A finite model that training with --lr 1e308 can produce.
     model = LogRegModel(np.full(7, 1e308), 1e308)
