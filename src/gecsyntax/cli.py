@@ -8,16 +8,17 @@ edit-level scoring (``score``).
 
 Every command except ``gcn-check`` streams: line-parallel inputs are
 read in lockstep, ``ensemble-train`` keeps only counts of its distinct
-feature rows and ``score`` only its edit counts.  ``align``,
-``project``, ``strip``, ``subword`` and ``score`` hold one sentence at a
-time, writing each output line before the next input line is read.
-``ensemble-train`` and ``ensemble-apply`` work in 256-row batches, with
-at most two batches per usable CPU in flight: once the input exceeds one
-batch they use every CPU in the process's affinity mask (``taskset``
-limits this), with output and errors the same as on one CPU.  A count
-mismatch is reported as ``path:line N: file ends, but OTHER goes on`` at
-the first line (for an ``.m2`` file, the first block) that only some of
-the files have.
+feature rows and ``score`` only its edit counts.  ``align`` and
+``score`` hold one sentence at a time, writing each output line before
+the next input line is read.  ``project``, ``subword``, ``strip``,
+``ensemble-train`` and ``ensemble-apply`` work in 256-row batches of raw
+lines, with at most two batches per usable CPU in flight: once the input
+exceeds one batch they use every CPU in the process's affinity mask
+(``taskset`` limits this), with output, warnings and errors the same as
+on one CPU.  A count mismatch is reported as ``path:line N: file ends,
+but OTHER goes on`` at the first line (for an ``.m2`` file, the first
+block) that only some of the files have; it comes before any error in
+the contents of line N.
 
 Each numeric flag's range is part of its argparse ``type``: a value out
 of range is rejected by the argument parser before any file is opened.
@@ -55,18 +56,19 @@ from .lines import read_lines
 logger = logging.getLogger("gecsyntax")
 
 
+def parse_tsv_line(line: str, lineno: int | None = None,
+                   path: str | None = None) -> tuple[list[str], list[str]]:
+    """The source and target tokens of one ``source<TAB>target`` line."""
+    fields = line.split("\t")
+    if len(fields) != 2:
+        raise FormatError(f"expected 'source<TAB>target', got {len(fields)} field(s)",
+                          lineno, path)
+    return fields[0].split(), fields[1].split()
+
+
 def read_parallel_tsv(path: str) -> Iterator[tuple[list[str], list[str]]]:
     for lineno, line in enumerate(read_lines(path), start=1):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise FormatError(
-                f"expected 'source<TAB>target', got {len(fields)} field(s)",
-                lineno, path)
-        yield fields[0].split(), fields[1].split()
-
-
-def _read_tree_file(path: str) -> Iterator[T.NonTerminal]:
-    return T.read_trees(read_lines(path), path)
+        yield parse_tsv_line(line, lineno, path)
 
 
 _MISSING = object()
@@ -212,16 +214,53 @@ def cmd_align(args) -> int:
     return 0
 
 
+def _write_batches(out, fn: Callable[[list], str], rows: Iterable) -> None:
+    """Write the text of ``fn`` on each batch of ``rows`` to ``out``, in order."""
+    batches = _map_batches(fn, rows)
+    with contextlib.closing(batches):
+        for text in batches:
+            out.write(text)
+
+
+def _project_batch(paths: Sequence[str], placement: str, rows: list) -> tuple:
+    """Project a batch of ``(lineno, pair line, tree line)`` rows of raw lines.
+
+    Gives the projected trees as text, the batch's summary, its skipped
+    ``(lineno, reason)`` pairs in line order, and its input error or
+    ``None``.  The error is returned, not raised, so that the caller
+    reports the skips before it.
+    """
+    summary = projection.ProjectionSummary()
+    out: list[str] = []
+    skips: list[tuple[int, str]] = []
+    try:
+        for lineno, pair, tree_line in rows:
+            src, tgt = parse_tsv_line(pair, lineno, paths[0])
+            tree = T.parse_tree_line(tree_line, lineno, paths[1])
+            result = projection.project_pair(src, tgt, tree, summary, lineno, skips,
+                                             placement=placement)
+            if result is not None:
+                out.append(T.serialize(result) + "\n")
+    except FormatError as exc:
+        return "".join(out), summary, skips, exc
+    return "".join(out), summary, skips, None
+
+
 def cmd_project(args) -> int:
     summary = projection.ProjectionSummary()
-    lines = _lockstep([read_parallel_tsv(args.parallel), _read_tree_file(args.trees)],
-                      [args.parallel, args.trees])
+    paths = [args.parallel, args.trees]
     with _out_stream(args.output) as out:
-        for lineno, (src, tgt), tree in lines:
-            result = projection.project_pair(src, tgt, tree, summary, lineno,
-                                             placement=args.pseudo_placement)
-            if result is not None:
-                out.write(T.serialize(result) + "\n")
+        batches = _map_batches(
+            functools.partial(_project_batch, paths, args.pseudo_placement),
+            _lockstep([read_lines(p) for p in paths], paths))
+        with contextlib.closing(batches):
+            for text, part, skips, error in batches:
+                out.write(text)
+                for lineno, reason in skips:
+                    logger.warning("line %d: skipped: %s", lineno, reason)
+                if error is not None:
+                    raise error
+                summary.add(part)
     summary_json = json.dumps(summary.to_dict(), sort_keys=True)
     if args.summary:
         with _out_stream(args.summary) as fh:
@@ -231,30 +270,47 @@ def cmd_project(args) -> int:
     return 0
 
 
+def _strip_batch(path: str, rows: list) -> str:
+    """The stripped trees of a batch of ``(lineno, tree line)`` rows."""
+    out = []
+    for lineno, line in rows:
+        tree = T.parse_tree_line(line, lineno, path)
+        try:
+            stripped = projection.strip_pseudo(tree)
+        except ValueError as exc:
+            raise FormatError(str(exc), lineno, path) from None
+        out.append(T.serialize(stripped) + "\n")
+    return "".join(out)
+
+
 def cmd_strip(args) -> int:
     with _out_stream(args.output) as out:
-        for lineno, tree in enumerate(_read_tree_file(args.trees), start=1):
-            try:
-                stripped = projection.strip_pseudo(tree)
-            except ValueError as exc:
-                raise FormatError(str(exc), lineno, args.trees) from None
-            out.write(T.serialize(stripped) + "\n")
+        _write_batches(out, functools.partial(_strip_batch, args.trees),
+                       enumerate(read_lines(args.trees), start=1))
     return 0
 
 
+def _subword_batch(paths: Sequence[str], marker: str, style: str, rows: list) -> str:
+    """The subword trees of a batch of ``(lineno, tree line, segmentation
+    line)`` rows."""
+    out = []
+    for lineno, tree_line, seg_line in rows:
+        tree = T.parse_tree_line(tree_line, lineno, paths[0])
+        seg = subword.parse_segmentation_line(seg_line, lineno, paths[1])
+        try:
+            converted = subword.to_subword_tree(tree, seg, marker=marker, style=style)
+        except ValueError as exc:
+            raise FormatError(str(exc), lineno, paths[1]) from None
+        out.append(T.serialize(converted) + "\n")
+    return "".join(out)
+
+
 def cmd_subword(args) -> int:
-    segmentation = subword.read_segmentation(read_lines(args.segmentation),
-                                             args.segmentation)
-    lines = _lockstep([_read_tree_file(args.trees), segmentation],
-                      [args.trees, args.segmentation])
+    paths = [args.trees, args.segmentation]
     with _out_stream(args.output) as out:
-        for lineno, tree, seg in lines:
-            try:
-                converted = subword.to_subword_tree(
-                    tree, seg, marker=args.marker, style=args.marker_style)
-            except ValueError as exc:
-                raise FormatError(str(exc), lineno, args.segmentation) from None
-            out.write(T.serialize(converted) + "\n")
+        _write_batches(out, functools.partial(_subword_batch, paths, args.marker,
+                                              args.marker_style),
+                       _lockstep([read_lines(p) for p in paths], paths))
     return 0
 
 
@@ -264,7 +320,7 @@ def cmd_gcn_check(args) -> int:
     from . import gcn, graph
     from .checks import edge_encode_reference, gcn_gradient_check
 
-    trees = list(_read_tree_file(args.trees))
+    trees = list(T.read_trees(read_lines(args.trees), args.trees))
     graphs = [graph.build_graph(t) for t in trees]
     labels = sorted({lab for g in graphs for lab in g.nt_labels})
     ok = True
@@ -355,11 +411,8 @@ def cmd_ensemble_apply(args) -> int:
         model.threshold = args.threshold
     paths = [args.source, *args.hypotheses]
     with _out_stream(args.output) as out:
-        batches = _map_batches(functools.partial(_apply_batch, model),
-                               _lockstep([read_lines(p) for p in paths], paths))
-        with contextlib.closing(batches):
-            for text in batches:
-                out.write(text)
+        _write_batches(out, functools.partial(_apply_batch, model),
+                       _lockstep([read_lines(p) for p in paths], paths))
     return 0
 
 

@@ -11,7 +11,7 @@ to verify that the pieces reassemble the word.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from . import tree as T
 from .errors import FormatError
@@ -94,10 +94,3 @@ def parse_segmentation_line(line: str, lineno: int | None = None,
             raise FormatError("empty word field in segmentation", lineno, path)
         groups.append(pieces)
     return groups
-
-
-def read_segmentation(lines: Iterable[str],
-                      path: str | None = None) -> Iterator[list[list[str]]]:
-    """Parse a one-sentence-per-line segmentation stream."""
-    for lineno, line in enumerate(lines, start=1):
-        yield parse_segmentation_line(line, lineno, path)

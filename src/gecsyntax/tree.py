@@ -133,10 +133,16 @@ def yield_tokens(root: Node) -> list[str]:
     return [t.token for t in terminals(root)]
 
 
+def parse_tree_line(line: str, lineno: int | None = None,
+                    path: str | None = None) -> NonTerminal:
+    """One line of a one-tree-per-line file.  A blank line is an error."""
+    stripped = line.strip()
+    if not stripped:
+        raise FormatError("blank line in tree file", lineno, path)
+    return parse_bracketed(stripped, lineno, path)
+
+
 def read_trees(lines: Iterable[str], path: str | None = None) -> Iterator[NonTerminal]:
-    """Parse a one-tree-per-line stream.  Blank lines are errors."""
+    """Parse a one-tree-per-line stream."""
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            raise FormatError("blank line in tree file", lineno, path)
-        yield parse_bracketed(stripped, lineno, path)
+        yield parse_tree_line(line, lineno, path)

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import gc
 import json
 import logging
@@ -93,7 +94,7 @@ def test_end_to_end_matches_module_calls(tmp_path, three_pair_fixture):
               parallel.read_text().splitlines())]
     trees = T.read_trees(tree_file.read_text().splitlines())
     summary = ProjectionSummary()
-    expected = [project_pair(src, tgt, tree, summary, lineno)
+    expected = [project_pair(src, tgt, tree, summary, lineno, [])
                 for lineno, ((src, tgt), tree) in enumerate(zip(pairs, trees), start=1)]
     assert projected.read_text() == "".join(
         T.serialize(t) + "\n" for t in expected if t is not None)
@@ -507,6 +508,29 @@ def _write_ensemble_corpus(root, n_sentences, seed):
     return src, hyp_files, gold
 
 
+def _write_treebank_corpus(root, n_pairs, seed, skipped=()):
+    """Pairs, target trees and a segmentation of a generated criterion-9
+    corpus.  The 0-based rows in ``skipped`` get a target tree over one
+    more word, which ``project`` skips; the segmentation, of the source
+    words, covers the other rows: the trees ``project`` writes."""
+    rng = random.Random(seed)
+    pairs, trees, seg = [], [], []
+    for row in range(n_pairs):
+        src = random_tokens(rng, rng.randint(10, 20), SRC_VOCAB)
+        script = random_script(src, rng, SRC_VOCAB,
+                               sub_prob=0.08, red_prob=0.05, miss_prob=0.04)
+        tgt = E.apply_edits(src, script)
+        pairs.append(" ".join(src) + "\t" + " ".join(tgt))
+        if row in skipped:
+            tgt = [*tgt, "w0"]
+        trees.append(T.serialize(random_tree(tgt, rng, unary_prob=0.05)))
+        if row not in skipped:
+            seg.append("\t".join(w[:1] + (" @@" + w[1:] if w[1:] else "") for w in src))
+    return (_write_lines(root / "pairs.tsv", pairs),
+            _write_lines(root / "targets.trees", trees),
+            _write_lines(root / "seg.tsv", seg))
+
+
 # A child process runs one command and prints its own peak resident size,
 # then the largest peak among the processes it reaped (its pool workers),
 # both in KB.
@@ -522,11 +546,27 @@ sys.exit(code)
 """
 
 
-@pytest.mark.skipif(not has_vmhwm(), reason="needs VmHWM in /proc/self/status")
-def test_ensemble_commands_memory_is_flat_in_corpus_size(tmp_path):
-    env = child_env()
+def _peak_growth_mb(runs):
+    """Run each ``(command, argv)`` of ``runs(n)`` in a child process for
+    1,000 and then 4,000 items; the growth of each command's own peak and
+    of its workers' peak, in MB."""
     peak_kb = {}
     for n in (1_000, 4_000):
+        for command, argv in runs(n):
+            proc = subprocess.run(
+                [sys.executable, "-c", _PEAK_RSS_CHILD, command, *argv], env=child_env(),
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            own, workers = map(int, proc.stdout.split()[-2:])
+            peak_kb[command, "own", n] = own
+            peak_kb[command, "workers", n] = workers
+    return {(command, whose): (peak_kb[command, whose, 4_000] - kb) / 1024
+            for (command, whose, n), kb in peak_kb.items() if n == 1_000}, peak_kb
+
+
+@pytest.mark.skipif(not has_vmhwm(), reason="needs VmHWM in /proc/self/status")
+def test_ensemble_commands_memory_is_flat_in_corpus_size(tmp_path):
+    def runs(n):
         root = tmp_path / str(n)
         root.mkdir()
         src, hyp_files, gold = _write_ensemble_corpus(root, n, seed=11)
@@ -534,19 +574,27 @@ def test_ensemble_commands_memory_is_flat_in_corpus_size(tmp_path):
         hyp_m2 = _write_m2(root / "hyp.m2", map(" ".join, sources),
                            map(" ".join, hyps[-1]))
         model = str(root / "model.json")
-        for command, argv in (("ensemble-train", [src, *hyp_files, gold, "-o", model]),
-                              ("ensemble-apply", [src, *hyp_files, model,
-                                                  "-o", str(root / "out.txt")]),
-                              ("score", [hyp_m2, gold, "-o", str(root / "score.json")])):
-            proc = subprocess.run(
-                [sys.executable, "-c", _PEAK_RSS_CHILD, command, *argv], env=env,
-                capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            own, workers = map(int, proc.stdout.split()[-2:])
-            peak_kb[command, "own", n] = own
-            peak_kb[command, "workers", n] = workers
-    growth_mb = {(command, whose): (peak_kb[command, whose, 4_000] - kb) / 1024
-                 for (command, whose, n), kb in peak_kb.items() if n == 1_000}
+        return (("ensemble-train", [src, *hyp_files, gold, "-o", model]),
+                ("ensemble-apply", [src, *hyp_files, model, "-o", str(root / "out.txt")]),
+                ("score", [hyp_m2, gold, "-o", str(root / "score.json")]))
+
+    growth_mb, peak_kb = _peak_growth_mb(runs)
+    assert max(growth_mb.values()) < 5, (growth_mb, peak_kb)
+
+
+@pytest.mark.skipif(not has_vmhwm(), reason="needs VmHWM in /proc/self/status")
+def test_tree_commands_memory_is_flat_in_corpus_size(tmp_path):
+    def runs(n):
+        root = tmp_path / str(n)
+        root.mkdir()
+        pairs, trees, seg = _write_treebank_corpus(root, n, seed=11)
+        source = str(root / "source.trees")
+        return (("project", [pairs, trees, "-o", source,
+                             "--summary", str(root / "summary.json")]),
+                ("subword", [source, seg, "-o", str(root / "sub.trees")]),
+                ("strip", [source, "-o", str(root / "stripped.trees")]))
+
+    growth_mb, peak_kb = _peak_growth_mb(runs)
     assert max(growth_mb.values()) < 5, (growth_mb, peak_kb)
 
 
@@ -666,15 +714,23 @@ def test_ensemble_pool_reports_the_first_error_as_one_cpu_does(
     assert reported[0] == reported[1]
 
 
-_APPLY_BATCH = cli._apply_batch
+_BATCH_FNS = {"_apply_batch": cli._apply_batch, "_project_batch": cli._project_batch}
 
 
-def _killed_in_second_batch(model, rows):
-    """``cli._apply_batch``, except that the worker given the second batch
-    is killed."""
-    if rows[0][0] > 256:
+def _killed_in_second_batch(name, *args):
+    """``cli.<name>``, except that the worker given the second batch is
+    killed."""
+    if args[-1][0][0] > 256:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _APPLY_BATCH(model, rows)
+    return _BATCH_FNS[name](*args)
+
+
+def _assert_killed_worker_is_exit_2(monkeypatch, capsys, name, argv, outputs):
+    monkeypatch.setattr(cli, name, functools.partial(_killed_in_second_batch, name))
+    code, err, _ = _run_with_cpus(monkeypatch, capsys, 2, argv)
+    assert (code, err) == (2, "error: a worker process ended abruptly "
+                              "(killed, or out of memory)\n")
+    assert not any(path.exists() for path in outputs)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
@@ -684,13 +740,145 @@ def test_ensemble_pool_worker_killed_is_exit_2(tmp_path, monkeypatch, capsys):
     model.write_text('{"weights": [1, 1, 1, 0, 0, 0, 0, 0, 0, 0], "bias": -1.5}',
                      encoding="utf-8")
     out = tmp_path / "out.txt"
-    monkeypatch.setattr(cli, "_apply_batch", _killed_in_second_batch)
-    code, err, _ = _run_with_cpus(monkeypatch, capsys, 2,
-                                  ["ensemble-apply", src, *hyps, str(model),
-                                   "-o", str(out)])
-    assert (code, err) == (2, "error: a worker process ended abruptly "
-                              "(killed, or out of memory)\n")
-    assert not out.exists()
+    _assert_killed_worker_is_exit_2(
+        monkeypatch, capsys, "_apply_batch",
+        ["ensemble-apply", src, *hyps, str(model), "-o", str(out)], [out])
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_project_pool_worker_killed_is_exit_2(tmp_path, monkeypatch, capsys):
+    pairs, trees, _ = _write_treebank_corpus(tmp_path, 700, seed=23)
+    out, summary = tmp_path / "out.trees", tmp_path / "summary.json"
+    _assert_killed_worker_is_exit_2(
+        monkeypatch, capsys, "_project_batch",
+        ["project", pairs, trees, "-o", str(out), "--summary", str(summary)],
+        [out, summary])
+
+
+def _logged(caplog):
+    """The lines logged, as ``CSYN_LOG`` writes them to stderr."""
+    return [f"{rec.levelname} {rec.getMessage()}" for rec in caplog.records]
+
+
+_SKIPPED_ROWS = (10, 300, 301, 650)  # 0-based, in batches 1, 2 and 3
+
+
+def test_tree_pool_writes_what_one_cpu_writes(tmp_path, monkeypatch, capsys, caplog):
+    pairs, trees, seg = _write_treebank_corpus(tmp_path, 700, seed=23,
+                                               skipped=_SKIPPED_ROWS)
+    written, logged = {}, {}
+    for cpus in (1, 2):
+        caplog.clear()
+        out = {name: str(tmp_path / f"{cpus}.{name}")
+               for name in ("source.trees", "summary.json", "sub.trees", "stripped.trees")}
+        for argv, batches in (
+                (["project", pairs, trees, "-o", out["source.trees"],
+                  "--summary", out["summary.json"]], [256, 256, 188]),
+                (["subword", out["source.trees"], seg, "-o", out["sub.trees"]],
+                 [256, 256, 184]),
+                (["strip", out["source.trees"], "-o", out["stripped.trees"]],
+                 [256, 256, 184])):
+            code, err, sent = _run_with_cpus(monkeypatch, capsys, cpus, argv)
+            assert (code, err, sent) == (0, "", batches if cpus > 1 else []), err
+        written[cpus] = [Path(path).read_bytes() for path in out.values()]
+        logged[cpus] = _logged(caplog)
+    assert written[1] == written[2]
+    assert logged[1] == logged[2]
+    assert [re.match(r"WARNING line (\d+): skipped: target tree yield does not match ",
+                     line)[1] for line in logged[2]] == [str(row + 1) for row in _SKIPPED_ROWS]
+    assert json.loads(written[2][1])["skipped"] == len(_SKIPPED_ROWS)
+
+
+def _replace_line(path, row, line):
+    lines = _lines(path)
+    lines[row] = line
+    _write_lines(Path(path), lines)
+
+
+def _bad_tree_then_short_trees(rng, root, pairs, trees, seg):
+    row = rng.randrange(0, 256)
+    _replace_line(trees, row, _lines(trees)[row][:-1])
+    _cut(rng, trees, 512, 700)
+    return (["project", pairs, trees],
+            f"error: {trees}:line {row + 1}: unbalanced parentheses\n", [])
+
+
+def _three_fields_then_bad_utf8(rng, root, pairs, trees, seg):
+    row = rng.randrange(256, 512)
+    _replace_line(pairs, row, _lines(pairs)[row] + "\tx")
+    lines = Path(trees).read_bytes().splitlines(keepends=True)
+    lines[rng.randrange(600, 700)] = b"(S (X \xff))\n"
+    Path(trees).write_bytes(b"".join(lines))
+    return (["project", pairs, trees],
+            f"error: {pairs}:line {row + 1}: "
+            f"expected 'source<TAB>target', got 3 field(s)\n", [])
+
+
+def _all_pseudo_tree(rng, root, pairs, trees, seg):
+    row = rng.randrange(256, 512)
+    _replace_line(trees, row, "(RED x)")
+    return (["strip", trees],
+            f"error: {trees}:line {row + 1}: "
+            f"stripping pseudo nodes did not leave a single rooted tree\n", [])
+
+
+def _bad_segmentation_then_count_mismatch(rng, root, pairs, trees, seg):
+    source = str(root / "source.trees")
+    assert main(["project", pairs, trees, "-o", source, "--summary", str(root / "s.json")]) == 0
+    row = rng.randrange(256, 512)
+    fields = _lines(seg)[row].split("\t")
+    word = fields[0].replace(" @@", "")
+    _replace_line(seg, row, "\t".join([fields[0] + "x", *fields[1:]]))
+    _cut(rng, seg, 512, 700)
+    return (["subword", source, seg],
+            f"error: {seg}:line {row + 1}: subword pieces "
+            f"{(fields[0] + 'x').split()!r} reassemble to {word + 'x'!r}, "
+            f"expected {word!r}\n", [])
+
+
+def _skip_then_error_in_same_batch(rng, root, pairs, trees, seg):
+    skipped, bad = sorted(rng.sample(range(256, 512), 2))
+    tree = _lines(trees)[skipped]
+    _replace_line(trees, skipped, tree[:tree.rindex(")")] + " (NN w0))")
+    _replace_line(trees, bad, "(S (X a)) (S (X b))")
+    return (["project", pairs, trees],
+            f"error: {trees}:line {bad + 1}: trailing material after the tree\n",
+            [f"WARNING line {skipped + 1}: skipped: target tree yield does not match "])
+
+
+def _malformed_line_where_other_file_ends(rng, root, pairs, trees, seg):
+    row = rng.randrange(256, 512)
+    _replace_line(pairs, row, "no tab here")
+    _write_lines(Path(trees), _lines(trees)[:row])
+    return (["project", pairs, trees],
+            f"error: {trees}:line {row + 1}: file ends, but {pairs} goes on\n", [])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("corrupt", [
+    _bad_tree_then_short_trees, _three_fields_then_bad_utf8, _all_pseudo_tree,
+    _bad_segmentation_then_count_mismatch, _skip_then_error_in_same_batch,
+    _malformed_line_where_other_file_ends,
+], ids=lambda f: f.__name__.strip("_").replace("_", "-"))
+def test_tree_pool_reports_the_first_error_as_one_cpu_does(
+        tmp_path, monkeypatch, capsys, caplog, corrupt, seed):
+    pairs, trees, seg = _write_treebank_corpus(tmp_path, 700, seed=23)
+    argv, expected, warnings = corrupt(random.Random(seed), tmp_path, pairs, trees, seg)
+    inputs = sorted(tmp_path.iterdir())
+    outputs = ["-o", str(tmp_path / "out.trees")]
+    if argv[0] == "project":
+        outputs += ["--summary", str(tmp_path / "summary.json")]
+    reported = []
+    for cpus in (1, 2):
+        caplog.clear()
+        code, err, _ = _run_with_cpus(monkeypatch, capsys, cpus, [*argv, *outputs])
+        logged = _logged(caplog)
+        assert (code, err) == (2, expected)
+        assert [line[:len(prefix)] for line, prefix in zip(logged, warnings)] == warnings
+        assert len(logged) == len(warnings)
+        assert sorted(tmp_path.iterdir()) == inputs
+        reported.append((err, logged))
+    assert reported[0] == reported[1]
 
 
 def _write_one_line_inputs(root):
@@ -888,19 +1076,7 @@ def test_deeply_nested_tree_passes_every_tree_command(tmp_path, capsys):
 
 def test_tree_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    rng = random.Random(909)
-    with open("pairs.tsv", "w", encoding="utf-8") as pairs, \
-            open("targets.trees", "w", encoding="utf-8") as trees, \
-            open("seg.tsv", "w", encoding="utf-8") as seg:
-        for _ in range(200):
-            src = random_tokens(rng, rng.randint(10, 20), SRC_VOCAB)
-            script = random_script(src, rng, SRC_VOCAB,
-                                   sub_prob=0.08, red_prob=0.05, miss_prob=0.04)
-            tgt = E.apply_edits(src, script)
-            pairs.write(" ".join(src) + "\t" + " ".join(tgt) + "\n")
-            trees.write(T.serialize(random_tree(tgt, rng, unary_prob=0.05)) + "\n")
-            seg.write("\t".join(w[:1] + (" @@" + w[1:] if w[1:] else "")
-                                for w in src) + "\n")
+    _write_treebank_corpus(tmp_path, 200, seed=909)
     commands = [
         ["project", "pairs.tsv", "targets.trees", "-o", "source.trees",
          "--summary", "summary.json"],

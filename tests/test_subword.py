@@ -3,11 +3,9 @@ import random
 import pytest
 
 from gecsyntax import tree as T
+from gecsyntax.cli import main
 from gecsyntax.errors import FormatError
-from gecsyntax.lines import read_lines
-from gecsyntax.subword import (
-    join_pieces, parse_segmentation_line, read_segmentation, to_subword_tree,
-)
+from gecsyntax.subword import join_pieces, parse_segmentation_line, to_subword_tree
 
 from tests.helpers import SRC_VOCAB, random_tokens, random_tree
 
@@ -119,10 +117,10 @@ def test_parse_segmentation_line():
         parse_segmentation_line("the\t\tcat", lineno=1)
 
 
-def test_load_segmentation_file(tmp_path):
-    path = tmp_path / "seg.tsv"
-    path.write_text("the\tca @@t\nplay @@ing\n", encoding="utf-8")
-    assert list(read_segmentation(read_lines(str(path)), str(path))) == [
-        [["the"], ["ca", "@@t"]],
-        [["play", "@@ing"]],
-    ]
+def test_load_segmentation_file(tmp_path, capsys):
+    seg = tmp_path / "seg.tsv"
+    seg.write_text("the\tca @@t\nplay @@ing\n", encoding="utf-8")
+    trees = tmp_path / "t.trees"
+    trees.write_text("(S (DT the) (NN cat))\n(S (VBG playing))\n", encoding="utf-8")
+    assert main(["subword", str(trees), str(seg)]) == 0
+    assert capsys.readouterr().out == "(S (DT the) (NN ca @@t))\n(S (VBG play @@ing))\n"
