@@ -13,13 +13,17 @@ from its correction:
 which doubles as the round-trip oracle for the aligner.  The tie-break
 contract is pinned by ``tests/helpers.align_table_oracle``, a full-table
 aligner that shares no code with this module.
+
+An :class:`Edit` is a named tuple of ``(category, i, j, src_tokens,
+tgt_tokens)``: it hashes and compares field-wise, equals the plain 5-tuple
+of its fields, and none of its fields can be assigned.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FormatError
 from .lines import read_lines
@@ -30,12 +34,15 @@ MISS = "MISS"
 CATEGORIES = (SUB, RED, MISS)
 
 
-@dataclass(frozen=True, slots=True)
-class Edit:
+class Edit(NamedTuple):
     """One edit over the source token sequence.
 
     ``(i, j)`` is a half-open source span: ``j == i + 1`` for SUB and RED,
     ``j == i`` (a pure insertion point) for MISS.
+
+    A named tuple: it hashes and compares as the tuple of its five fields,
+    so ``sub(0, "a", "b") == ("SUB", 0, 1, ("a",), ("b",))``, and assigning
+    a field raises :class:`AttributeError`.
     """
 
     category: str
@@ -145,21 +152,22 @@ def align(src_tokens: Sequence[str], tgt_tokens: Sequence[str]) -> EditScript:
     ``apply_edits(src_tokens, align(src_tokens, tgt_tokens))`` always
     reconstructs ``tgt_tokens``.
     """
-    s = list(src_tokens)
-    t = list(tgt_tokens)
-    if s == t:
-        return EditScript()
-
     # Matching equal leading tokens is always on a minimal-cost path and is
     # exactly what the left-to-right preference would pick, so trim them.
+    # The inputs may be a list and a tuple, which never compare equal, so
+    # identity is the scan reaching both ends.
+    n, m = len(src_tokens), len(tgt_tokens)
     offset = 0
-    n, m = len(s), len(t)
-    while offset < n and offset < m and s[offset] == t[offset]:
+    while offset < n and offset < m and src_tokens[offset] == tgt_tokens[offset]:
         offset += 1
-    s = s[offset:]
-    t = t[offset:]
-    n -= offset
-    m -= offset
+    if offset == n and offset == m:
+        return EditScript()
+    s, t = src_tokens, tgt_tokens
+    if offset:
+        s = s[offset:]
+        t = t[offset:]
+        n -= offset
+        m -= offset
 
     # Over the reversed sequences, column a holds the costs of aligning the
     # last a source tokens with the last b target tokens, b = 0..m.  Bit
@@ -187,62 +195,45 @@ def align(src_tokens: Sequence[str], tgt_tokens: Sequence[str]) -> EditScript:
         vp.append(pv)
         vn.append(nv)
 
-    def cost(i: int, j: int) -> int:
-        a = n - i
-        low = (1 << (m - j)) - 1
-        return a + (vp[a] & low).bit_count() - (vn[a] & low).bit_count()
-
     # Walk forward, taking the most-preferred op that stays on a minimal
-    # path; flush each maximal non-match run as per-word edits.  A match is
-    # always on a minimal path under unit costs, and every other op costs
-    # one, so costs are looked up only on a mismatch.
+    # path.  A match is always on one under unit costs, and every other op
+    # costs one, so costs are looked up only on a mismatch: cost(i + 1, j + 1)
+    # for the diagonal, then cost(i + 1, j) for the delete, else insert.
+    # Past either end only inserts or only deletes remain.  Each maximal
+    # run of non-matches s[i0:i] / t[j0:j] is emitted as per-word edits.
     edits: list[Edit] = []
-    pend_src: list[str] = []
-    pend_tgt: list[str] = []
-    run_start = 0
-
-    def flush() -> None:
-        ms = len(pend_src)
-        mt = len(pend_tgt)
-        k = min(ms, mt)
-        for p in range(k):
-            edits.append(Edit(SUB, run_start + p, run_start + p + 1,
-                              (pend_src[p],), (pend_tgt[p],)))
-        for p in range(k, ms):
-            edits.append(Edit(RED, run_start + p, run_start + p + 1,
-                              (pend_src[p],), ()))
-        if mt > ms:
-            point = run_start + ms
-            edits.append(Edit(MISS, point, point, (), tuple(pend_tgt[ms:])))
-        pend_src.clear()
-        pend_tgt.clear()
-
-    cur = cost(0, 0)
+    cur = n + vp[n].bit_count() - vn[n].bit_count()
     i = j = 0
     while i < n or j < m:
-        if i < n and j < m and s[i] == t[j]:
-            if pend_src or pend_tgt:
-                flush()
+        i0, j0 = i, j
+        while i < n and j < m and s[i] != t[j]:
+            cur -= 1
+            a = n - i - 1
+            up, down = vp[a], vn[a]
+            low = (1 << (m - j - 1)) - 1
+            if a + (up & low).bit_count() - (down & low).bit_count() == cur:
+                i += 1
+                j += 1
+                continue
+            low = low << 1 | 1
+            if a + (up & low).bit_count() - (down & low).bit_count() == cur:
+                i += 1
+            else:
+                j += 1
+        if i == n or j == m:
+            i, j = n, m
+        ms, mt = i - i0, j - j0
+        k = min(ms, mt)
+        at = offset + i0
+        for p in range(k):
+            edits.append(Edit(SUB, at + p, at + p + 1, (s[i0 + p],), (t[j0 + p],)))
+        for p in range(k, ms):
+            edits.append(Edit(RED, at + p, at + p + 1, (s[i0 + p],), ()))
+        if mt > ms:
+            edits.append(Edit(MISS, at + ms, at + ms, (), tuple(t[j0 + ms:j])))
+        while i < n and j < m and s[i] == t[j]:
             i += 1
             j += 1
-            run_start = offset + i
-            continue
-        if not pend_src and not pend_tgt:
-            run_start = offset + i
-        cur -= 1
-        if i < n and j < m and cost(i + 1, j + 1) == cur:
-            pend_src.append(s[i])
-            pend_tgt.append(t[j])
-            i += 1
-            j += 1
-        elif i < n and cost(i + 1, j) == cur:
-            pend_src.append(s[i])
-            i += 1
-        else:
-            pend_tgt.append(t[j])
-            j += 1
-    if pend_src or pend_tgt:
-        flush()
     return EditScript(tuple(edits))
 
 

@@ -12,22 +12,18 @@ def read_lines(path: str) -> Iterator[str]:
 
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` (universal newlines) and at
     nothing else: a form feed, ``\\x85`` or ``\\u2028`` inside a line is
-    kept, so line numbers agree across every file a command reads.  A file
-    that is not UTF-8 raises :class:`FormatError` at its first bad line.
+    kept, so line numbers agree across every file a command reads.  Each
+    line is decoded on its own, so a line that is not UTF-8 raises
+    :class:`FormatError` at that line, after every line before it.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line in fh:
-                yield line.rstrip("\n")
-            return
-        except UnicodeDecodeError:
-            pass
-    # Latin-1 maps each byte to one character, so this re-read splits the
-    # raw bytes into the same lines as the UTF-8 reader above.
+    # Latin-1 maps each byte to one character, and no UTF-8 multi-byte
+    # sequence holds a \r or \n byte, so this splits the raw bytes into the
+    # lines a UTF-8 reader would.  An ASCII line is already its own decoding.
     with open(path, encoding="latin-1") as fh:
         for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("latin-1").decode("utf-8")
-            except UnicodeDecodeError:
-                raise FormatError("not valid UTF-8", lineno, path) from None
-    raise FormatError("not valid UTF-8", path=path)
+            if not line.isascii():
+                try:
+                    line = line.encode("latin-1").decode("utf-8")
+                except UnicodeDecodeError:
+                    raise FormatError("not valid UTF-8", lineno, path) from None
+            yield line.rstrip("\n")

@@ -17,6 +17,7 @@ from gecsyntax import cli
 from gecsyntax import edits as E
 from gecsyntax import tree as T
 from gecsyntax.cli import build_parser, main
+from gecsyntax.lines import read_lines
 from gecsyntax.projection import ProjectionSummary, project_pair, strip_pseudo
 
 from tests.helpers import (
@@ -881,6 +882,63 @@ def test_tree_pool_reports_the_first_error_as_one_cpu_does(
     assert reported[0] == reported[1]
 
 
+_M2_BLOCK = [b"S a b", b"A 1 2|||SUB|||c", b""]
+
+
+def _error_then_bad_utf8(root, command, size, bad, utf8):
+    """Writes inputs of ``size`` lines for ``command`` with a content error
+    (or a file that ends) at line ``bad`` and a byte that is not UTF-8 at
+    line ``utf8``.  Gives the input paths and the expected error."""
+    def write(name, lines, replaced=()):
+        lines = list(lines)
+        for lineno, line in replaced:
+            lines[lineno - 1] = line
+        (root / name).write_bytes(b"".join(line + b"\n" for line in lines))
+        return str(root / name)
+
+    if command == "align":
+        pairs = write("pairs.tsv", [b"a b\ta c"] * size,
+                      [(bad, b"no tab here"), (utf8, b"a \xff\ta")])
+        return [pairs], f"{pairs}:line {bad}: expected 'source<TAB>target', got 1 field(s)"
+    if command == "score":
+        m2 = (_M2_BLOCK * size)[:size]
+        hyp = write("hyp.m2", m2, [(bad, b"A 1 2|||WHAT|||c"), (utf8, b"S a \xff")])
+        return [hyp, write("gold.m2", m2)], f"{hyp}:line {bad}: unknown category 'WHAT'"
+    if command.startswith("ensemble"):
+        src = write("src.txt", [b"a b"] * size, [(utf8, b"a \xff")])
+        hyp = write("hyp.txt", [b"a c"] * (bad - 1))
+        last = (write("gold.m2", (_M2_BLOCK * size)[:-1]) if command == "ensemble-train"
+                else write("model.json", [b'{"weights": [1, 0, 0, 0, 0], "bias": 0}']))
+        return [src, hyp, last], f"{hyp}:line {bad}: file ends, but {src} goes on"
+    tree = b"(S (X a) (Y b))"
+    trees = write("t.trees", [tree] * size, [(bad, tree[:-1]), (utf8, b"(S (X \xff) (Y b))")])
+    paths = {"project": [write("pairs.tsv", [b"a b\ta b"] * size), trees],
+             "subword": [trees, write("seg.tsv", [b"a\tb"] * size)]}
+    return paths.get(command, [trees]), f"{trees}:line {bad}: unbalanced parentheses"
+
+
+@pytest.mark.parametrize("size,bad,utf8", [(100, 41, 61), (700, 299, 451)])
+@pytest.mark.parametrize("command", [
+    "align", "project", "strip", "subword", "gcn-check", "ensemble-train",
+    "ensemble-apply", "score"])
+def test_bad_utf8_is_reported_after_an_earlier_error(
+        tmp_path, monkeypatch, capsys, command, size, bad, utf8):
+    # Both lines lie in the first 8 KB of the file, which a chunked UTF-8
+    # reader decodes before it hands on line 1.  With 700 lines the batched
+    # commands run their batches in the pool on two CPUs.
+    args, expected = _error_then_bad_utf8(tmp_path, command, size, bad, utf8)
+    inputs = sorted(tmp_path.iterdir())
+    outputs = [] if command == "gcn-check" else ["-o", str(tmp_path / "out")]
+    batched = command in ("project", "strip", "subword", "ensemble-train",
+                          "ensemble-apply")
+    for cpus in (1, 2):
+        code, err, sent = _run_with_cpus(monkeypatch, capsys, cpus,
+                                         [command, *args, *outputs])
+        assert (code, err) == (2, f"error: {expected}\n")
+        assert bool(sent) == (batched and cpus == 2 and size > cli.BATCH_ROWS)
+        assert sorted(tmp_path.iterdir()) == inputs
+
+
 def _write_one_line_inputs(root):
     """One-line inputs for every command except ``gcn-check``."""
     _write_lines(root / "pairs.tsv", ["a dog sat\ta cat sat"])
@@ -1012,6 +1070,17 @@ def test_tsv_line_with_form_feed_projects(tmp_path, capsys):
     trees.write_text("(S (DT a) (NN cat))\n", encoding="utf-8")
     assert main(["project", str(parallel), str(trees)]) == 0
     assert capsys.readouterr().out == "(S (DT a) (NN cat))\n"
+
+
+def test_read_lines_splits_and_decodes_as_a_utf8_reader(tmp_path):
+    # Non-ASCII lines take the per-line decode; the line ends and the
+    # characters kept inside a line must be those of a UTF-8 text reader.
+    path = tmp_path / "mixed.txt"
+    path.write_bytes("caf\u00e9\r\na\u2028b\rc\x85d\x0ce\n\ufeff\u00fc\n\nlast".encode())
+    with open(path, encoding="utf-8") as fh:
+        expected = [line.rstrip("\n") for line in fh]
+    assert list(read_lines(str(path))) == expected
+    assert expected == ["caf\u00e9", "a\u2028b", "c\x85d\x0ce", "\ufeff\u00fc", "", "last"]
 
 
 def test_errors_are_reported_in_line_order(tmp_path, capsys):

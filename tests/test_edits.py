@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,8 @@ from gecsyntax import edits as E
 from gecsyntax.errors import FormatError
 
 from tests.helpers import (
-    SRC_VOCAB, align_table_oracle, all_sequences, child_env, enumerate_scripts,
-    has_vmhwm, levenshtein_scalar, random_pair,
+    SRC_VOCAB, align_table_oracle, all_sequences, build_ensemble_corpus, child_env,
+    enumerate_scripts, has_vmhwm, levenshtein_scalar, random_pair,
 )
 
 
@@ -133,6 +134,26 @@ def test_align_matches_table_oracle_on_long_random_pairs():
         assert _as_tuples(E.align(src, tgt)) == align_table_oracle(src, tgt)
 
 
+def test_align_matches_table_oracle_on_ensemble_corpus_pairs():
+    # Every distinct (source, hypothesis) pair that ensemble.gather aligns in
+    # a seeded corpus of 300 sentences and 6 systems, plus a system that
+    # copies the source, passed as gather passes them: the source a list,
+    # the hypothesis a tuple.
+    sources, _, hyps = build_ensemble_corpus(seed=61, n_sentences=300)
+    pairs = {(tuple(src), tuple(hyp[k]))
+             for k, src in enumerate(sources) for hyp in [sources, *hyps]}
+    shapes = Counter()
+    for src, hyp in sorted(pairs):
+        expected = align_table_oracle(src, hyp)
+        assert _as_tuples(E.align(list(src), hyp)) == expected, (src, hyp)
+        spans = [(i, j) for _, i, j, _, _ in expected]
+        shapes["no edit"] += not spans
+        shapes["several runs"] += any(b[0] > a[1] for a, b in zip(spans, spans[1:]))
+        shapes["run at the end"] += bool(spans) and spans[-1][1] == len(src)
+    # The pairs hold the shapes where the walk can go wrong.
+    assert min(shapes.values()) >= 20 and len(shapes) == 3, shapes
+
+
 # A child process aligns one seeded pair of 4,000-token lines and prints the
 # seconds taken and the growth of its peak resident size in kB.
 _LONG_LINE_CHILD = """
@@ -216,3 +237,20 @@ def test_edit_costs():
     assert E.sub(0, "a", "b").cost == 1
     assert E.red(0, "a").cost == 1
     assert E.miss(0, ["x", "y", "z"]).cost == 3
+    assert E.sub(1, "a", "b").identity() == (E.SUB, 1, 2, ("b",))
+    assert E.red(3, "x").identity() == (E.RED, 3, 4, ())
+    assert E.miss(2, ["x", "y"]).identity() == (E.MISS, 2, 2, ("x", "y"))
+
+
+def test_edit_is_an_immutable_tuple_of_its_fields():
+    edit = E.Edit(category=E.SUB, i=1, j=2, src_tokens=("a",), tgt_tokens=("b",))
+    same = E.sub(1, "a", "b")
+    assert edit == same == (E.SUB, 1, 2, ("a",), ("b",))
+    assert hash(edit) == hash(same)
+    assert len({edit, same}) == 1
+    assert edit != E.sub(1, "a", "c") and edit != E.red(1, "a")
+    for name in ("category", "i", "j", "src_tokens", "tgt_tokens", "cost", "other"):
+        with pytest.raises(AttributeError):
+            setattr(edit, name, None)
+    assert edit == same
+
