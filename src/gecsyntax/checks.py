@@ -2,10 +2,10 @@
 
 Used by the command-line ``gcn-check`` to demonstrate that the encoder,
 which aggregates with one adjacency-matrix product per layer, matches a
-per-edge formulation over the neighbour lists and that analytic
-gradients agree with central finite differences.  One random instance
-per tree suffices: the gradient check skips each probe that moves a
-ReLU across its kink, and every other probe is exact.
+per-edge formulation over the graph's (child, parent) edges and that
+analytic gradients agree with central finite differences.  One random
+instance per tree suffices: the gradient check skips each probe that
+moves a ReLU across its kink, and every other probe is exact.
 """
 
 from __future__ import annotations
@@ -18,19 +18,20 @@ from .graph import SyntaxGraph
 
 def edge_encode_reference(graph: SyntaxGraph, terminal_inits: np.ndarray,
                           stack: GcnStack) -> np.ndarray:
-    """Encoder recomputed edge by edge from the neighbour lists.
+    """Encoder recomputed edge by edge from the parent vector.
 
-    Each node's pre-activation is built row by row as the sum of its
-    neighbours' messages, without the adjacency matrix the encoder
-    multiplies by.
+    Each (child, parent) edge adds the child's message to the parent's
+    pre-activation row and the parent's message to the child's, without
+    the adjacency matrix the encoder multiplies by.
     """
     H = initial_node_matrix(graph, terminal_inits, stack)
+    edges = [(v, p) for v, p in enumerate(graph.parent) if p >= 0]
     for params in stack.layers:
         msgs = H @ params.W.T
         pre = np.zeros_like(msgs)
-        for v, neigh in enumerate(graph.adjacency):
-            for u in neigh:
-                pre[v] += msgs[u]
+        for v, p in edges:
+            pre[p] += msgs[v]
+            pre[v] += msgs[p]
         H = np.maximum(pre + params.b, 0.0)
     return H
 

@@ -66,11 +66,6 @@ def parse_tsv_line(line: str, lineno: int | None = None,
     return fields[0].split(), fields[1].split()
 
 
-def read_parallel_tsv(path: str) -> Iterator[tuple[list[str], list[str]]]:
-    for lineno, line in enumerate(read_lines(path), start=1):
-        yield parse_tsv_line(line, lineno, path)
-
-
 _MISSING = object()
 
 
@@ -204,7 +199,8 @@ def _out_stream(path: str | None):
 
 
 def cmd_align(args) -> int:
-    pairs = read_parallel_tsv(args.parallel)
+    pairs = (parse_tsv_line(line, lineno, args.parallel)
+             for lineno, line in enumerate(read_lines(args.parallel), start=1))
     with _out_stream(args.output) as out:
         if args.format == "m2":
             ed.write_m2(((src, ed.align(src, tgt)) for src, tgt in pairs), out)

@@ -4,13 +4,16 @@ All tree nodes become graph nodes and every parent-child connection
 becomes one undirected edge.  Node order is fixed: terminals first, in
 yield order, then non-terminals in pre-order, so the first
 ``num_terminals`` rows of any node matrix are the token representations.
+Both kinds of graph are trees, so a graph stores one parent id per node
+(-1 at the root) and nothing else about its edges: node ``v`` and
+``parent[v]`` are joined by an edge whenever ``parent[v] >= 0``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +25,7 @@ from . import tree as T
 class SyntaxGraph:
     num_terminals: int
     nt_labels: list[str]                 # pre-order, node id = num_terminals + index
-    adjacency: list[list[int]]           # symmetric neighbor lists
+    parent: list[int]                    # parent id of each node, -1 at the root
 
     @property
     def num_nodes(self) -> int:
@@ -30,7 +33,7 @@ class SyntaxGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(n) for n in self.adjacency) // 2
+        return len(self.parent) - self.parent.count(-1)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -39,42 +42,36 @@ class SyntaxGraph:
         Dense, so a graph of n nodes holds n * n floats: meant for
         sentence-sized graphs, not for graphs of many thousand nodes.
         """
-        n = self.num_nodes
-        rows = np.repeat(np.arange(n), [len(neigh) for neigh in self.adjacency])
-        cols = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.intp,
-                           count=len(rows))
-        a = np.zeros((n, n))
-        a[rows, cols] = 1.0
+        parent = np.array(self.parent, dtype=np.intp)
+        child = np.flatnonzero(parent >= 0)
+        a = np.zeros((self.num_nodes, self.num_nodes))
+        a[child, parent[child]] = 1.0
+        a[parent[child], child] = 1.0
         return a
-
-
-def _add_edge(adjacency: list[list[int]], u: int, v: int) -> None:
-    adjacency[u].append(v)
-    adjacency[v].append(u)
 
 
 def build_graph(root: T.NonTerminal) -> SyntaxGraph:
     """Graph over all nodes of a constituency tree, edges per tree link."""
-    num_terminals = sum(1 for _ in T.terminals(root))
     nt_labels: list[str] = []
-    adjacency: list[list[int]] = [[] for _ in range(num_terminals)]
+    # Parents by non-terminal index, which the last line shifts past the
+    # terminals: one list for the terminals, one for the non-terminals.
+    word_parent: list[int] = []
+    nt_parent: list[int] = []
     # Pre-order walk, which meets terminals left to right; each entry is a
-    # node and its parent's id (-1 at the root).
+    # node and its parent's non-terminal index (-1 at the root).
     stack: list[tuple[T.Node, int]] = [(root, -1)]
-    word = 0
     while stack:
         node, parent = stack.pop()
         if isinstance(node, T.Terminal):
-            v = word
-            word += 1
+            word_parent.append(parent)
         else:
-            v = len(adjacency)
-            adjacency.append([])
+            stack.extend(zip(reversed(node.children), repeat(len(nt_labels))))
             nt_labels.append(node.label)
-            stack.extend(zip(reversed(node.children), repeat(v)))
-        if parent >= 0:
-            _add_edge(adjacency, parent, v)
-    return SyntaxGraph(num_terminals, nt_labels, adjacency)
+            nt_parent.append(parent)
+    shift = len(word_parent)
+    parent = [p + shift for p in word_parent + nt_parent]
+    parent[shift] = -1   # the root, first in pre-order
+    return SyntaxGraph(shift, nt_labels, parent)
 
 
 def build_graph_dep(heads: Sequence[int]) -> SyntaxGraph:
@@ -90,13 +87,9 @@ def build_graph_dep(heads: Sequence[int]) -> SyntaxGraph:
         raise ValueError("dependency heads contain no root")
     if len(roots) > 1:
         raise ValueError(f"multiple roots at tokens {[r + 1 for r in roots]}")
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i, h in enumerate(heads):
-        if h == 0:
-            continue
-        if not (1 <= h <= n):
+    for h in heads:
+        if not 0 <= h <= n:
             raise ValueError(f"head index {h} out of range for {n} tokens")
-        _add_edge(adjacency, i, h - 1)
     # A single-rooted, (n-1)-edge head assignment is a tree iff every token
     # reaches the root without revisiting a node.  mark[i] is start + 1
     # while the walk from start passes token i, and -1 once i is known to
@@ -113,4 +106,4 @@ def build_graph_dep(heads: Sequence[int]) -> SyntaxGraph:
         while mark[i] == start + 1:
             mark[i] = -1
             i = heads[i] - 1
-    return SyntaxGraph(n, [], adjacency)
+    return SyntaxGraph(n, [], [h - 1 for h in heads])

@@ -13,6 +13,7 @@ import itertools
 import math
 import os
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from gecsyntax import tree as T
 from gecsyntax.edits import (
     Edit, EditScript, MISS, RED, SUB, align, apply_edits, make_script, miss, red, sub,
 )
-from gecsyntax.graph import SyntaxGraph
 
 # --- Levenshtein oracles ------------------------------------------------
 
@@ -269,15 +269,71 @@ def random_pair(rng: random.Random, vocab, max_len=12):
     return src, apply_edits(src, script)
 
 
+# --- graph oracles ------------------------------------------------------
+
+def neighbour_lists(parent) -> list[list[int]]:
+    """Symmetric neighbour lists of the forest whose node ``v`` hangs off
+    ``parent[v]`` (-1 at a root), in order of the child ids."""
+    lists: list[list[int]] = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            lists[v].append(p)
+            lists[p].append(v)
+    return lists
+
+
+def tree_edges_oracle(text: str) -> tuple[int, list[str], set[tuple[int, int]]]:
+    """``(num_terminals, labels, edges)`` of a bracketed tree, read off its text.
+
+    Terminals are nodes ``0 .. num_terminals - 1`` in text order; the
+    constituents follow in the order of their ``(`` tokens, which is
+    pre-order.  A stack of the open constituents gives each node's
+    parent, so ``edges`` holds one ``(child, parent)`` pair per non-root
+    node.  Uses no tree objects.
+    """
+    toks = re.findall(r"\(|\)|[^\s()]+", text)
+    is_word = [t not in ("(", ")") and toks[i - 1] != "(" for i, t in enumerate(toks)]
+    num_terminals = sum(is_word)
+    labels = [toks[i + 1] for i, t in enumerate(toks) if t == "("]
+    edges: set[tuple[int, int]] = set()
+    open_ids: list[int] = []
+    word, constituent = 0, num_terminals
+    for tok, word_here in zip(toks, is_word):
+        if tok == "(":
+            if open_ids:
+                edges.add((constituent, open_ids[-1]))
+            open_ids.append(constituent)
+            constituent += 1
+        elif tok == ")":
+            open_ids.pop()
+        elif word_here:
+            edges.add((word, open_ids[-1]))
+            word += 1
+    return num_terminals, labels, edges
+
+
+def dense_adjacency(n: int, edges) -> np.ndarray:
+    """The symmetric 0/1 ``n x n`` matrix of undirected ``(u, v)`` edges."""
+    A = np.zeros((n, n))
+    for u, v in edges:
+        A[u, v] = A[v, u] = 1.0
+    return A
+
+
 # --- numeric oracles ----------------------------------------------------
 
-def gcn_dense_oracle(graph: SyntaxGraph, H, W, b) -> np.ndarray:
-    """ReLU(A @ H @ W^T + b) with an explicit dense adjacency matrix."""
-    n = graph.num_nodes
-    A = np.zeros((n, n))
-    for v, neigh in enumerate(graph.adjacency):
-        for u in neigh:
-            A[v, u] = 1.0
+def gcn_dense_oracle(graph, H, W, b) -> np.ndarray:
+    """ReLU(A @ H @ W^T + b) with an explicit dense adjacency matrix.
+
+    ``graph`` has ``num_nodes`` and its edges either as symmetric
+    neighbour lists ``adjacency`` or as a ``parent`` vector (-1 at a
+    root).  ``A`` is filled here entry by entry, never read from the graph.
+    """
+    if hasattr(graph, "adjacency"):
+        edges = [(v, u) for v, neigh in enumerate(graph.adjacency) for u in neigh]
+    else:
+        edges = [(v, p) for v, p in enumerate(graph.parent) if p >= 0]
+    A = dense_adjacency(graph.num_nodes, edges)
     return np.maximum(A @ np.asarray(H) @ np.asarray(W).T + np.asarray(b), 0.0)
 
 

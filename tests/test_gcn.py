@@ -15,8 +15,8 @@ from gecsyntax.cli import main
 from gecsyntax.graph import SyntaxGraph, build_graph, build_graph_dep
 
 from tests.helpers import (
-    SRC_VOCAB, gcn_dense_oracle, max_rel_err, numeric_grad, random_tokens,
-    random_tree,
+    SRC_VOCAB, gcn_dense_oracle, max_rel_err, neighbour_lists, numeric_grad,
+    random_tokens, random_tree,
 )
 
 
@@ -32,7 +32,7 @@ def test_zero_parameters_give_zero_output():
 
 
 def test_two_connected_nodes_swap():
-    g = SyntaxGraph(2, [], [[1], [0]])
+    g = SyntaxGraph(2, [], [-1, 0])
     params = GcnLayerParams(np.array([[1.0]]), np.array([0.0]))
     H = np.array([[3.0], [-2.0]])
     out = gcn_layer(g, H, params)
@@ -128,7 +128,10 @@ def test_permutation_equivariance():
         inverse[old] = new
     permuted = SyntaxGraph(
         g.num_nodes, [],
-        [[inverse[u] for u in g.adjacency[perm[v]]] for v in range(g.num_nodes)])
+        [-1 if g.parent[old] < 0 else inverse[g.parent[old]] for old in perm])
+    lists, permuted_lists = neighbour_lists(g.parent), neighbour_lists(permuted.parent)
+    for v, old in enumerate(perm):
+        assert sorted(permuted_lists[v]) == sorted(inverse[u] for u in lists[old])
     out = gcn_layer(g, H, params)
     out_perm = gcn_layer(permuted, H[perm], params)
     assert np.allclose(out_perm, out[perm])

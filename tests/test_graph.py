@@ -7,11 +7,14 @@ import pytest
 
 from gecsyntax import tree as T
 from gecsyntax.edits import apply_edits
-from gecsyntax.graph import SyntaxGraph, build_graph, build_graph_dep
+from gecsyntax.graph import build_graph, build_graph_dep
 from gecsyntax.projection import project, strip_pseudo
 from gecsyntax.subword import to_subword_tree
 
-from tests.helpers import SRC_VOCAB, random_script, random_tokens, random_tree
+from tests.helpers import (
+    SRC_VOCAB, dense_adjacency, neighbour_lists, random_script, random_tokens,
+    random_tree, tree_edges_oracle,
+)
 
 
 def test_single_terminal_tree():
@@ -28,10 +31,12 @@ def test_small_tree_counts_and_degrees():
     assert g.num_edges == 5
     # node order: terminals a(0) cat(1); then pre-order S(2) NP(3) DT(4) NN(5)
     assert g.nt_labels == ["S", "NP", "DT", "NN"]
-    assert len(g.adjacency[2]) == 1   # S: only NP
-    assert len(g.adjacency[3]) == 3   # NP: S, DT, NN
-    assert sorted(g.adjacency[3]) == [2, 4, 5]
-    assert g.adjacency[0] == [4]
+    assert g.parent == [4, 5, -1, 2, 3, 3]
+    adjacency = neighbour_lists(g.parent)
+    assert len(adjacency[2]) == 1   # S: only NP
+    assert len(adjacency[3]) == 3   # NP: S, DT, NN
+    assert sorted(adjacency[3]) == [2, 4, 5]
+    assert adjacency[0] == [4]
 
 
 def test_adjacency_symmetric_and_tree_edge_count():
@@ -52,10 +57,12 @@ def test_adjacency_symmetric_and_tree_edge_count():
         g = build_graph(root)
         assert g == build_graph(T.parse_bracketed(T.serialize(root)))
         assert g.num_edges == g.num_nodes - 1
-        for v, neigh in enumerate(g.adjacency):
+        assert g.parent.count(-1) == 1
+        adjacency = neighbour_lists(g.parent)
+        for v, neigh in enumerate(adjacency):
             assert v not in neigh
             for u in neigh:
-                assert v in g.adjacency[u]
+                assert v in adjacency[u]
 
 
 def test_dep_graph_single_token():
@@ -67,9 +74,11 @@ def test_dep_graph_single_token():
 def test_dep_graph_example():
     g = build_graph_dep([2, 0, 2])
     assert g.num_edges == 2
-    assert sorted(g.adjacency[0]) == [1]
-    assert sorted(g.adjacency[1]) == [0, 2]
-    assert sorted(g.adjacency[2]) == [1]
+    assert g.parent == [1, -1, 1]
+    adjacency = neighbour_lists(g.parent)
+    assert sorted(adjacency[0]) == [1]
+    assert sorted(adjacency[1]) == [0, 2]
+    assert sorted(adjacency[2]) == [1]
 
 
 def test_dep_graph_rejects_cycles_and_bad_roots():
@@ -122,33 +131,62 @@ def test_dep_graph_rejects_cycle_behind_long_chain():
         build_graph_dep(heads)
 
 
-def test_dense_adjacency_matches_lists():
-    rng = random.Random(11)
-    graphs = [SyntaxGraph(2, ["A"], [[1], [0, 2], [1]]), build_graph_dep([0])]
-    for _ in range(20):
-        tokens = random_tokens(rng, rng.randint(1, 9), SRC_VOCAB)
-        graphs.append(build_graph(random_tree(tokens, rng)))
-    assert graphs[0].matrix.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-    for g in graphs:
+def _edges(g):
+    return {(v, p) for v, p in enumerate(g.parent) if p >= 0}
+
+
+def test_dense_adjacency_matches_edges_read_off_the_text():
+    # Some trees are mostly unary chains; every tree is checked against the
+    # (child, parent) edges its bracketed text states.
+    rng = random.Random(808)
+    roots = [T.parse_bracketed("(X a)"),
+             T.parse_bracketed("(S (A (B (C x))) (D y (E (F z))))")]
+    for k in range(240):
+        tokens = random_tokens(rng, rng.randint(1, 30), SRC_VOCAB)
+        roots.append(random_tree(tokens, rng, unary_prob=0.7 if k % 4 == 0 else 0.15))
+    assert build_graph(roots[0]).matrix.tolist() == [[0, 1], [1, 0]]
+    for root in roots:
+        num_terminals, labels, edges = tree_edges_oracle(T.serialize(root))
+        g = build_graph(root)
+        assert (g.num_terminals, g.nt_labels) == (num_terminals, labels)
+        assert _edges(g) == edges
+        assert g.num_edges == len(edges) == g.num_nodes - 1
         a = g.matrix
         assert a is g.matrix  # built once, then cached
-        assert a.shape == (g.num_nodes, g.num_nodes)
-        assert np.array_equal(a, a.T)
-        assert set(np.unique(a)) <= {0.0, 1.0}
-        assert int(a.sum()) == 2 * g.num_edges
-        for v, neigh in enumerate(g.adjacency):
-            assert sorted(np.flatnonzero(a[v]).tolist()) == sorted(neigh)
+        assert np.array_equal(a, dense_adjacency(g.num_nodes, edges))
+
+
+def test_dep_dense_adjacency_matches_the_heads():
+    rng = random.Random(809)
+    graphs = []
+    for _ in range(200):
+        # Tokens join the tree in a random order, each under a token
+        # already in it, so the heads form a tree.
+        n = rng.randint(1, 40)
+        order = rng.sample(range(n), n)
+        heads = [0] * n
+        for k in range(1, n):
+            heads[order[k]] = order[rng.randrange(k)] + 1
+        graphs.append((build_graph_dep(heads),
+                       {(i, h - 1) for i, h in enumerate(heads) if h}))
+    assert build_graph_dep([2, 0, 2]).matrix.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    for g, edges in graphs:
+        assert _edges(g) == edges
+        assert g.num_edges == len(edges)
+        assert np.array_equal(g.matrix, dense_adjacency(g.num_nodes, edges))
 
 
 def test_build_graph_on_deep_chain_tree():
-    # Builds the neighbour lists only: the dense matrix of a graph this
+    # Builds the parent vector only: the dense matrix of a graph this
     # size would need 80 GB, so it is never touched here.
     depth = 100_000
-    root = T.parse_bracketed("(S " * depth + "(X w)" + ")" * depth)
-    g = build_graph(root)
+    text = "(S " * depth + "(X w)" + ")" * depth
+    g = build_graph(T.parse_bracketed(text))
     assert g.num_terminals == 1
     assert g.num_nodes == depth + 2
     assert g.num_edges == g.num_nodes - 1
     assert g.nt_labels == ["S"] * depth + ["X"]
-    assert g.adjacency[0] == [depth + 1]
-    assert g.adjacency[depth] == [depth - 1, depth + 1]
+    assert _edges(g) == tree_edges_oracle(text)[2]
+    adjacency = neighbour_lists(g.parent)
+    assert adjacency[0] == [depth + 1]
+    assert adjacency[depth] == [depth - 1, depth + 1]
