@@ -10,15 +10,28 @@ Every command except ``gcn-check`` streams: line-parallel inputs are
 read in lockstep, ``ensemble-train`` keeps only counts of its distinct
 feature rows and ``score`` only its edit counts.  ``align`` and
 ``score`` hold one sentence at a time, writing each output line before
-the next input line is read.  ``project``, ``subword``, ``strip``,
-``ensemble-train`` and ``ensemble-apply`` work in 256-row batches of raw
-lines, with at most two batches per usable CPU in flight: once the input
-exceeds one batch they use every CPU in the process's affinity mask
-(``taskset`` limits this), with output, warnings and errors the same as
-on one CPU.  A count mismatch is reported as ``path:line N: file ends,
-but OTHER goes on`` at the first line (for an ``.m2`` file, the first
-block) that only some of the files have; it comes before any error in
-the contents of line N.
+the next input line is read.  They stay serial: pooled, both ran slower
+on two cores over the benchmark's 10,000-sentence ensemble chain
+(``align`` 0.58 s to 0.83 s wall, ``score`` 0.61 s to 1.08 s), as the
+parent's own reading left the second core nothing to do.
+
+``project``, ``subword``, ``strip``, ``ensemble-train`` and
+``ensemble-apply`` share one batch protocol.  Each gives a row function,
+``row_fn(row, counts, skips) -> text``, over a row of raw lines;
+:func:`_run_rows` applies it to a 256-row batch and gives one
+:class:`Batch` of text, counts, skipped lines and the first input error,
+which ends the batch after the rows before it.  :func:`_run_batches`,
+the one consumer, takes the batches in row order: it writes each text,
+logs the skips, raises the error and adds up the counts.  So the output
+before an error is exactly that of the rows before it.  With at most two
+batches per usable CPU in flight, once the input exceeds one batch the
+batches run on every CPU in the process's affinity mask (``taskset``
+limits this), with output, warnings and errors the same as on one CPU.
+
+A count mismatch is reported as ``path:line N: file ends, but OTHER goes
+on`` at the first line (for an ``.m2`` file, the first block) that only
+some of the files have; it comes before any error in the contents of
+line N.
 
 Each numeric flag's range is part of its argparse ``type``: a value out
 of range is rejected by the argument parser before any file is opened.
@@ -38,6 +51,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import itertools
 import json
 import logging
@@ -45,7 +59,7 @@ import math
 import os
 import sys
 from collections import Counter, deque
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import projection, scoring, subword
 from . import edits as ed
@@ -108,18 +122,61 @@ def _batches(rows: Iterable) -> Iterator[list]:
         yield batch
 
 
-def _map_batches(fn: Callable[[list], Any], rows: Iterable) -> Iterator:
-    """``fn(batch)`` for each ``BATCH_ROWS``-row batch of ``rows``, in input order.
+class Batch(NamedTuple):
+    """What a row function made of one batch: the text written for its
+    rows, their counts, their skipped ``(lineno, reason)`` rows in line
+    order, and the input error that ended the batch, or ``None``."""
+    text: str
+    counts: Counter
+    skips: list[tuple[int, str]]
+    error: FormatError | None
 
-    Once there is more than one batch, batches run in a ``fork`` pool of
-    one worker per CPU in this process's affinity mask, with at most two
-    batches per worker in flight; with one batch or one CPU, ``fn`` runs
-    here.  Errors come in row order: when reading a row raises, the
-    batches before it are finished first.  A worker that ends abruptly
-    (killed, or out of memory) raises :class:`ChildProcessError`.  Close
-    the iterator (for example with :func:`contextlib.closing`) if it is
-    not run to the end: that stops the workers.
+
+RowFn = Callable[[tuple, Counter, list], str]
+
+
+def _run_rows(row_fn: RowFn, rows: list) -> Batch:
+    """``row_fn(row, counts, skips)`` on each of ``rows`` in order.
+
+    A :class:`FormatError` ends the batch: it is returned, not raised,
+    after the text, counts and skips of the rows before it.
     """
+    counts: Counter = Counter()
+    skips: list[tuple[int, str]] = []
+    out: list[str] = []
+    error = None
+    try:
+        for row in rows:
+            out.append(row_fn(row, counts, skips))
+    except FormatError as exc:
+        error = exc
+    return Batch("".join(out), counts, skips, error)
+
+
+def _run_batches(out, row_fn: RowFn, rows: Iterable) -> Counter:
+    """Run ``row_fn`` over ``BATCH_ROWS``-row batches of ``rows``; gives the
+    sum of their counts.
+
+    Batches are taken in row order: each one's text is written to
+    ``out``, its skips are logged, its error is raised, and its counts
+    are added.  Once there is more than one batch, batches run in a
+    ``fork`` pool of one worker per CPU in this process's affinity mask,
+    with at most two batches per worker in flight; with one batch or one
+    CPU, they run here.  When reading a row raises, the batches before it
+    are taken first.  A worker that ends abruptly (killed, or out of
+    memory) raises :class:`ChildProcessError`.
+    """
+    counts: Counter = Counter()
+
+    def take(batch: Batch) -> None:
+        out.write(batch.text)
+        for lineno, reason in batch.skips:
+            logger.warning("line %d: skipped: %s", lineno, reason)
+        if batch.error is not None:
+            raise batch.error
+        counts.update(batch.counts)
+
+    run = functools.partial(_run_rows, row_fn)
     # Platforms without affinity masks (not Linux) run on one CPU.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     batches = _batches(rows)
@@ -131,11 +188,13 @@ def _map_batches(fn: Callable[[list], Any], rows: Iterable) -> Iterator:
                 if len(head) == 2:
                     break
         except Exception:
-            yield from map(fn, head)
+            for batch in head:
+                take(run(batch))
             raise
     if len(head) < 2:
-        yield from map(fn, itertools.chain(head, batches))
-        return
+        for batch in itertools.chain(head, batches):
+            take(run(batch))
+        return counts
 
     # Imported here: only inputs of more than one batch pay for it.  Forked
     # workers start with the package and the command's state loaded, where
@@ -155,21 +214,22 @@ def _map_batches(fn: Callable[[list], Any], rows: Iterable) -> Iterator:
                 batch = next(batches, None)
             except Exception:
                 while pending:
-                    yield pending.popleft().result()
+                    take(pending.popleft().result())
                 raise
             if batch is None:
                 break
-            pending.append(pool.submit(fn, batch))
+            pending.append(pool.submit(run, batch))
             if len(pending) == 2 * cpus:
-                yield pending.popleft().result()
+                take(pending.popleft().result())
         while pending:
-            yield pending.popleft().result()
+            take(pending.popleft().result())
     except BrokenProcessPool:
         raise ChildProcessError(
             "a worker process ended abruptly (killed, or out of memory)") from None
     finally:
         # Waits for the batches already running; the others are dropped.
         pool.shutdown(cancel_futures=True)
+    return counts
 
 
 @contextlib.contextmanager
@@ -210,54 +270,35 @@ def cmd_align(args) -> int:
     return 0
 
 
-def _write_batches(out, fn: Callable[[list], str], rows: Iterable) -> None:
-    """Write the text of ``fn`` on each batch of ``rows`` to ``out``, in order."""
-    batches = _map_batches(fn, rows)
-    with contextlib.closing(batches):
-        for text in batches:
-            out.write(text)
-
-
-def _project_batch(paths: Sequence[str], placement: str, rows: list) -> tuple:
-    """Project a batch of ``(lineno, pair line, tree line)`` rows of raw lines.
-
-    Gives the projected trees as text, the batch's summary, its skipped
-    ``(lineno, reason)`` pairs in line order, and its input error or
-    ``None``.  The error is returned, not raised, so that the caller
-    reports the skips before it.
-    """
-    summary = projection.ProjectionSummary()
-    out: list[str] = []
-    skips: list[tuple[int, str]] = []
+def _project_row(paths: Sequence[str], placement: str, row: tuple,
+                 counts: Counter, skips: list) -> str:
+    """The projected tree of a ``(lineno, pair line, tree line)`` row of
+    raw lines.  A pair that cannot be projected (tree yield mismatch,
+    pseudo nodes in the target tree, projection failure) is skipped and
+    gives ``""``.  Counts ``pairs``, ``skipped`` and each inserted label."""
+    lineno, pair, tree_line = row
+    src, tgt = parse_tsv_line(pair, lineno, paths[0])
+    tree = T.parse_tree_line(tree_line, lineno, paths[1])
+    counts["pairs"] += 1
     try:
-        for lineno, pair, tree_line in rows:
-            src, tgt = parse_tsv_line(pair, lineno, paths[0])
-            tree = T.parse_tree_line(tree_line, lineno, paths[1])
-            result = projection.project_pair(src, tgt, tree, summary, lineno, skips,
-                                             placement=placement)
-            if result is not None:
-                out.append(T.serialize(result) + "\n")
-    except FormatError as exc:
-        return "".join(out), summary, skips, exc
-    return "".join(out), summary, skips, None
+        result = projection.project(tree, ed.align(src, tgt), src, placement=placement)
+    except (ValueError, RuntimeError) as exc:
+        skips.append((lineno, str(exc)))
+        counts["skipped"] += 1
+        return ""
+    counts.update(label for label, _ in result.inserted)
+    return T.serialize(result.source_tree) + "\n"
 
 
 def cmd_project(args) -> int:
-    summary = projection.ProjectionSummary()
     paths = [args.parallel, args.trees]
     with _out_stream(args.output) as out:
-        batches = _map_batches(
-            functools.partial(_project_batch, paths, args.pseudo_placement),
+        counts = _run_batches(
+            out, functools.partial(_project_row, paths, args.pseudo_placement),
             _lockstep([read_lines(p) for p in paths], paths))
-        with contextlib.closing(batches):
-            for text, part, skips, error in batches:
-                out.write(text)
-                for lineno, reason in skips:
-                    logger.warning("line %d: skipped: %s", lineno, reason)
-                if error is not None:
-                    raise error
-                summary.add(part)
-    summary_json = json.dumps(summary.to_dict(), sort_keys=True)
+    summary = {"pairs": counts["pairs"], "skipped": counts["skipped"],
+               "pseudo_counts": {label: counts[label] for label in T.PSEUDO_LABELS}}
+    summary_json = json.dumps(summary, sort_keys=True)
     if args.summary:
         with _out_stream(args.summary) as fh:
             fh.write(summary_json + "\n")
@@ -266,47 +307,43 @@ def cmd_project(args) -> int:
     return 0
 
 
-def _strip_batch(path: str, rows: list) -> str:
-    """The stripped trees of a batch of ``(lineno, tree line)`` rows."""
-    out = []
-    for lineno, line in rows:
-        tree = T.parse_tree_line(line, lineno, path)
-        try:
-            stripped = projection.strip_pseudo(tree)
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno, path) from None
-        out.append(T.serialize(stripped) + "\n")
-    return "".join(out)
+def _strip_row(path: str, row: tuple, counts: Counter, skips: list) -> str:
+    """The stripped tree of a ``(lineno, tree line)`` row."""
+    lineno, line = row
+    tree = T.parse_tree_line(line, lineno, path)
+    try:
+        stripped = projection.strip_pseudo(tree)
+    except ValueError as exc:
+        raise FormatError(str(exc), lineno, path) from None
+    return T.serialize(stripped) + "\n"
 
 
 def cmd_strip(args) -> int:
     with _out_stream(args.output) as out:
-        _write_batches(out, functools.partial(_strip_batch, args.trees),
-                       enumerate(read_lines(args.trees), start=1))
+        _run_batches(out, functools.partial(_strip_row, args.trees),
+                     enumerate(read_lines(args.trees), start=1))
     return 0
 
 
-def _subword_batch(paths: Sequence[str], marker: str, style: str, rows: list) -> str:
-    """The subword trees of a batch of ``(lineno, tree line, segmentation
-    line)`` rows."""
-    out = []
-    for lineno, tree_line, seg_line in rows:
-        tree = T.parse_tree_line(tree_line, lineno, paths[0])
-        seg = subword.parse_segmentation_line(seg_line, lineno, paths[1])
-        try:
-            converted = subword.to_subword_tree(tree, seg, marker=marker, style=style)
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno, paths[1]) from None
-        out.append(T.serialize(converted) + "\n")
-    return "".join(out)
+def _subword_row(paths: Sequence[str], marker: str, style: str, row: tuple,
+                 counts: Counter, skips: list) -> str:
+    """The subword tree of a ``(lineno, tree line, segmentation line)`` row."""
+    lineno, tree_line, seg_line = row
+    tree = T.parse_tree_line(tree_line, lineno, paths[0])
+    seg = subword.parse_segmentation_line(seg_line, lineno, paths[1])
+    try:
+        converted = subword.to_subword_tree(tree, seg, marker=marker, style=style)
+    except ValueError as exc:
+        raise FormatError(str(exc), lineno, paths[1]) from None
+    return T.serialize(converted) + "\n"
 
 
 def cmd_subword(args) -> int:
     paths = [args.trees, args.segmentation]
     with _out_stream(args.output) as out:
-        _write_batches(out, functools.partial(_subword_batch, paths, args.marker,
-                                              args.marker_style),
-                       _lockstep([read_lines(p) for p in paths], paths))
+        _run_batches(out, functools.partial(_subword_row, paths, args.marker,
+                                            args.marker_style),
+                     _lockstep([read_lines(p) for p in paths], paths))
     return 0
 
 
@@ -339,22 +376,20 @@ def cmd_gcn_check(args) -> int:
     return 0 if ok else 1
 
 
-def _train_batch(gold_path: str, rows: list) -> Counter:
-    """Feature-row counts of a batch of ``(lineno, source, *hypotheses,
-    gold block)`` rows of raw lines."""
+def _train_row(gold_path: str, row: tuple, counts: Counter, skips: list) -> str:
+    """Adds the feature-row counts of a ``(lineno, source, *hypotheses,
+    gold block)`` row of raw lines to ``counts``; gives no text."""
     from . import ensemble
 
-    def labeled() -> Iterator[tuple[ensemble.EditCandidate, float]]:
-        for lineno, source, *hyps, (gold_lineno, gold_lines) in rows:
-            tokens = source.split()
-            gold_src, gold_script = ed.parse_m2_block(gold_lineno, gold_lines, gold_path)
-            if gold_src != tokens:
-                raise FormatError("gold source does not match source file",
-                                  lineno, gold_path)
-            cands = ensemble.gather(tokens, [h.split() for h in hyps])
-            yield from zip(cands, ensemble.label_candidates(cands, gold_script))
-
-    return ensemble.row_counts(labeled())
+    lineno, source, *hyps, (gold_lineno, gold_lines) = row
+    tokens = source.split()
+    gold_src, gold_script = ed.parse_m2_block(gold_lineno, gold_lines, gold_path)
+    if gold_src != tokens:
+        raise FormatError("gold source does not match source file", lineno, gold_path)
+    cands = ensemble.gather(tokens, [h.split() for h in hyps])
+    counts.update(ensemble.row_counts(
+        zip(cands, ensemble.label_candidates(cands, gold_script))))
+    return ""
 
 
 def cmd_ensemble_train(args) -> int:
@@ -362,12 +397,9 @@ def cmd_ensemble_train(args) -> int:
 
     paths = [args.source, *args.hypotheses, args.gold]
     streams = [*map(read_lines, paths[:-1]), ed.m2_blocks(read_lines(args.gold), args.gold)]
-    counts: Counter = Counter()
-    batches = _map_batches(functools.partial(_train_batch, args.gold),
-                           _lockstep(streams, paths))
-    with contextlib.closing(batches):
-        for batch_counts in batches:
-            counts.update(batch_counts)
+    # The rows give no text, so nothing is written to the sink.
+    counts = _run_batches(io.StringIO(), functools.partial(_train_row, args.gold),
+                          _lockstep(streams, paths))
     if not counts:
         raise FormatError("no edits proposed by any system; nothing to train on")
     try:
@@ -383,17 +415,15 @@ def cmd_ensemble_train(args) -> int:
     return 0
 
 
-def _apply_batch(model, rows: list) -> str:
-    """The corrected lines of a batch of ``(lineno, source, *hypotheses)``
-    rows of raw lines."""
+def _apply_row(model, row: tuple, counts: Counter, skips: list) -> str:
+    """The corrected line of a ``(lineno, source, *hypotheses)`` row of raw
+    lines."""
     from . import ensemble
 
-    out = []
-    for _, source, *hyps in rows:
-        tokens = source.split()
-        cands = ensemble.gather(tokens, [h.split() for h in hyps])
-        out.append(" ".join(ensemble.select_and_apply(tokens, cands, model)) + "\n")
-    return "".join(out)
+    _, source, *hyps = row
+    tokens = source.split()
+    cands = ensemble.gather(tokens, [h.split() for h in hyps])
+    return " ".join(ensemble.select_and_apply(tokens, cands, model)) + "\n"
 
 
 def cmd_ensemble_apply(args) -> int:
@@ -407,8 +437,8 @@ def cmd_ensemble_apply(args) -> int:
         model.threshold = args.threshold
     paths = [args.source, *args.hypotheses]
     with _out_stream(args.output) as out:
-        _write_batches(out, functools.partial(_apply_batch, model),
-                       _lockstep([read_lines(p) for p in paths], paths))
+        _run_batches(out, functools.partial(_apply_row, model),
+                     _lockstep([read_lines(p) for p in paths], paths))
     return 0
 
 

@@ -24,12 +24,12 @@ preterminal instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
 from . import tree as T
-from .edits import MISS, RED, SUB, EditScript, align, apply_edits, _script_key
+from .edits import MISS, RED, SUB, EditScript, apply_edits, _script_key
 
 PLACEMENTS = ("below", "above")
 
@@ -230,47 +230,3 @@ def strip_pseudo(root: T.NonTerminal) -> T.NonTerminal:
     if len(kept) != 1 or not isinstance(kept[0], T.NonTerminal):
         raise ValueError("stripping pseudo nodes did not leave a single rooted tree")
     return kept[0]
-
-
-@dataclass
-class ProjectionSummary:
-    pairs: int = 0
-    skipped: int = 0
-    pseudo_counts: dict[str, int] = field(default_factory=lambda: {SUB: 0, RED: 0, MISS: 0})
-
-    def add(self, other: "ProjectionSummary") -> None:
-        """Add ``other``'s counts to these."""
-        self.pairs += other.pairs
-        self.skipped += other.skipped
-        for label, count in other.pseudo_counts.items():
-            self.pseudo_counts[label] += count
-
-    def to_dict(self) -> dict:
-        return {
-            "pairs": self.pairs,
-            "skipped": self.skipped,
-            "pseudo_counts": dict(self.pseudo_counts),
-        }
-
-
-def project_pair(src: Sequence[str], tgt: Sequence[str], target_tree: T.NonTerminal,
-                 summary: ProjectionSummary, lineno: int,
-                 skips: list[tuple[int, str]],
-                 placement: str = "below") -> T.NonTerminal | None:
-    """Project one (source, target) pair through its target-side tree.
-
-    The pair is counted in ``summary``.  A malformed pair (tree yield
-    mismatch, pseudo nodes in the target tree, projection failure) is
-    counted as skipped, adds its 1-based line number and the reason to
-    ``skips``, and gives ``None``.
-    """
-    summary.pairs += 1
-    try:
-        result = project(target_tree, align(src, tgt), src, placement=placement)
-    except (ValueError, RuntimeError) as exc:
-        skips.append((lineno, str(exc)))
-        summary.skipped += 1
-        return None
-    for label, _ in result.inserted:
-        summary.pseudo_counts[label] += 1
-    return result.source_tree

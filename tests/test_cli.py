@@ -1,6 +1,7 @@
 import argparse
 import functools
 import gc
+import io
 import json
 import logging
 import os
@@ -18,7 +19,7 @@ from gecsyntax import edits as E
 from gecsyntax import tree as T
 from gecsyntax.cli import build_parser, main
 from gecsyntax.lines import read_lines
-from gecsyntax.projection import ProjectionSummary, project_pair, strip_pseudo
+from gecsyntax.projection import project, strip_pseudo
 
 from tests.helpers import (
     SRC_VOCAB, build_ensemble_corpus, child_env, has_vmhwm, random_script,
@@ -94,20 +95,21 @@ def test_end_to_end_matches_module_calls(tmp_path, three_pair_fixture):
              (line.split("\t") for line in
               parallel.read_text().splitlines())]
     trees = T.read_trees(tree_file.read_text().splitlines())
-    summary = ProjectionSummary()
-    expected = [project_pair(src, tgt, tree, summary, lineno, [])
-                for lineno, ((src, tgt), tree) in enumerate(zip(pairs, trees), start=1)]
-    assert projected.read_text() == "".join(
-        T.serialize(t) + "\n" for t in expected if t is not None)
-    assert json.loads(summary_file.read_text()) == summary.to_dict()
+    results = [project(tree, E.align(src, tgt), src)
+               for (src, tgt), tree in zip(pairs, trees)]
+    expected = [r.source_tree for r in results]
+    assert projected.read_text() == "".join(T.serialize(t) + "\n" for t in expected)
+    labels = [label for r in results for label, _ in r.inserted]
+    assert json.loads(summary_file.read_text()) == {
+        "pairs": 3, "skipped": 0,
+        "pseudo_counts": {label: labels.count(label) for label in ("SUB", "RED", "MISS")}}
     assert json.loads(summary_file.read_text())["pseudo_counts"] == {
         "SUB": 1, "RED": 1, "MISS": 1}
 
     stripped = tmp_path / "stripped.trees"
     assert main(["strip", str(projected), "-o", str(stripped)]) == 0
     assert stripped.read_text() == "".join(
-        T.serialize(strip_pseudo(t)) + "\n"
-        for t in expected if t is not None)
+        T.serialize(strip_pseudo(t)) + "\n" for t in expected)
 
 
 def test_project_skips_bad_lines_but_counts_them(tmp_path, capsys):
@@ -715,45 +717,102 @@ def test_ensemble_pool_reports_the_first_error_as_one_cpu_does(
     assert reported[0] == reported[1]
 
 
-_BATCH_FNS = {"_apply_batch": cli._apply_batch, "_project_batch": cli._project_batch}
+def _batched_inputs(root, command):
+    """The input arguments of a batched ``command`` over 700 generated rows,
+    and the file that holds row N at line N (for ``ensemble-train``, the
+    gold file, at block N)."""
+    if command.startswith("ensemble"):
+        src, hyps, gold = _write_ensemble_corpus(root, 700, seed=17)
+        if command == "ensemble-train":
+            return [src, *hyps, gold], gold
+        model = _write_lines(root / "model.json", [
+            '{"weights": [1, 1, 1, 0, 0, 0, 0, 0, 0, 0], "bias": -1.5}'])
+        return [src, *hyps, model], src
+    pairs, trees, seg = _write_treebank_corpus(root, 700, seed=23)
+    if command == "project":
+        return [pairs, trees], trees
+    if command == "strip":
+        return [trees], trees
+    source = str(root / "source.trees")
+    assert main(["project", pairs, trees, "-o", source,
+                 "--summary", str(root / "source.json")]) == 0
+    return [source, seg], source
+
+
+_ROW_FN_OF = {"project": "_project_row", "strip": "_strip_row",
+              "subword": "_subword_row", "ensemble-train": "_train_row",
+              "ensemble-apply": "_apply_row"}
+_ROW_FNS = {name: getattr(cli, name) for name in _ROW_FN_OF.values()}
 
 
 def _killed_in_second_batch(name, *args):
-    """``cli.<name>``, except that the worker given the second batch is
-    killed."""
-    if args[-1][0][0] > 256:
+    """``cli.<name>``, except that the worker given a row of the second
+    batch is killed."""
+    row = args[-3]
+    if row[0] > cli.BATCH_ROWS:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _BATCH_FNS[name](*args)
+    return _ROW_FNS[name](*args)
 
 
-def _assert_killed_worker_is_exit_2(monkeypatch, capsys, name, argv, outputs):
-    monkeypatch.setattr(cli, name, functools.partial(_killed_in_second_batch, name))
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+@pytest.mark.parametrize("command", _ROW_FN_OF)
+def test_pool_worker_killed_is_exit_2(tmp_path, monkeypatch, capsys, command):
+    args, _ = _batched_inputs(tmp_path, command)
+    out, summary = tmp_path / "out", tmp_path / "summary.json"
+    argv = [command, *args, "-o", str(out)]
+    if command == "project":
+        argv += ["--summary", str(summary)]
+    row_fn = _ROW_FN_OF[command]
+    monkeypatch.setattr(cli, row_fn, functools.partial(_killed_in_second_batch, row_fn))
     code, err, _ = _run_with_cpus(monkeypatch, capsys, 2, argv)
     assert (code, err) == (2, "error: a worker process ended abruptly "
                               "(killed, or out of memory)\n")
-    assert not any(path.exists() for path in outputs)
+    assert not out.exists() and not summary.exists()
 
 
-@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
-def test_ensemble_pool_worker_killed_is_exit_2(tmp_path, monkeypatch, capsys):
-    src, hyps, _ = _write_ensemble_corpus(tmp_path, 700, seed=17)
-    model = tmp_path / "model.json"
-    model.write_text('{"weights": [1, 1, 1, 0, 0, 0, 0, 0, 0, 0], "bias": -1.5}',
-                     encoding="utf-8")
-    out = tmp_path / "out.txt"
-    _assert_killed_worker_is_exit_2(
-        monkeypatch, capsys, "_apply_batch",
-        ["ensemble-apply", src, *hyps, str(model), "-o", str(out)], [out])
+def _break_row(command, path, bad):
+    """Puts an input error in row ``bad`` of ``path``, the file that
+    :func:`_batched_inputs` names; gives the error reported."""
+    if command == "ensemble-train":
+        lines = _lines(path)
+        at = _s_line(lines, bad - 1) + 1
+        _write_lines(Path(path), lines[:at] + ["A 0 1|||WHAT|||x"] + lines[at:])
+        return f"{path}:line {at + 1}: unknown category 'WHAT'"
+    if command == "ensemble-apply":
+        # Its rows raise no error of their own; the reader raises at the row.
+        lines = Path(path).read_bytes().splitlines(keepends=True)
+        lines[bad - 1] = b"\xff" + lines[bad - 1]
+        Path(path).write_bytes(b"".join(lines))
+        return f"{path}:line {bad}: not valid UTF-8"
+    _replace_line(path, bad - 1, _lines(path)[bad - 1][:-1])
+    return f"{path}:line {bad}: unbalanced parentheses"
 
 
-@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
-def test_project_pool_worker_killed_is_exit_2(tmp_path, monkeypatch, capsys):
-    pairs, trees, _ = _write_treebank_corpus(tmp_path, 700, seed=23)
-    out, summary = tmp_path / "out.trees", tmp_path / "summary.json"
-    _assert_killed_worker_is_exit_2(
-        monkeypatch, capsys, "_project_batch",
-        ["project", pairs, trees, "-o", str(out), "--summary", str(summary)],
-        [out, summary])
+def _run_to_stdout(monkeypatch, capsys, cpus, argv):
+    """``_run_with_cpus`` with standard output caught: the exit code, stderr
+    and standard output."""
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    code, err, _ = _run_with_cpus(monkeypatch, capsys, cpus, argv)
+    return code, err, out.getvalue()
+
+
+@pytest.mark.parametrize("bad", [41, 300])
+@pytest.mark.parametrize("command", _ROW_FN_OF)
+def test_stdout_before_an_error_is_the_rows_before_it(
+        tmp_path, monkeypatch, capsys, command, bad):
+    args, row_file = _batched_inputs(tmp_path, command)
+    code, err, written = _run_to_stdout(monkeypatch, capsys, 1, [command, *args])
+    assert code == 0, err
+    # ensemble-train writes its model only once every row is read.
+    rows_before = 0 if command == "ensemble-train" else bad - 1
+    before = "".join(written.splitlines(keepends=True)[:rows_before])
+    assert before.count("\n") == rows_before
+    expected = _break_row(command, row_file, bad)
+    for cpus in (1, 2):
+        code, err, written = _run_to_stdout(monkeypatch, capsys, cpus, [command, *args])
+        assert (code, err) == (2, f"error: {expected}\n")
+        assert written == before
 
 
 def _logged(caplog):

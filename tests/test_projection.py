@@ -1,12 +1,12 @@
+import json
 import random
 
 import pytest
 
 from gecsyntax import edits as E
 from gecsyntax import tree as T
-from gecsyntax.projection import (
-    ProjectionSummary, project, project_pair, strip_pseudo,
-)
+from gecsyntax.cli import main
+from gecsyntax.projection import project, strip_pseudo
 
 from tests.helpers import SRC_VOCAB, random_script, random_tokens, random_tree
 
@@ -225,46 +225,41 @@ def test_sub_only_scripts_strip_back_to_target():
         assert stripped == target_tree
 
 
-def test_project_pair_roundtrip_and_skip():
-    pairs = [
-        (["a", "cat"], ["a", "cat"]),
-        (["a", "dog"], ["a", "cat"]),
-        (["b", "cat"], ["mismatched", "yield"]),
-    ]
-    trees = [
-        T.parse_bracketed("(S (DT a) (NN cat))"),
-        T.parse_bracketed("(S (DT a) (NN cat))"),
-        T.parse_bracketed("(S (DT wrong) (NN words))"),
-    ]
-    summary = ProjectionSummary()
-    skips = []
-    results = [project_pair(src, tgt, tree, summary, lineno, skips)
-               for lineno, ((src, tgt), tree) in enumerate(zip(pairs, trees), start=1)]
-    assert results[0] == trees[0]
+def _project_command(root, pairs, trees, caplog):
+    """Runs ``project`` on the pairs and target trees; gives the projected
+    trees, the summary and the skipped ``(lineno, reason)`` pairs."""
+    parallel, tree_file = root / "pairs.tsv", root / "targets.trees"
+    parallel.write_text("".join(f"{s}\t{t}\n" for s, t in pairs), encoding="utf-8")
+    tree_file.write_text("".join(t + "\n" for t in trees), encoding="utf-8")
+    out, summary = root / "out.trees", root / "summary.json"
+    caplog.clear()
+    assert main(["project", str(parallel), str(tree_file), "-o", str(out),
+                 "--summary", str(summary)]) == 0
+    skips = [rec.args for rec in caplog.records if rec.msg == "line %d: skipped: %s"]
+    return (list(T.read_trees(out.read_text(encoding="utf-8").splitlines())),
+            json.loads(summary.read_text(encoding="utf-8")), skips)
+
+
+def test_project_command_roundtrip_and_skip(tmp_path, caplog):
+    pairs = [("a cat", "a cat"), ("a dog", "a cat"), ("b cat", "mismatched yield")]
+    trees = ["(S (DT a) (NN cat))", "(S (DT a) (NN cat))", "(S (DT wrong) (NN words))"]
+    results, summary, skips = _project_command(tmp_path, pairs, trees, caplog)
+    assert len(results) == 2  # the third pair is skipped
+    assert results[0] == T.parse_bracketed(trees[0])
     assert T.serialize(results[1]) == "(S (DT a) (NN (SUB dog)))"
-    assert results[2] is None
-    assert summary.pairs == 3
-    assert summary.skipped == 1
-    assert summary.pseudo_counts == {"SUB": 1, "RED": 0, "MISS": 0}
+    assert summary["pairs"] == 3
+    assert summary["skipped"] == 1
+    assert summary["pseudo_counts"] == {"SUB": 1, "RED": 0, "MISS": 0}
     assert [lineno for lineno, _ in skips] == [3]
     assert skips[0][1].startswith("target tree yield does not match")
 
 
-def test_project_pair_category_fixture():
-    pairs = [
-        (["a", "dog", "sat"], ["a", "cat", "sat"]),
-        (["a", "the", "cat"], ["a", "cat"]),
-        (["cat", "sat"], ["the", "cat", "sat"]),
-    ]
-    trees = [
-        T.parse_bracketed("(S (DT a) (NN cat) (VB sat))"),
-        T.parse_bracketed("(S (DT a) (NN cat))"),
-        T.parse_bracketed("(S (DT the) (NN cat) (VB sat))"),
-    ]
-    summary = ProjectionSummary()
-    results = [project_pair(src, tgt, tree, summary, lineno, [])
-               for lineno, ((src, tgt), tree) in enumerate(zip(pairs, trees), start=1)]
-    assert summary.skipped == 0
+def test_project_command_category_fixture(tmp_path, caplog):
+    pairs = [("a dog sat", "a cat sat"), ("a the cat", "a cat"), ("cat sat", "the cat sat")]
+    trees = ["(S (DT a) (NN cat) (VB sat))", "(S (DT a) (NN cat))",
+             "(S (DT the) (NN cat) (VB sat))"]
+    results, summary, skips = _project_command(tmp_path, pairs, trees, caplog)
+    assert summary["skipped"] == 0 and skips == []
     multisets = []
     for tree in results:
         labels = sorted(
