@@ -19,14 +19,18 @@ parent's own reading left the second core nothing to do.
 ``ensemble-apply`` share one batch protocol.  Each gives a row function,
 ``row_fn(row, counts, skips) -> text``, over a row of raw lines;
 :func:`_run_rows` applies it to a 256-row batch and gives one
-:class:`Batch` of text, counts, skipped lines and the first input error,
-which ends the batch after the rows before it.  :func:`_run_batches`,
-the one consumer, takes the batches in row order: it writes each text,
-logs the skips, raises the error and adds up the counts.  So the output
-before an error is exactly that of the rows before it.  With at most two
-batches per usable CPU in flight, once the input exceeds one batch the
-batches run on every CPU in the process's affinity mask (``taskset``
-limits this), with output, warnings and errors the same as on one CPU.
+:class:`Batch` of text, counts, skipped lines and the first row error,
+which ends the batch after the rows before it.  A reading error (a file
+that ends early, a line that is not UTF-8, a malformed ``.m2`` line)
+ends the stream of batches: :func:`_batches` gives it with the last
+batch, the rows read before it.  :func:`_run_batches`, the one consumer,
+takes the batches in row order: it writes each text, logs the skips,
+raises the row error, then the reading error, and adds up the counts.
+So the output before an error is exactly that of the rows before it.
+With at most two batches per usable CPU in flight, once the input
+exceeds one batch the batches run on every CPU in the process's affinity
+mask (``taskset`` limits this), with output, warnings and errors the
+same as on one CPU.
 
 A count mismatch is reported as ``path:line N: file ends, but OTHER goes
 on`` at the first line (for an ``.m2`` file, the first block) that only
@@ -101,11 +105,14 @@ def _lockstep(streams: Sequence[Iterable], paths: Sequence[str]) -> Iterator[tup
 BATCH_ROWS = 256
 
 
-def _batches(rows: Iterable) -> Iterator[list]:
-    """Consecutive ``BATCH_ROWS``-row lists of ``rows``.
+def _batches(rows: Iterable) -> Iterator[tuple[list, Exception | None]]:
+    """``(rows, read_error)`` for consecutive ``BATCH_ROWS``-row lists of
+    ``rows``.
 
-    If reading a row raises, the rows read before it come first, as a
-    last, short batch, and the error is raised on the next request.
+    ``read_error`` is ``None`` except on the last batch, where it is the
+    error that reading the next row raised (a file that ends early, a
+    line that is not UTF-8, a malformed ``.m2`` line); that batch holds
+    the rows read before it, and may hold none.
     """
     rows = iter(rows)
     while True:
@@ -113,13 +120,12 @@ def _batches(rows: Iterable) -> Iterator[list]:
         try:
             for row in itertools.islice(rows, BATCH_ROWS):
                 batch.append(row)
-        except Exception:
-            if batch:
-                yield batch
-            raise
+        except Exception as exc:
+            yield batch, exc
+            return
         if not batch:
             return
-        yield batch
+        yield batch, None
 
 
 class Batch(NamedTuple):
@@ -158,42 +164,35 @@ def _run_batches(out, row_fn: RowFn, rows: Iterable) -> Counter:
     sum of their counts.
 
     Batches are taken in row order: each one's text is written to
-    ``out``, its skips are logged, its error is raised, and its counts
-    are added.  Once there is more than one batch, batches run in a
-    ``fork`` pool of one worker per CPU in this process's affinity mask,
-    with at most two batches per worker in flight; with one batch or one
-    CPU, they run here.  When reading a row raises, the batches before it
-    are taken first.  A worker that ends abruptly (killed, or out of
-    memory) raises :class:`ChildProcessError`.
+    ``out``, its skips are logged, the error of one of its rows is
+    raised, then the error that reading the next row raised (see
+    :func:`_batches`), and its counts are added.  So every input error
+    is raised here, after the output of the rows before it.  Once there
+    is more than one batch, batches run in a ``fork`` pool of one worker
+    per CPU in this process's affinity mask, with at most two batches per
+    worker in flight; with one batch or one CPU, they run here.  A worker
+    that ends abruptly (killed, or out of memory) raises
+    :class:`ChildProcessError`.
     """
     counts: Counter = Counter()
 
-    def take(batch: Batch) -> None:
+    def take(batch: Batch, read_error: Exception | None) -> None:
         out.write(batch.text)
         for lineno, reason in batch.skips:
             logger.warning("line %d: skipped: %s", lineno, reason)
-        if batch.error is not None:
-            raise batch.error
+        for error in (batch.error, read_error):
+            if error is not None:
+                raise error
         counts.update(batch.counts)
 
     run = functools.partial(_run_rows, row_fn)
     # Platforms without affinity masks (not Linux) run on one CPU.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     batches = _batches(rows)
-    head: list[list] = []  # the first two batches, read to pick the path
-    if cpus > 1:
-        try:
-            for batch in batches:
-                head.append(batch)
-                if len(head) == 2:
-                    break
-        except Exception:
-            for batch in head:
-                take(run(batch))
-            raise
-    if len(head) < 2:
-        for batch in itertools.chain(head, batches):
-            take(run(batch))
+    head = list(itertools.islice(batches, 2))  # read to pick the path
+    if cpus == 1 or len(head) < 2:
+        for batch, read_error in itertools.chain(head, batches):
+            take(run(batch), read_error)
         return counts
 
     # Imported here: only inputs of more than one batch pay for it.  Forked
@@ -207,22 +206,14 @@ def _run_batches(out, row_fn: RowFn, rows: Iterable) -> Counter:
 
     pool = ProcessPoolExecutor(cpus, mp_context=multiprocessing.get_context("fork"))
     try:
-        pending: deque = deque()
-        batches = itertools.chain(head, batches)
-        while True:
-            try:
-                batch = next(batches, None)
-            except Exception:
-                while pending:
-                    take(pending.popleft().result())
-                raise
-            if batch is None:
-                break
-            pending.append(pool.submit(run, batch))
+        pending: deque = deque()  # (future, read_error) pairs in row order
+        for batch, read_error in itertools.chain(head, batches):
+            pending.append((pool.submit(run, batch), read_error))
             if len(pending) == 2 * cpus:
-                take(pending.popleft().result())
-        while pending:
-            take(pending.popleft().result())
+                future, error = pending.popleft()
+                take(future.result(), error)
+        for future, error in pending:
+            take(future.result(), error)
     except BrokenProcessPool:
         raise ChildProcessError(
             "a worker process ended abruptly (killed, or out of memory)") from None
@@ -381,11 +372,12 @@ def _train_row(gold_path: str, row: tuple, counts: Counter, skips: list) -> str:
     gold block)`` row of raw lines to ``counts``; gives no text."""
     from . import ensemble
 
-    lineno, source, *hyps, (gold_lineno, gold_lines) = row
+    _, source, *hyps, (gold_lineno, gold_lines) = row
     tokens = source.split()
     gold_src, gold_script = ed.parse_m2_block(gold_lineno, gold_lines, gold_path)
     if gold_src != tokens:
-        raise FormatError("gold source does not match source file", lineno, gold_path)
+        raise FormatError("gold source does not match source file",
+                          gold_lineno, gold_path)
     cands = ensemble.gather(tokens, [h.split() for h in hyps])
     counts.update(ensemble.row_counts(
         zip(cands, ensemble.label_candidates(cands, gold_script))))

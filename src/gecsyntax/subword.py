@@ -1,8 +1,9 @@
 """Convert word-level trees to subword-level trees.
 
-Each terminal word is replaced, in place, by its subword pieces as
-sibling terminals under the word's immediate parent, so every subword
-inherits the original word's head non-terminal (including pseudo nodes).
+:func:`to_subword_tree` builds a fresh tree in which each terminal word
+becomes its subword pieces, sibling terminals under the word's immediate
+parent, so every subword inherits the original word's head non-terminal
+(including pseudo nodes); the input tree is left as it was.
 The module never runs a tokenizer itself: segmentations are supplied by
 the caller, with a configurable continuation-marker convention used only
 to verify that the pieces reassemble the word.

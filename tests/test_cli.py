@@ -681,7 +681,7 @@ def _foreign_gold_source_then_gold_error(rng, src, hyps, gold):
     _write_lines(Path(gold), lines)
     _bad_category(rng, gold, 512, 700)
     return ("ensemble-train",
-            f"error: {gold}:line {row + 1}: gold source does not match source file")
+            f"error: {gold}:line {at + 1}: gold source does not match source file")
 
 
 def _bad_utf8_then_short_hypothesis(rng, src, hyps, gold):
@@ -797,7 +797,7 @@ def _run_to_stdout(monkeypatch, capsys, cpus, argv):
     return code, err, out.getvalue()
 
 
-@pytest.mark.parametrize("bad", [41, 300])
+@pytest.mark.parametrize("bad", [41, 257, 300])
 @pytest.mark.parametrize("command", _ROW_FN_OF)
 def test_stdout_before_an_error_is_the_rows_before_it(
         tmp_path, monkeypatch, capsys, command, bad):
