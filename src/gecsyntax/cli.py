@@ -438,12 +438,11 @@ def cmd_score(args) -> int:
     paths = [args.hypothesis, args.gold]
 
     def pairs() -> Iterator[tuple[ed.EditScript, ed.EditScript]]:
-        for idx, (hs, h), (gs, g) in _lockstep([ed.load_m2_file(p) for p in paths],
-                                               paths):
+        for _, (h_line, hs, h), (g_line, gs, g) in _lockstep(
+                [ed.load_m2_file(p) for p in paths], paths):
             if hs != gs:
-                raise FormatError(
-                    f"block {idx}: hypothesis and gold source sentences differ",
-                    path=args.hypothesis)
+                raise FormatError("hypothesis and gold source sentences differ "
+                                  f"(gold line {g_line})", h_line, args.hypothesis)
             yield h, g
 
     result = scoring.corpus_score(pairs())
@@ -549,6 +548,9 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr,
                         level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(message)s")
+    # Standard output is UTF-8 like every output file, whatever the locale.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -9,8 +9,9 @@ from its correction:
   position (all words missing at the same point form a single edit).
 
 :func:`align` extracts a minimal-cost script deterministically;
-:func:`apply_edits` reconstructs the target from a source and a script,
-which doubles as the round-trip oracle for the aligner.  The tie-break
+:func:`apply_edits` reconstructs the target from a source and edits in
+any order, and rejects every script that :func:`make_script` rejects;
+it doubles as the round-trip oracle for the aligner.  The tie-break
 contract is pinned by ``tests/helpers.align_table_oracle``, a full-table
 aligner that shares no code with this module.
 
@@ -75,7 +76,11 @@ def miss(i: int, tgt_tokens: Sequence[str]) -> Edit:
 
 @dataclass(frozen=True, slots=True)
 class EditScript:
-    """Edits ordered by span start; at equal start a MISS precedes SUB/RED."""
+    """Edits ordered by span start; at equal start a MISS precedes SUB/RED.
+
+    That is the order :func:`make_script` and :func:`align` give; the class
+    itself enforces neither the order nor any rule of :func:`check_script`.
+    """
 
     edits: tuple[Edit, ...] = ()
 
@@ -100,13 +105,18 @@ def _script_key(edit: Edit) -> tuple:
     return (edit.i, 0 if edit.category == MISS else 1, edit.j)
 
 
-def make_script(edits: Iterable[Edit]) -> EditScript:
-    """Build a script from edits in any order, enforcing the invariants."""
+def _ordered(edits: Iterable[Edit]) -> tuple[Edit, ...]:
+    """``edits`` in script order; ``ValueError`` unless they form a valid script."""
     ordered = tuple(sorted(edits, key=_script_key))
     problems = check_script(ordered)
     if problems:
         raise ValueError("invalid edit script: " + "; ".join(problems))
-    return EditScript(ordered)
+    return ordered
+
+
+def make_script(edits: Iterable[Edit]) -> EditScript:
+    """Build a script from edits in any order, enforcing the invariants."""
+    return EditScript(_ordered(edits))
 
 
 def check_script(edits: Sequence[Edit]) -> list[str]:
@@ -237,37 +247,23 @@ def align(src_tokens: Sequence[str], tgt_tokens: Sequence[str]) -> EditScript:
     return EditScript(tuple(edits))
 
 
-def apply_edits(src_tokens: Sequence[str], script: EditScript) -> list[str]:
-    """Reconstruct the target sentence from a source and an edit script.
+def apply_edits(src_tokens: Sequence[str], edits: Iterable[Edit]) -> list[str]:
+    """Reconstruct the target sentence from a source and its edits.
 
-    Raises ``ValueError`` on out-of-range spans or overlapping SUB/RED
-    spans; a pure function otherwise.
+    The edits may come in any order.  Raises ``ValueError`` on any script
+    that :func:`make_script` rejects and on a span outside the source; a
+    pure function otherwise.
     """
     n = len(src_tokens)
-    at_point: dict[int, tuple[str, ...]] = {}
-    at_span: dict[int, Edit] = {}
-    for e in script:
-        if e.i < 0 or e.j > n or e.i > e.j:
-            raise ValueError(f"edit span [{e.i},{e.j}) out of range for {n} tokens")
-        if e.category == MISS:
-            if e.i in at_point:
-                raise ValueError(f"two MISS edits at point {e.i}")
-            at_point[e.i] = e.tgt_tokens
-        else:
-            if e.i in at_span:
-                raise ValueError(f"overlapping edits at position {e.i}")
-            at_span[e.i] = e
-
     out: list[str] = []
-    for i in range(n + 1):
-        if i in at_point:
-            out.extend(at_point[i])
-        if i < n:
-            e = at_span.get(i)
-            if e is None:
-                out.append(src_tokens[i])
-            elif e.category == SUB:
-                out.extend(e.tgt_tokens)
+    at = 0
+    for e in _ordered(edits):
+        if e.i < 0 or e.j > n:
+            raise ValueError(f"edit span [{e.i},{e.j}) out of range for {n} tokens")
+        out.extend(src_tokens[at:e.i])
+        out.extend(e.tgt_tokens)
+        at = e.j
+    out.extend(src_tokens[at:])
     return out
 
 
@@ -361,14 +357,16 @@ def parse_m2_block(lineno: int, lines: Sequence[str],
         raise FormatError(str(exc), lineno, path) from None
 
 
-def read_m2(lines: Iterable[str], path: str | None = None) -> Iterator[tuple[list[str], EditScript]]:
+def read_m2(lines: Iterable[str],
+            path: str | None = None) -> Iterator[tuple[int, list[str], EditScript]]:
     """Parse ``S``/``A`` blocks lazily; blocks are separated by blank lines.
 
-    Errors are those of :func:`m2_blocks` and :func:`parse_m2_block`.
+    Yields ``(line number of the S line, source tokens, script)``.  Errors
+    are those of :func:`m2_blocks` and :func:`parse_m2_block`.
     """
     for lineno, block in m2_blocks(lines, path):
-        yield parse_m2_block(lineno, block, path)
+        yield lineno, *parse_m2_block(lineno, block, path)
 
 
-def load_m2_file(path: str) -> Iterator[tuple[list[str], EditScript]]:
+def load_m2_file(path: str) -> Iterator[tuple[int, list[str], EditScript]]:
     return read_m2(read_lines(path), path)

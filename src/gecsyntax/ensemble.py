@@ -210,10 +210,7 @@ def select_and_apply(src_tokens: Sequence[str],
                      candidates: Sequence[EditCandidate],
                      model: LogRegModel) -> list[str]:
     """Apply the selected, conflict-free edits to the source sentence."""
-    chosen = select_edits(candidates, model)
-    script = EditScript(tuple(sorted((c.edit for c in chosen),
-                                     key=lambda e: (e.i, e.category != MISS))))
-    return apply_edits(src_tokens, script)
+    return apply_edits(src_tokens, (c.edit for c in select_edits(candidates, model)))
 
 
 # --- model (de)serialization -------------------------------------------

@@ -29,7 +29,7 @@ from itertools import repeat
 from typing import Sequence
 
 from . import tree as T
-from .edits import MISS, RED, SUB, EditScript, apply_edits, _script_key
+from .edits import MISS, RED, SUB, EditScript, apply_edits, make_script
 
 PLACEMENTS = ("below", "above")
 
@@ -130,8 +130,9 @@ def project(
 ) -> ProjectionResult:
     """Rewrite ``target_tree`` into a tree over ``src_tokens``.
 
-    Requires ``yield(target_tree) == apply_edits(src_tokens, script)`` and
-    a target tree free of SUB/RED/MISS nodes.  An empty script returns a
+    Requires a valid script in any order, ``yield(target_tree) ==
+    apply_edits(src_tokens, script)`` and a target tree free of SUB/RED/MISS
+    nodes; raises ``ValueError`` otherwise.  An empty script returns a
     structurally identical tree.
     """
     if placement not in PLACEMENTS:
@@ -140,7 +141,8 @@ def project(
     if not src_tokens and len(script):
         raise ValueError("empty source sentence with a non-empty edit script")
     tree = _Copy(target_tree)
-    expected = apply_edits(src_tokens, script)
+    edits = make_script(script).edits
+    expected = apply_edits(src_tokens, edits)
     got = [t.token for t in tree.words]
     if got != expected:
         raise ValueError(
@@ -150,7 +152,6 @@ def project(
 
     # Map source positions to their terminals in the copy and find the target
     # positions each MISS edit will delete.
-    edits = sorted(script, key=_script_key)
     src_node: dict[int, T.Terminal] = {}
     miss_positions: dict[int, list[int]] = {}
     sp = tp = 0

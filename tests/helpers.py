@@ -263,6 +263,24 @@ def random_script(src, rng: random.Random, vocab,
     return make_script(edits)
 
 
+def apply_edits_oracle(src, edits) -> list[str]:
+    """The target of a valid script, its edits in any order, by a walk over
+    every source point and word: the MISS words at the point, then the word
+    itself, its SUB replacement, or nothing for a RED."""
+    at_point = {e.i: e.tgt_tokens for e in edits if e.category == "MISS"}
+    at_span = {e.i: e for e in edits if e.category != "MISS"}
+    out: list[str] = []
+    for i in range(len(src) + 1):
+        out.extend(at_point.get(i, ()))
+        if i < len(src):
+            e = at_span.get(i)
+            if e is None:
+                out.append(src[i])
+            elif e.category == "SUB":
+                out.extend(e.tgt_tokens)
+    return out
+
+
 def random_pair(rng: random.Random, vocab, max_len=12):
     src = random_tokens(rng, rng.randint(1, max_len), vocab)
     script = random_script(src, rng, vocab)

@@ -65,8 +65,8 @@ def test_align_m2_output_feeds_score(tmp_path, capsys):
     assert main(["align", str(parallel), "--format", "m2",
                  "-o", str(m2)]) == 0
     parsed = E.load_m2_file(str(m2))
-    assert [src for src, _ in parsed] == [["a", "dog", "sat"],
-                                          ["the", "the", "cat"]]
+    assert [(lineno, src) for lineno, src, _ in parsed] == [
+        (1, ["a", "dog", "sat"]), (4, ["the", "the", "cat"])]
     assert main(["score", str(m2), str(m2)]) == 0
     assert json.loads(capsys.readouterr().out)["F05"] == 1.0
 
@@ -1096,10 +1096,21 @@ def test_score_self_is_perfect(tmp_path, capsys):
 def test_score_source_mismatch_is_exit_2(tmp_path, capsys):
     a = tmp_path / "a.m2"
     b = tmp_path / "b.m2"
-    a.write_text("S a cat\n", encoding="utf-8")
-    b.write_text("S a dog\n", encoding="utf-8")
+    a.write_text("S a cat\nA 1 2|||SUB|||dog\n\nS the cat\n", encoding="utf-8")
+    b.write_text("S a cat\n\nS a dog\n", encoding="utf-8")
     assert main(["score", str(a), str(b)]) == 2
-    assert "differ" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{a}:line 4: " in err and "differ" in err and "gold line 3" in err
+
+
+def test_stdout_is_utf8_whatever_the_locale(tmp_path):
+    trees = tmp_path / "t.trees"
+    trees.write_bytes("(S (NN caf\u00e9))\n".encode("utf-8"))
+    proc = subprocess.run([sys.executable, "-m", "gecsyntax.cli", "strip", str(trees)],
+                          env={**child_env(), "PYTHONIOENCODING": "ascii"},
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(S (NN caf\u00e9))\n".encode("utf-8")
 
 
 def test_score_bad_edit_shape_is_exit_2(tmp_path, capsys):

@@ -12,8 +12,9 @@ from gecsyntax import edits as E
 from gecsyntax.errors import FormatError
 
 from tests.helpers import (
-    SRC_VOCAB, align_table_oracle, all_sequences, build_ensemble_corpus, child_env,
-    enumerate_scripts, has_vmhwm, levenshtein_scalar, random_pair,
+    SRC_VOCAB, align_table_oracle, all_sequences, apply_edits_oracle,
+    build_ensemble_corpus, child_env, enumerate_scripts, has_vmhwm, levenshtein_scalar,
+    random_pair, random_script, random_tokens,
 )
 
 
@@ -68,12 +69,31 @@ def test_apply_single_deletion():
     assert E.apply_edits(["a", "a", "cat"], script) == ["a", "cat"]
 
 
-def test_apply_rejects_bad_spans():
-    with pytest.raises(ValueError):
-        E.apply_edits(["a"], E.EditScript((E.sub(3, "x", "y"),)))
-    overlapping = E.EditScript((E.sub(0, "a", "x"), E.red(0, "a")))
-    with pytest.raises(ValueError):
-        E.apply_edits(["a"], overlapping)
+def test_apply_edits_matches_position_walk_in_any_order():
+    rng = random.Random(29)
+    for _ in range(500):
+        src = random_tokens(rng, rng.randint(1, 12), SRC_VOCAB)
+        edits = list(random_script(src, rng, SRC_VOCAB))
+        rng.shuffle(edits)
+        want = apply_edits_oracle(src, edits)
+        assert E.apply_edits(src, edits) == want
+        assert E.apply_edits(src, E.EditScript(tuple(edits))) == want
+
+
+@pytest.mark.parametrize("edits,message", [
+    ([E.Edit(E.SUB, 0, 2, ("a", "b"), ("x",))], "bad SUB shape at 0"),
+    ([E.Edit(E.RED, 0, 1, ("a",), ("x",))], "bad RED shape at 0"),
+    ([E.Edit(E.MISS, 1, 1, (), ())], "bad MISS shape at 1"),
+    ([E.Edit("XXX", 0, 1, ("a",), ())], "unknown category 'XXX'"),
+    ([E.sub(-1, "a", "x")], r"span \[-1,0\) out of range"),
+    ([E.sub(2, "x", "y")], r"span \[2,3\) out of range"),
+    ([E.miss(1, ["x"]), E.miss(1, ["y"])], "two MISS edits at point 1"),
+    ([E.red(1, "b"), E.sub(1, "b", "x")], "overlapping"),
+], ids=["sub-two-words", "red-replacement", "miss-no-words", "unknown-category",
+        "negative-start", "past-end", "two-miss-one-point", "overlap"])
+def test_apply_edits_rejects_a_malformed_script(edits, message):
+    with pytest.raises(ValueError, match=message):
+        E.apply_edits(["a", "b"], E.EditScript(tuple(edits)))
 
 
 def test_make_script_rejects_invalid():
@@ -216,7 +236,7 @@ def test_m2_round_trip():
     buf = io.StringIO()
     E.write_m2(pairs, buf)
     parsed = list(E.read_m2(buf.getvalue().splitlines(True)))
-    assert parsed == [(list(s), sc) for s, sc in pairs]
+    assert parsed == [(lineno, list(s), sc) for lineno, (s, sc) in zip((1, 4, 7), pairs)]
 
 
 @pytest.mark.parametrize("lines,lineno", [

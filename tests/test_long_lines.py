@@ -83,7 +83,7 @@ def corpus(tmp_path_factory):
 def test_align_on_a_long_line(corpus):
     root, src, gold, files = corpus
     _run(root, "align", files["pairs"], "--format", "m2", "-o", "out.m2")
-    [(block_src, script)] = E.load_m2_file(str(root / "out.m2"))
+    [(_, block_src, script)] = E.load_m2_file(str(root / "out.m2"))
     assert block_src == src
     assert E.apply_edits(src, script) == gold
     _run(root, "align", files["pairs"], "-o", "out.json")
@@ -122,7 +122,7 @@ def test_score_on_a_long_line(corpus):
     root, src, gold, files = corpus
     _run(root, "score", files["hyp"], files["gold"], "-o", "score.json")
     result = json.loads((root / "score.json").read_text(encoding="utf-8"))
-    [(_, hyp)] = E.load_m2_file(str(files["hyp"]))
-    [(_, ref)] = E.load_m2_file(str(files["gold"]))
+    [(_, _, hyp)] = E.load_m2_file(str(files["hyp"]))
+    [(_, _, ref)] = E.load_m2_file(str(files["gold"]))
     assert result["tp"] + result["fp"] == len(hyp)
     assert result["tp"] + result["fn"] == len(ref)

@@ -111,6 +111,13 @@ def test_yield_mismatch_is_an_error():
         project(tree, E.EditScript(), ["dog"])
 
 
+def test_malformed_script_is_an_error():
+    tree = T.parse_bracketed("(S (NP (NN x)) (VP (VB b)))")
+    script = E.EditScript((E.Edit(E.SUB, 0, 2, ("a", "b"), ("x",)),))
+    with pytest.raises(ValueError, match="bad SUB shape at 0"):
+        project(tree, script, ["a", "b"])
+
+
 def test_target_tree_with_pseudo_nodes_is_an_error():
     tree = T.parse_bracketed("(S (NP (SUB (DT a))) (NN cat))")
     with pytest.raises(ValueError, match="SUB"):
