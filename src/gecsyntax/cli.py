@@ -249,14 +249,26 @@ def _out_stream(path: str | None):
         raise
 
 
+def _align_m2_blocks(pairs: Iterable[tuple], path: str) -> Iterator[tuple]:
+    """``(source, script)`` per ``(lineno, source, target)`` pair; a replacement
+    token holding ``|||`` splits its ``A`` line, so it is a :class:`FormatError`."""
+    for lineno, src, tgt in pairs:
+        script = ed.align(src, tgt)
+        bad = [tok for e in script for tok in e.tgt_tokens if "|||" in tok]
+        if bad:
+            raise FormatError(f"target token {bad[0]!r} contains '|||', "
+                              "which an .m2 'A' line cannot hold", lineno, path)
+        yield src, script
+
+
 def cmd_align(args) -> int:
-    pairs = (parse_tsv_line(line, lineno, args.parallel)
+    pairs = ((lineno, *parse_tsv_line(line, lineno, args.parallel))
              for lineno, line in enumerate(read_lines(args.parallel), start=1))
     with _out_stream(args.output) as out:
         if args.format == "m2":
-            ed.write_m2(((src, ed.align(src, tgt)) for src, tgt in pairs), out)
+            ed.write_m2(_align_m2_blocks(pairs, args.parallel), out)
         else:
-            for src, tgt in pairs:
+            for _, src, tgt in pairs:
                 out.write(ed.script_to_json(ed.align(src, tgt)) + "\n")
     return 0
 

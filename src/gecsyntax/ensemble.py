@@ -172,9 +172,9 @@ def train(candidates: Iterable[EditCandidate] = (), labels: Iterable[float] = ()
 
 def select_edits(candidates: Sequence[EditCandidate],
                  model: LogRegModel) -> list[EditCandidate]:
-    """Keep candidates scoring at or above the threshold, then resolve
-    span conflicts greedily by descending score (ties: leftmost span,
-    then SUB > RED > MISS).
+    """Keep candidates scoring at or above the threshold, take them by
+    descending score (ties: leftmost span, SUB > RED > MISS, replacement)
+    unless they conflict with one already taken, and return them in that order.
 
     Two MISS edits conflict at the same point, and two SUB/RED edits when
     their spans share a source position; a MISS never conflicts with a
@@ -202,7 +202,6 @@ def select_edits(candidates: Sequence[EditCandidate],
                 continue
             covered.update(span)
         chosen.append(cand)
-    chosen.sort(key=lambda c: (c.edit.i, _CATEGORY_ORDER[c.edit.category]))
     return chosen
 
 

@@ -29,7 +29,7 @@ from itertools import repeat
 from typing import Sequence
 
 from . import tree as T
-from .edits import MISS, RED, SUB, EditScript, apply_edits, make_script
+from .edits import MISS, RED, SUB, EditScript, make_script
 
 PLACEMENTS = ("below", "above")
 
@@ -115,13 +115,6 @@ class _Copy:
             parent.children.pop(_index_of(parent, node))
 
 
-def _nearest_left(src_node: dict[int, T.Terminal], pos: int) -> int:
-    for q in range(pos, -1, -1):
-        if q in src_node:
-            return q
-    raise ValueError("no source word available to anchor the edit")
-
-
 def project(
     target_tree: T.NonTerminal,
     script: EditScript,
@@ -133,16 +126,45 @@ def project(
     Requires a valid script in any order, ``yield(target_tree) ==
     apply_edits(src_tokens, script)`` and a target tree free of SUB/RED/MISS
     nodes; raises ``ValueError`` otherwise.  An empty script returns a
-    structurally identical tree.
+    structurally identical tree.  One walk over the ordered script checks
+    it against the source and the tree's words; a second, right to left,
+    makes the edits.
     """
     if placement not in PLACEMENTS:
         raise ValueError(f"placement must be one of {PLACEMENTS}")
     src_tokens = list(src_tokens)
+    n = len(src_tokens)
     if not src_tokens and len(script):
         raise ValueError("empty source sentence with a non-empty edit script")
     tree = _Copy(target_tree)
     edits = make_script(script).edits
-    expected = apply_edits(src_tokens, edits)
+    # The yield the script asks for; per source position the copy's word (None
+    # under a RED); per MISS point the words it deletes; the rightmost kept one.
+    # Slices, not indexes, let a tree with too few words reach the yield check.
+    expected: list[str] = []
+    src_node: list[T.Terminal | None] = []
+    miss_words: dict[int, list[T.Terminal]] = {}
+    rightmost = -1
+    sp = 0
+    for e in edits:
+        if e.i < 0 or e.j > n:
+            raise ValueError(f"edit span [{e.i},{e.j}) out of range for {n} tokens")
+        tp = len(expected)
+        expected += src_tokens[sp:e.i]
+        expected += e.tgt_tokens
+        kept = (e.j if e.category == SUB else e.i) - sp
+        src_node += tree.words[tp:tp + kept]
+        if kept:
+            rightmost = sp + kept - 1
+        if e.category == RED:
+            src_node.append(None)
+        elif e.category == MISS:
+            miss_words[e.i] = tree.words[tp + kept:len(expected)]
+        sp = e.j
+    src_node += tree.words[len(expected):]
+    expected += src_tokens[sp:]
+    if sp < n:
+        rightmost = n - 1
     got = [t.token for t in tree.words]
     if got != expected:
         raise ValueError(
@@ -150,51 +172,29 @@ def project(
             f"{got!r} vs {expected!r}"
         )
 
-    # Map source positions to their terminals in the copy and find the target
-    # positions each MISS edit will delete.
-    src_node: dict[int, T.Terminal] = {}
-    miss_positions: dict[int, list[int]] = {}
-    sp = tp = 0
-    for e in edits:
-        while sp < e.i:
-            src_node[sp] = tree.words[tp]
-            sp += 1
-            tp += 1
-        if e.category == SUB:
-            src_node[sp] = tree.words[tp]
-            sp += 1
-            tp += 1
-        elif e.category == RED:
-            sp += 1
-        else:  # MISS
-            miss_positions[e.i] = list(range(tp, tp + len(e.tgt_tokens)))
-            tp += len(e.tgt_tokens)
-    while sp < len(src_tokens):
-        src_node[sp] = tree.words[tp]
-        sp += 1
-        tp += 1
-
     inserted: list[tuple[str, int]] = []
-    n = len(src_tokens)
-    # Right to left so sibling insertions for chained redundant words stack
-    # correctly; at one position SUB/RED land before MISS so MISS wraps them.
+    # Right to left, so chained RED words stack as siblings and at one position
+    # SUB/RED land before the MISS that wraps them.  An edit's anchor is its
+    # own word (SUB, MISS) or its right neighbour (RED); past the end sits the
+    # rightmost kept word, and no RED word is right of it yet.
+    src_node.append(src_node[rightmost] if rightmost >= 0 else None)
     for e in reversed(edits):
+        if e.category == MISS:
+            for word in miss_words[e.i]:
+                tree.delete_word(word)
+        anchor = src_node[e.i + (e.category == RED)]
+        if anchor is None:
+            raise ValueError("no source word available to anchor the edit")
         if e.category == SUB:
-            term = src_node[e.i]
-            term.token = src_tokens[e.i]
-            tree.mark(term, SUB, placement)
+            anchor.token = src_tokens[e.i]
+            tree.mark(anchor, SUB, placement)
             inserted.append((SUB, e.i))
         elif e.category == RED:
-            last = e.i == n - 1
-            anchor = src_node[_nearest_left(src_node, e.i - 1) if last else e.i + 1]
-            src_node[e.i] = tree.insert_red(anchor, src_tokens[e.i], before=not last)
+            src_node[e.i] = tree.insert_red(anchor, src_tokens[e.i], before=e.i < n - 1)
             inserted.append((RED, e.i))
-        else:  # MISS
-            for tpos in miss_positions[e.i]:
-                tree.delete_word(tree.words[tpos])
-            apos = e.i if e.i < n else _nearest_left(src_node, n - 1)
-            tree.mark(src_node[apos], MISS, placement)
-            inserted.append((MISS, apos))
+        else:
+            tree.mark(anchor, MISS, placement)
+            inserted.append((MISS, e.i if e.i < n else rightmost))
 
     result = tree.top.children[0]
     if T.yield_tokens(result) != src_tokens:

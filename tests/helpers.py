@@ -437,7 +437,7 @@ def select_edits_oracle(scored, threshold):
     SUB, RED, MISS, then replacement); one is skipped when it conflicts
     with any candidate already taken.  Two MISS edits conflict at the same
     point, two SUB/RED edits when their spans overlap.  Returns the chosen
-    candidates by span start, then category.
+    candidates in the order they were taken.
     """
     rank = {"SUB": 0, "RED": 1, "MISS": 2}
 
@@ -453,7 +453,7 @@ def select_edits_oracle(scored, threshold):
     for _, cand in kept:
         if not any(conflict(cand.edit, c.edit) for c in chosen):
             chosen.append(cand)
-    return sorted(chosen, key=lambda c: (c.edit.i, rank[c.edit.category]))
+    return chosen
 
 
 # --- ensemble corpus ----------------------------------------------------

@@ -71,6 +71,23 @@ def test_align_m2_output_feeds_score(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["F05"] == 1.0
 
 
+def test_align_m2_refuses_a_replacement_holding_the_separator(tmp_path, capsys):
+    # An 'A' line splits on '|||', so a replacement token holding it would
+    # write a block that the reader rejects.  A kept token holding it goes
+    # only on the 'S' line, which reads back.
+    parallel = tmp_path / "pairs.tsv"
+    parallel.write_text("p|||q c\tp|||q d\na b c\ta x|||y c\n", encoding="utf-8")
+    m2 = tmp_path / "h.m2"
+    assert main(["align", str(parallel), "--format", "m2", "-o", str(m2)]) == 2
+    assert f"{parallel}:line 2: target token 'x|||y' contains '|||'" \
+        in capsys.readouterr().err
+    assert not m2.exists()
+    assert main(["align", str(parallel), "-o", str(tmp_path / "h.jsonl")]) == 0
+    parallel.write_text("p|||q c\tp|||q d\n", encoding="utf-8")
+    assert main(["align", str(parallel), "--format", "m2", "-o", str(m2)]) == 0
+    assert main(["score", str(m2), str(m2)]) == 0
+
+
 def test_project_command_identity(tmp_path, capsys):
     parallel = tmp_path / "p.tsv"
     parallel.write_text("a cat\ta cat\n", encoding="utf-8")

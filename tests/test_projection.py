@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -107,8 +108,34 @@ def test_stacked_miss_and_sub_on_one_word():
 
 def test_yield_mismatch_is_an_error():
     tree = T.parse_bracketed("(S (NN cat))")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"target tree yield does not match "
+                       r"apply\(src, script\): \['cat'\] vs \['dog'\]"):
         project(tree, E.EditScript(), ["dog"])
+
+
+def test_out_of_range_span_is_an_error():
+    tree = T.parse_bracketed("(S (X a) (Y x))")
+    with pytest.raises(ValueError, match=r"edit span \[5,5\) out of range for 1 tokens"):
+        project(tree, E.EditScript((E.miss(5, ["x"]),)), ["a"])
+
+
+@pytest.mark.parametrize("edits", [
+    [E.miss(0, ["x"]), E.red(0, "a"), E.red(1, "b"), E.miss(2, ["y"])],
+    [E.miss(0, ["x", "y"]), E.red(0, "a"), E.red(1, "b")],
+], ids=["miss-at-end", "red-at-end"])
+def test_no_kept_word_to_anchor_the_end_is_an_error(edits):
+    with pytest.raises(ValueError, match="no source word available to anchor the edit"):
+        proj("(S (X x) (Y y))", edits, ["a", "b"])
+
+
+def test_project_checks_its_script_once(monkeypatch):
+    calls = []
+    check = E.check_script
+    monkeypatch.setattr(E, "check_script", lambda edits: calls.append(1) or check(edits))
+    tree = T.parse_bracketed("(S (DT a) (NN cat) (VB sat))")
+    script = E.EditScript((E.red(3, "the"), E.sub(1, "dog", "cat")))
+    project(tree, script, ["a", "dog", "sat", "the"])
+    assert len(calls) == 1
 
 
 def test_malformed_script_is_an_error():
@@ -126,7 +153,8 @@ def test_target_tree_with_pseudo_nodes_is_an_error():
 
 def test_empty_source_with_script_is_an_error():
     tree = T.parse_bracketed("(S (NN cat))")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="empty source sentence with a non-empty edit script"):
         project(tree, E.make_script([E.miss(0, ["cat"])]), [])
 
 
@@ -214,6 +242,29 @@ def test_randomized_projection_properties(placement):
         nts_s, terms_s = _count_nodes(stripped)
         assert nts_s == nts_p - sum(counts.values())
         assert terms_s == terms_p - counts["RED"]
+
+
+# SHA-256 of the serialized trees and ``inserted`` lists of 1,000 seeded
+# projections per placement.  The other projection tests check yields and
+# counts; these pin every tree shape and anchor.
+PROJECTION_DIGESTS = {
+    "below": "eef0bc6b0343b7bf446b00577624c99065b473c091c827d251b755e445f01c5f",
+    "above": "772412449ee32d8412bc6ece6c1daafb5e038f9c2c338ec91e2afb4a9fb414b3",
+}
+
+
+@pytest.mark.parametrize("placement", ["below", "above"])
+def test_projections_match_their_recorded_digest(placement):
+    rng = random.Random(61)
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        src = random_tokens(rng, rng.randint(1, 12), SRC_VOCAB)
+        script = random_script(src, rng, SRC_VOCAB, force_empty_prob=0.05)
+        target_tree = random_tree(E.apply_edits(src, script), rng)
+        result = project(target_tree, script, src, placement=placement)
+        digest.update(f"{T.serialize(result.source_tree)}\t{result.inserted}\n"
+                      .encode("utf-8"))
+    assert digest.hexdigest() == PROJECTION_DIGESTS[placement]
 
 
 def test_sub_only_scripts_strip_back_to_target():
