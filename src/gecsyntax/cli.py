@@ -42,9 +42,9 @@ of range is rejected by the argument parser before any file is opened.
 Exit codes: 0 on success, 2 on input-format errors (reported with line
 numbers), on a flag the parser rejects, on training that diverges,
 when memory runs out and when a worker process ends abruptly, 1 when a
-numeric self-check fails.  Set ``CSYN_LOG`` to a level name (debug,
-info, warning, ...) for diagnostics on stderr; any other value means
-warning.
+numeric self-check fails, 141 when the reader of standard output closes
+it early.  Set ``CSYN_LOG`` to a level name (debug, info, warning, ...)
+for diagnostics on stderr; any other value means warning.
 
 Only ``gcn-check``, ``ensemble-train`` and ``ensemble-apply`` import
 numpy, inside the command; the other commands start without it.
@@ -569,6 +569,14 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed standard output: end quietly with the status a
+        # producer killed by SIGPIPE gives, and let the interpreter's last
+        # flush of the output still buffered go nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)
         return 2

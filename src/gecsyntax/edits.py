@@ -57,6 +57,13 @@ class Edit(NamedTuple):
         """Unit cost: 1 per substituted/deleted word, 1 per inserted word."""
         return len(self.tgt_tokens) if self.category == MISS else 1
 
+    @property
+    def slot(self) -> int:
+        """Where the edit sits: the gap before source word ``i`` is slot
+        ``2i`` and word ``i`` is slot ``2i + 1``.  A MISS takes its gap, a
+        SUB or RED its word; no two edits of a script share a slot."""
+        return 2 * self.i + (self.category != MISS)
+
     def identity(self) -> tuple:
         """Equality key used for pooling edits across systems."""
         return (self.category, self.i, self.j, self.tgt_tokens)
@@ -76,7 +83,8 @@ def miss(i: int, tgt_tokens: Sequence[str]) -> Edit:
 
 @dataclass(frozen=True, slots=True)
 class EditScript:
-    """Edits ordered by span start; at equal start a MISS precedes SUB/RED.
+    """Edits in slot order (:attr:`Edit.slot`): by span start, and at equal
+    start a MISS before the SUB or RED.
 
     That is the order :func:`make_script` and :func:`align` give; the class
     itself enforces neither the order nor any rule of :func:`check_script`.
@@ -101,13 +109,9 @@ class EditScript:
         return counts
 
 
-def _script_key(edit: Edit) -> tuple:
-    return (edit.i, 0 if edit.category == MISS else 1, edit.j)
-
-
 def _ordered(edits: Iterable[Edit]) -> tuple[Edit, ...]:
-    """``edits`` in script order; ``ValueError`` unless they form a valid script."""
-    ordered = tuple(sorted(edits, key=_script_key))
+    """``edits`` in slot order; ``ValueError`` unless they form a valid script."""
+    ordered = tuple(sorted(edits, key=Edit.slot.fget))
     problems = check_script(ordered)
     if problems:
         raise ValueError("invalid edit script: " + "; ".join(problems))
@@ -120,9 +124,11 @@ def make_script(edits: Iterable[Edit]) -> EditScript:
 
 
 def check_script(edits: Sequence[Edit]) -> list[str]:
+    """Why ``edits`` are not a valid script, empty if they are: an edit
+    without its category's shape, or one in an :attr:`Edit.slot` already
+    taken (``two MISS edits at point i``, ``overlapping span at i``)."""
     problems = []
-    miss_points = set()
-    last_end = -1
+    taken = set()
     for e in edits:
         if e.category == SUB and not (e.j == e.i + 1 and len(e.tgt_tokens) == 1):
             problems.append(f"bad SUB shape at {e.i}")
@@ -132,14 +138,11 @@ def check_script(edits: Sequence[Edit]) -> list[str]:
             problems.append(f"bad MISS shape at {e.i}")
         elif e.category not in CATEGORIES:
             problems.append(f"unknown category {e.category!r}")
-        if e.category == MISS:
-            if e.i in miss_points:
-                problems.append(f"two MISS edits at point {e.i}")
-            miss_points.add(e.i)
-        else:
-            if e.i < last_end:
-                problems.append(f"overlapping span at {e.i}")
-            last_end = e.j
+        slot = e.slot
+        if slot in taken:
+            problems.append(f"two MISS edits at point {e.i}" if e.category == MISS
+                            else f"overlapping span at {e.i}")
+        taken.add(slot)
     return problems
 
 

@@ -174,11 +174,9 @@ def select_edits(candidates: Sequence[EditCandidate],
                  model: LogRegModel) -> list[EditCandidate]:
     """Keep candidates scoring at or above the threshold, take them by
     descending score (ties: leftmost span, SUB > RED > MISS, replacement)
-    unless they conflict with one already taken, and return them in that order.
-
-    Two MISS edits conflict at the same point, and two SUB/RED edits when
-    their spans share a source position; a MISS never conflicts with a
-    SUB/RED edit.
+    unless one already taken holds their ``Edit.slot``, and return them in
+    that order.  So two MISS edits conflict at one point, and two SUB/RED
+    edits on one word, the only width :func:`gather` gives them.
     """
     if not candidates:
         return []
@@ -188,20 +186,12 @@ def select_edits(candidates: Sequence[EditCandidate],
                                 _CATEGORY_ORDER[item[1].edit.category],
                                 item[1].edit.tgt_tokens))
     chosen: list[EditCandidate] = []
-    points: set[int] = set()   # points of chosen MISS edits
-    covered: set[int] = set()  # source positions under chosen SUB/RED spans
+    taken: set[int] = set()  # slots of the chosen edits
     for _, cand in kept:
-        edit = cand.edit
-        if edit.category == MISS:
-            if edit.i in points:
-                continue
-            points.add(edit.i)
-        else:
-            span = range(edit.i, edit.j)
-            if not covered.isdisjoint(span):
-                continue
-            covered.update(span)
-        chosen.append(cand)
+        slot = cand.edit.slot
+        if slot not in taken:
+            taken.add(slot)
+            chosen.append(cand)
     return chosen
 
 
@@ -239,7 +229,7 @@ def model_from_dict(data: dict) -> LogRegModel:
 
 def load_model(path: str) -> LogRegModel:
     """Read a model file; :class:`FormatError` with the path if it is not one."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             # Integers are read as floats, so a long one cannot overflow.
             return model_from_dict(json.load(fh, parse_int=float))

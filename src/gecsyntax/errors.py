@@ -11,9 +11,9 @@ class FormatError(ValueError):
     def __init__(self, message, lineno=None, path=None):
         self.lineno = lineno
         self.path = path
-        prefix = ""
-        if path is not None:
-            prefix += f"{path}:"
+        prefix = "" if path is None else f"{path}:"
         if lineno is not None:
             prefix += f"line {lineno}: "
+        elif prefix:
+            prefix += " "
         super().__init__(prefix + message)

@@ -281,6 +281,29 @@ def apply_edits_oracle(src, edits) -> list[str]:
     return out
 
 
+def script_oracle(edits):
+    """The edit-script rule, pair by pair: ``None`` unless every edit has
+    its category's shape (SUB: one source word and one replacement word,
+    RED: one source word and none, MISS: an empty span and one or more
+    words), no two MISS edits share a point and no two SUB/RED spans
+    overlap; otherwise the edits ordered by span start, a MISS first.
+    ``edits`` are ``(category, i, j, src_tokens, tgt_tokens)`` tuples;
+    uses nothing from the library."""
+    shapes = {"SUB": lambda i, j, tgt: j == i + 1 and len(tgt) == 1,
+              "RED": lambda i, j, tgt: j == i + 1 and len(tgt) == 0,
+              "MISS": lambda i, j, tgt: j == i and len(tgt) > 0}
+    for category, i, j, _, tgt in edits:
+        if category not in shapes or not shapes[category](i, j, tgt):
+            return None
+    for a, b in itertools.combinations(edits, 2):
+        if a[0] == b[0] == "MISS":
+            if a[1] == b[1]:
+                return None
+        elif "MISS" not in (a[0], b[0]) and a[1] < b[2] and b[1] < a[2]:
+            return None
+    return sorted(edits, key=lambda e: (e[1], e[0] != "MISS"))
+
+
 def random_pair(rng: random.Random, vocab, max_len=12):
     src = random_tokens(rng, rng.randint(1, max_len), vocab)
     script = random_script(src, rng, vocab)

@@ -338,11 +338,13 @@ def test_ensemble_train_and_apply(tmp_path, capsys):
     assert corrected == gold_lines
 
 
-@pytest.mark.parametrize("model_text", [
-    '{"weights": [0, 0, 0, 0, 0], "bias": 0}',   # two systems need 6 weights
-    '{"weights": [0, 0, 0, 0, 0, 0], "bi',        # truncated
+@pytest.mark.parametrize("model_text,message", [
+    # Two systems need 6 weights.
+    ('{"weights": [0, 0, 0, 0, 0], "bias": 0}', "5 weights do not fit 2 hypothesis files"),
+    ('{"weights": [0, 0, 0, 0, 0, 0], "bi',
+     "bad model file: Unterminated string starting at: line 1 column 33 (char 32)"),
 ], ids=["weight-count", "truncated-json"])
-def test_ensemble_apply_bad_model_is_exit_2(tmp_path, capsys, model_text):
+def test_ensemble_apply_bad_model_is_exit_2(tmp_path, capsys, model_text, message):
     paths = []
     for name in ("src", "h1", "h2"):
         paths.append(tmp_path / f"{name}.txt")
@@ -350,8 +352,8 @@ def test_ensemble_apply_bad_model_is_exit_2(tmp_path, capsys, model_text):
     model = tmp_path / "model.json"
     model.write_text(model_text, encoding="utf-8")
     assert main(["ensemble-apply", *map(str, paths), str(model)]) == 2
-    err = capsys.readouterr().err
-    assert f"error: {model}:" in err and "Traceback" not in err
+    # A file without a line number is named as "path: message".
+    assert capsys.readouterr().err == f"error: {model}: {message}\n"
 
 
 def test_ensemble_train_source_mismatch_is_exit_2(tmp_path, capsys):
@@ -787,6 +789,23 @@ def test_pool_worker_killed_is_exit_2(tmp_path, monkeypatch, capsys, command):
     assert not out.exists() and not summary.exists()
 
 
+@pytest.mark.parametrize("command", ["align", "project"])
+def test_a_reader_closing_standard_output_is_exit_141(tmp_path, command):
+    # 1,000 rows: `project` runs them in more than one batch, pooled where
+    # there is more than one CPU, and each command writes about 200 KB, far
+    # more than a pipe holds, so it writes again after the reader has gone.
+    pairs, trees, _ = _write_treebank_corpus(tmp_path, 1000, seed=29)
+    args = [pairs] if command == "align" else [pairs, trees]
+    proc = subprocess.Popen([sys.executable, "-m", "gecsyntax.cli", command, *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=child_env())
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def _break_row(command, path, bad):
     """Puts an input error in row ``bad`` of ``path``, the file that
     :func:`_batched_inputs` names; gives the error reported."""
@@ -1168,6 +1187,58 @@ def test_read_lines_splits_and_decodes_as_a_utf8_reader(tmp_path):
         expected = [line.rstrip("\n") for line in fh]
     assert list(read_lines(str(path))) == expected
     assert expected == ["caf\u00e9", "a\u2028b", "c\x85d\x0ce", "\ufeff\u00fc", "", "last"]
+
+
+def test_read_lines_drops_only_the_byte_order_mark_opening_the_file(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes("\ufeff\ufeffa\n\ufeffb\n".encode())
+    assert list(read_lines(str(path))) == ["\ufeffa", "\ufeffb"]
+
+
+def _bom_inputs(root, command):
+    """The input files of ``command`` over a small generated corpus."""
+    if command == "ensemble-apply":
+        src, hyps, _ = _write_ensemble_corpus(root, 30, seed=3)
+        model = _write_lines(root / "model.json", [
+            '{"weights": [1, 1, 1, 0, 0, 0, 0, 0, 0, 0], "bias": -1.5}'])
+        return [src, *hyps, model]
+    if command == "score":
+        sources, golds, hyps = build_ensemble_corpus(seed=3, n_sentences=30)
+        sources = [" ".join(s) for s in sources]
+        return [_write_m2(root / "hyp.m2", sources, map(" ".join, hyps[4])),
+                _write_m2(root / "gold.m2", sources, map(" ".join, golds))]
+    pairs, trees, seg = _write_treebank_corpus(root, 30, seed=5)
+    if command in ("align", "project"):
+        return [pairs, trees][:1 + (command == "project")]
+    source = str(root / "source.trees")
+    assert main(["project", pairs, trees, "-o", source,
+                 "--summary", str(root / "source.json")]) == 0
+    return [source] if command == "strip" else [source, seg]
+
+
+@pytest.mark.parametrize("command,marked", [
+    ("align", 0), ("project", 0), ("project", 1), ("strip", 0), ("subword", 0),
+    ("subword", 1), ("score", 0), ("score", 1), ("ensemble-apply", 0),
+    ("ensemble-apply", -1),
+], ids=["align", "project-pairs", "project-trees", "strip", "subword-trees",
+        "subword-segmentation", "score-hypothesis", "score-gold",
+        "ensemble-apply-source", "ensemble-apply-model"])
+def test_a_byte_order_mark_changes_no_output(tmp_path, capsys, command, marked):
+    inputs = _bom_inputs(tmp_path, command)
+
+    def run(name):
+        out = tmp_path / name
+        argv = [command, *inputs, "-o", str(out)]
+        if command == "project":
+            argv += ["--summary", str(tmp_path / f"{name}.json")]
+        assert main(argv) == 0, capsys.readouterr().err
+        summary = tmp_path / f"{name}.json"
+        return out.read_bytes(), summary.read_bytes() if summary.exists() else None
+
+    plain = run("plain")
+    path = Path(inputs[marked])
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run("marked") == plain
 
 
 def test_errors_are_reported_in_line_order(tmp_path, capsys):

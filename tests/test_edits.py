@@ -14,7 +14,7 @@ from gecsyntax.errors import FormatError
 from tests.helpers import (
     SRC_VOCAB, align_table_oracle, all_sequences, apply_edits_oracle,
     build_ensemble_corpus, child_env, enumerate_scripts, has_vmhwm, levenshtein_scalar,
-    random_pair, random_script, random_tokens,
+    random_pair, random_script, random_tokens, script_oracle,
 )
 
 
@@ -101,6 +101,48 @@ def test_make_script_rejects_invalid():
         E.make_script([E.miss(0, ["x"]), E.miss(0, ["y"])])
     with pytest.raises(ValueError):
         E.make_script([E.Edit(E.SUB, 0, 2, ("a", "b"), ("c",))])
+
+
+def _random_edit_list(rng):
+    """Edits over a short source, shuffled: a valid script, perhaps with
+    a duplicate, an edit at a random place, an edit of random shape or one
+    of an unknown category added."""
+    n = rng.randint(1, 6)
+    edits = []
+    for i in range(n + 1):
+        if rng.random() < 0.3:
+            edits.append(E.miss(i, ["m"] * rng.randint(1, 2)))
+        if i < n and rng.random() < 0.4:
+            edits.append(rng.choice([E.sub(i, "w", "x"), E.red(i, "w")]))
+    i = rng.randint(0, n)
+    extra = rng.randrange(6)
+    if extra == 1 and edits:
+        edits.append(rng.choice(edits))
+    elif extra == 2:
+        edits.append(rng.choice([E.miss(i, ["y"]), E.sub(i, "w", "y"), E.red(i, "w")]))
+    elif extra == 3:
+        j = rng.randint(i - 1, i + 2)
+        edits.append(E.Edit(rng.choice(E.CATEGORIES), i, j, ("w",) * max(j - i, 0),
+                            ("y",) * rng.randint(0, 2)))
+    elif extra == 4:
+        edits.append(E.Edit("XXX", i, i + 1, ("w",), ()))
+    rng.shuffle(edits)
+    return edits
+
+
+def test_make_script_accepts_exactly_the_pairwise_rule():
+    rng = random.Random(37)
+    valid = 0
+    for _ in range(20_000):
+        edits = _random_edit_list(rng)
+        want = script_oracle(edits)
+        if want is None:
+            with pytest.raises(ValueError, match="invalid edit script"):
+                E.make_script(edits)
+        else:
+            assert E.make_script(edits).edits == tuple(want)
+            valid += 1
+    assert 5_000 < valid < 15_000, valid
 
 
 def test_make_script_orders_miss_before_sub():

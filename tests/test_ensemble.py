@@ -324,13 +324,13 @@ def test_select_edits_matches_per_candidate_scoring(seed):
 
 def _random_candidate(rng, n):
     """A candidate over ``n`` source tokens from two systems: a MISS, or a
-    SUB/RED span of one to three tokens."""
+    one-word SUB/RED, the shapes :func:`gather` gives."""
     category = rng.choice(E.CATEGORIES)
     if category == E.MISS:
         i = j = rng.randint(0, n)
     else:
         i = rng.randrange(n)
-        j = min(n, i + rng.choice((1, 1, 1, 2, 3)))
+        j = i + 1
     tgt = () if category == E.RED else (rng.choice("xyz"),)
     return EditCandidate(E.Edit(category, i, j, ("s",) * (j - i), tgt),
                          (rng.randint(0, 1), rng.randint(0, 1)))
