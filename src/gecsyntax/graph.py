@@ -90,20 +90,17 @@ def build_graph_dep(heads: Sequence[int]) -> SyntaxGraph:
     for h in heads:
         if not 0 <= h <= n:
             raise ValueError(f"head index {h} out of range for {n} tokens")
-    # A single-rooted, (n-1)-edge head assignment is a tree iff every token
-    # reaches the root without revisiting a node.  mark[i] is start + 1
-    # while the walk from start passes token i, and -1 once i is known to
-    # reach the root, so each token is walked at most twice.
-    mark = [0] * n
-    for start in range(n):
-        i = start
-        while mark[i] == 0 and heads[i] != 0:
-            mark[i] = start + 1
-            i = heads[i] - 1
-        if mark[i] == start + 1:
-            raise ValueError("dependency heads contain a cycle")
-        i = start
-        while mark[i] == start + 1:
-            mark[i] = -1
-            i = heads[i] - 1
+    # Each token has one head, so the heads form a tree iff one walk down
+    # from head 0 reaches every token; a token on a cycle is never reached.
+    children: list[list[int]] = [[] for _ in range(n + 1)]
+    for token, h in enumerate(heads, start=1):
+        children[h].append(token)
+    stack = [0]
+    reached = 0
+    while stack:
+        below = children[stack.pop()]
+        reached += len(below)
+        stack.extend(below)
+    if reached != n:
+        raise ValueError("dependency heads contain a cycle")
     return SyntaxGraph(n, [], [h - 1 for h in heads])

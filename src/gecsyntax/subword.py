@@ -47,11 +47,25 @@ def to_subword_tree(
 ) -> T.NonTerminal:
     """Replace each terminal with its subword pieces as sibling terminals.
 
-    The segmentation must cover the tree's yield exactly: one non-empty
-    piece list per word, reassembling (by the marker convention) to that
-    word.  Non-terminal structure is unchanged.
+    The segmentation must cover the tree's yield exactly: one piece list
+    per word, each non-empty and reassembling (by the marker convention)
+    to its word, checked in that order after the one walk that builds the
+    result and collects the words.  Non-terminal structure is unchanged.
     """
-    words = T.yield_tokens(root)
+    result = T.NonTerminal(root.label, [])
+    words: list[str] = []
+    stack = list(zip(reversed(root.children), repeat(result.children)))
+    while stack:
+        node, siblings = stack.pop()
+        if isinstance(node, T.Terminal):
+            if len(words) < len(segmentation):
+                siblings.extend(map(T.Terminal, segmentation[len(words)]))
+            words.append(node.token)
+        else:
+            made = T.NonTerminal(node.label, [])
+            siblings.append(made)
+            stack.extend(zip(reversed(node.children), repeat(made.children)))
+
     if len(segmentation) != len(words):
         raise ValueError(
             f"segmentation covers {len(segmentation)} words, tree has {len(words)}"
@@ -65,20 +79,6 @@ def to_subword_tree(
                 f"subword pieces {list(pieces)!r} reassemble to {rebuilt!r}, "
                 f"expected {word!r}"
             )
-
-    result = T.NonTerminal(root.label, [])
-    word = 0
-    stack = list(zip(reversed(root.children), repeat(result.children)))
-    while stack:
-        node, siblings = stack.pop()
-        if isinstance(node, T.Terminal):
-            for piece in segmentation[word]:
-                siblings.append(T.Terminal(piece))
-            word += 1
-        else:
-            made = T.NonTerminal(node.label, [])
-            siblings.append(made)
-            stack.extend(zip(reversed(node.children), repeat(made.children)))
     return result
 
 

@@ -32,12 +32,34 @@ class Terminal:
     token: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class NonTerminal:
-    """A labeled constituent with an ordered, non-empty list of children."""
+    """A labeled constituent with an ordered, non-empty list of children.
+
+    Trees compare by structure and print in bracketed form, by walks that
+    do not recurse, so any depth that parses also compares and prints.
+    """
 
     label: str
     children: list["Node"] = field(default_factory=list)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NonTerminal):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            for x, y in zip(a.children, b.children):
+                if isinstance(x, NonTerminal) and isinstance(y, NonTerminal):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        return f"NonTerminal({serialize(self)!r})"
 
 
 Node = Union[Terminal, NonTerminal]

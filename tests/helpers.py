@@ -310,6 +310,45 @@ def random_pair(rng: random.Random, vocab, max_len=12):
     return src, apply_edits(src, script)
 
 
+# --- subword oracle -----------------------------------------------------
+
+def subword_tree_oracle(root, segmentation, marker="@@", style="prefix"):
+    """The subword tree, or the ``ValueError`` text, in two passes: read
+    the words off the tree and check them (count, then each word in order,
+    empty before mis-joined), then rebuild the tree with each word's
+    pieces in its place.  Joins pieces with its own rule and uses nothing
+    from ``gecsyntax.subword``."""
+    def words_of(node):
+        if isinstance(node, T.Terminal):
+            return [node.token]
+        return [w for child in node.children for w in words_of(child)]
+
+    def join(pieces):
+        if style == "prefix":
+            return pieces[0] + "".join(p.removeprefix(marker) for p in pieces[1:])
+        return "".join(p.removesuffix(marker) for p in pieces[:-1]) + pieces[-1]
+
+    words = words_of(root)
+    if len(words) != len(segmentation):
+        return (f"segmentation covers {len(segmentation)} words, "
+                f"tree has {len(words)}")
+    for word, pieces in zip(words, segmentation):
+        if len(pieces) == 0:
+            return f"empty subword list for word {word!r}"
+        if join(pieces) != word:
+            return (f"subword pieces {list(pieces)!r} reassemble to "
+                    f"{join(pieces)!r}, expected {word!r}")
+    groups = iter(segmentation)
+
+    def rebuild(node):
+        if isinstance(node, T.Terminal):
+            return [T.Terminal(p) for p in next(groups)]
+        return [T.NonTerminal(node.label,
+                              [n for child in node.children for n in rebuild(child)])]
+
+    return rebuild(root)[0]
+
+
 # --- graph oracles ------------------------------------------------------
 
 def neighbour_lists(parent) -> list[list[int]]:
@@ -351,6 +390,46 @@ def tree_edges_oracle(text: str) -> tuple[int, list[str], set[tuple[int, int]]]:
             edges.add((word, open_ids[-1]))
             word += 1
     return num_terminals, labels, edges
+
+
+def dep_graph_oracle(heads):
+    """The parent vector of the dependency tree ``heads`` encodes, or the
+    ``ValueError`` text it earns: roots first, then head range, then a
+    cycle, which shows as a token whose heads do not reach head 0 within
+    ``len(heads)`` steps.  Uses nothing from the library."""
+    n = len(heads)
+    roots = [i + 1 for i, h in enumerate(heads) if h == 0]
+    if n and not roots:
+        return "dependency heads contain no root"
+    if len(roots) > 1:
+        return f"multiple roots at tokens {roots}"
+    for h in heads:
+        if h < 0 or h > n:
+            return f"head index {h} out of range for {n} tokens"
+    for start in range(1, n + 1):
+        token = start
+        for _ in range(n):
+            if token == 0:
+                break
+            token = heads[token - 1]
+        if token != 0:
+            return "dependency heads contain a cycle"
+    return [h - 1 for h in heads]
+
+
+def random_heads(rng: random.Random, max_tokens=8) -> list[int]:
+    """Head lists of 0..``max_tokens`` tokens: trees, perhaps with one head
+    moved (a cycle, a second root, an out-of-range head), or any ints."""
+    n = rng.randint(0, max_tokens)
+    if rng.random() < 0.3:
+        return [rng.randint(-1, n + 1) for _ in range(n)]
+    order = rng.sample(range(1, n + 1), n)
+    heads = [0] * n
+    for k, token in enumerate(order[1:], start=1):
+        heads[token - 1] = order[rng.randrange(k)]
+    if n and rng.random() < 0.6:
+        heads[rng.randrange(n)] = rng.randint(-1, n + 1)
+    return heads
 
 
 def dense_adjacency(n: int, edges) -> np.ndarray:

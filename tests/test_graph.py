@@ -12,8 +12,8 @@ from gecsyntax.projection import project, strip_pseudo
 from gecsyntax.subword import to_subword_tree
 
 from tests.helpers import (
-    SRC_VOCAB, dense_adjacency, neighbour_lists, random_script, random_tokens,
-    random_tree, tree_edges_oracle,
+    SRC_VOCAB, dense_adjacency, dep_graph_oracle, neighbour_lists, random_heads,
+    random_script, random_tokens, random_tree, tree_edges_oracle,
 )
 
 
@@ -110,6 +110,29 @@ def test_dep_graph_accepts_exactly_the_trees():
                 assert not is_tree, heads
             else:
                 assert is_tree, heads
+
+
+KINDS = ("no root", "multiple roots", "out of range", "cycle")
+
+
+def test_dep_graph_matches_the_head_following_oracle():
+    # Random head lists with cycles, several roots and out-of-range heads:
+    # the same parent vector, or the same error text, as the oracle.
+    rng = random.Random(93)
+    outcomes = set()
+    for _ in range(20_000):
+        heads = random_heads(rng)
+        expected = dep_graph_oracle(heads)
+        try:
+            got = build_graph_dep(heads).parent
+        except ValueError as err:
+            got = str(err)
+        assert got == expected, heads
+        if isinstance(got, list):
+            outcomes.add("tree")
+        else:
+            outcomes.update(k for k in KINDS if k in got)
+    assert outcomes == {"tree", *KINDS}
 
 
 def test_dep_graph_long_chain_builds_in_linear_time():

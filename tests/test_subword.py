@@ -4,10 +4,14 @@ import pytest
 
 from gecsyntax import tree as T
 from gecsyntax.cli import main
+from gecsyntax.edits import apply_edits
 from gecsyntax.errors import FormatError
+from gecsyntax.projection import project
 from gecsyntax.subword import join_pieces, parse_segmentation_line, to_subword_tree
 
-from tests.helpers import SRC_VOCAB, random_tokens, random_tree
+from tests.helpers import (
+    SRC_VOCAB, random_script, random_tokens, random_tree, subword_tree_oracle,
+)
 
 
 def test_identity_segmentation_is_a_no_op():
@@ -107,6 +111,70 @@ def test_structure_counts_and_parent_labels():
         for label, group in zip(before, seg):
             expanded.extend([label] * len(group))
         assert after == expanded
+
+
+def _cut(word, rng, marker, style):
+    """``word`` split at random points, marked by ``marker`` in ``style``."""
+    cuts = sorted(rng.sample(range(1, len(word)), rng.randint(0, len(word) - 1)))
+    bounds = [0, *cuts, len(word)]
+    pieces = [word[a:b] for a, b in zip(bounds, bounds[1:])]
+    if style == "prefix":
+        return pieces[:1] + [marker + p for p in pieces[1:]]
+    return [p + marker for p in pieces[:-1]] + pieces[-1:]
+
+
+def _segmentations(words, rng):
+    """``(segmentation, marker, style)`` cases for one tree's words."""
+    cases = []
+    for marker, style in (("@@", "prefix"), ("@@", "suffix"), ("##", "prefix")):
+        seg = [_cut(w, rng, marker, style) for w in words]
+        cases.append((seg, marker, style))
+    seg = cases[0][0]
+    k = rng.randrange(len(words))
+    wrong = [list(p) for p in seg]
+    wrong[k] = wrong[k][:-1] + [wrong[k][-1] + "x"]
+    empty = [list(p) for p in seg]
+    empty[k] = []
+    cases += [(seg[:-1], "@@", "prefix"), (seg + [["extra"]], "@@", "prefix"),
+              (empty, "@@", "prefix"), (wrong, "@@", "prefix")]
+    if len(words) > 1:   # one word short, and the first piece list empty
+        cases.append(([[]] + seg[2:], "@@", "prefix"))
+    return cases
+
+
+def test_matches_the_two_pass_oracle():
+    # Projected trees (pseudo nodes, unary chains) against valid and broken
+    # segmentations: the same tree, or the same error text, as the oracle.
+    rng = random.Random(57)
+    checked = errors = 0
+    while checked < 1_000:
+        src = random_tokens(rng, rng.randint(1, 10), SRC_VOCAB)
+        script = random_script(src, rng, SRC_VOCAB)
+        tgt = apply_edits(src, script)
+        if not tgt:
+            continue
+        tree = project(random_tree(tgt, rng, unary_prob=0.3), script, src).source_tree
+        for seg, marker, style in _segmentations(T.yield_tokens(tree), rng):
+            expected = subword_tree_oracle(tree, seg, marker, style)
+            try:
+                got = to_subword_tree(tree, seg, marker, style)
+            except ValueError as err:
+                got = str(err)
+                errors += 1
+            assert got == expected, (T.serialize(tree), seg, marker, style)
+            checked += 1
+    assert 0 < errors < checked
+
+
+def test_converts_in_one_walk_of_its_own(monkeypatch):
+    def refuse(root):
+        raise AssertionError("to_subword_tree walks the tree itself")
+
+    monkeypatch.setattr(T, "yield_tokens", refuse)
+    monkeypatch.setattr(T, "terminals", refuse)
+    tree = T.parse_bracketed("(S (NP (DT the) (NN (SUB cat))) (VP (VB sat)))")
+    out = to_subword_tree(tree, [["the"], ["ca", "@@t"], ["s", "@@at"]])
+    assert T.serialize(out) == "(S (NP (DT the) (NN (SUB ca @@t))) (VP (VB s @@at)))"
 
 
 def test_parse_segmentation_line():

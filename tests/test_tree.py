@@ -115,3 +115,13 @@ def bracketed_trees(draw, max_tokens=6):
 @given(bracketed_trees())
 def test_parse_serialize_identity_property(tree):
     assert T.parse_bracketed(T.serialize(tree)) == tree
+
+
+def test_deep_trees_compare_and_print_without_recursion():
+    depth = 100_000
+    text = "(S " * depth + "(X w)" + ")" * depth
+    tree = T.parse_bracketed(text)
+    assert tree == T.parse_bracketed(text)
+    assert tree != T.parse_bracketed(text.replace("(X w)", "(X v)"))
+    assert tree != T.parse_bracketed(text.replace("(X w)", "(Y w)"))
+    assert repr(tree) == f"NonTerminal({text!r})"
