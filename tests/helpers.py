@@ -349,6 +349,29 @@ def subword_tree_oracle(root, segmentation, marker="@@", style="prefix"):
     return rebuild(root)[0]
 
 
+# --- strip oracle -------------------------------------------------------
+
+def strip_pseudo_oracle(root):
+    """The tree without pseudo nodes, or the ``ValueError`` text, by
+    recursion: a RED subtree is dropped, a SUB or MISS node gives way to its
+    children, and a constituent left with no children is dropped; what is
+    left must be one constituent.  Uses nothing from ``gecsyntax.projection``."""
+    def strip(node):
+        if isinstance(node, T.Terminal):
+            return [T.Terminal(node.token)]
+        if node.label == "RED":
+            return []
+        kids = [n for child in node.children for n in strip(child)]
+        if node.label in ("SUB", "MISS"):
+            return kids
+        return [T.NonTerminal(node.label, kids)] if kids else []
+
+    kept = strip(root)
+    if len(kept) != 1 or not isinstance(kept[0], T.NonTerminal):
+        return "stripping pseudo nodes did not leave a single rooted tree"
+    return kept[0]
+
+
 # --- graph oracles ------------------------------------------------------
 
 def neighbour_lists(parent) -> list[list[int]]:

@@ -9,7 +9,10 @@ from gecsyntax import tree as T
 from gecsyntax.cli import main
 from gecsyntax.projection import project, strip_pseudo
 
-from tests.helpers import SRC_VOCAB, random_script, random_tokens, random_tree
+from tests.helpers import (
+    SRC_VOCAB, random_script, random_tokens, random_tree, strip_pseudo_oracle,
+    subword_tree_oracle,
+)
 
 
 def proj(tree_text, edits, src):
@@ -188,6 +191,91 @@ def test_strip_pseudo_promotes_subword_children():
 def test_strip_pseudo_on_everything_pseudo_raises():
     with pytest.raises(ValueError):
         strip_pseudo(T.parse_bracketed("(RED x)"))
+
+
+# Words with brackets in them, written escaped, among the usual ones.
+BRACKET_VOCAB = SRC_VOCAB[:20] + ["(", ")", "a(b", "c)d", "((x"]
+
+
+def _random_trees_with_pseudo_nodes(rng, count):
+    """``count`` random projected trees, each placement in turn, with unary
+    chains and some words holding brackets; then a third as many random
+    trees with SUB, RED and MISS anywhere, the root included."""
+    trees = []
+    while len(trees) < count:
+        src = random_tokens(rng, rng.randint(1, 10), BRACKET_VOCAB)
+        script = random_script(src, rng, BRACKET_VOCAB)
+        tgt = E.apply_edits(src, script)
+        if not tgt:
+            continue
+        placement = ("below", "above")[len(trees) % 2]
+        target = random_tree(tgt, rng, unary_prob=0.3)
+        trees.append(project(target, script, src, placement=placement).source_tree)
+    for _ in range(count // 3):
+        tree = random_tree(random_tokens(rng, rng.randint(1, 6), BRACKET_VOCAB),
+                           rng, unary_prob=0.3)
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, T.NonTerminal):
+                if rng.random() < 0.2:
+                    node.label = rng.choice(("SUB", "RED", "MISS"))
+                stack.extend(node.children)
+        trees.append(tree)
+    return trees
+
+
+def _random_segmentation(rng, words):
+    seg = []
+    for word in words:
+        cut = rng.randint(0, len(word) - 1)
+        seg.append([word[:cut], "@@" + word[cut:]] if cut else [word])
+    return seg
+
+
+def test_strip_pseudo_matches_the_oracle():
+    checked = errors = 0
+    for tree in _random_trees_with_pseudo_nodes(random.Random(71), 1_000):
+        expected = strip_pseudo_oracle(tree)
+        try:
+            got = strip_pseudo(tree)
+        except ValueError as err:
+            got = str(err)
+            errors += 1
+        assert got == expected, T.serialize(tree)
+        checked += 1
+    assert 0 < errors < checked
+
+
+def test_strip_and_subword_commands_match_the_oracles(tmp_path, capsys):
+    rng = random.Random(72)
+    trees = _random_trees_with_pseudo_nodes(rng, 1_000)
+    stripped = [strip_pseudo_oracle(tree) for tree in trees]
+    kept = [tree for tree, out in zip(trees, stripped) if not isinstance(out, str)]
+    rejected = [tree for tree, out in zip(trees, stripped) if isinstance(out, str)]
+    tree_file = tmp_path / "t.trees"
+    tree_file.write_text("".join(T.serialize(t) + "\n" for t in kept), encoding="utf-8")
+
+    assert main(["strip", str(tree_file)]) == 0
+    assert capsys.readouterr().out.splitlines() == \
+        [T.serialize(out) for out in stripped if not isinstance(out, str)]
+
+    one = tmp_path / "one.trees"
+    for tree in rejected:
+        one.write_text(T.serialize(tree) + "\n", encoding="utf-8")
+        assert main(["strip", str(one)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {one}:line 1: stripping pseudo nodes did not leave a single "
+            "rooted tree\n")
+
+    segs = [_random_segmentation(rng, T.yield_tokens(t)) for t in kept]
+    seg_file = tmp_path / "seg.tsv"
+    seg_file.write_text("".join("\t".join(map(" ".join, seg)) + "\n" for seg in segs),
+                        encoding="utf-8")
+    assert main(["subword", str(tree_file), str(seg_file)]) == 0
+    assert capsys.readouterr().out.splitlines() == \
+        [T.serialize(subword_tree_oracle(t, seg)) for t, seg in zip(kept, segs)]
+    assert rejected and len(kept) > 1_000
 
 
 def _count_nodes(root):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gecsyntax import tree as T
+from gecsyntax.cli import main
 from gecsyntax.errors import FormatError
 
 from tests.helpers import SRC_VOCAB, random_tokens, random_tree
@@ -34,19 +35,57 @@ def test_pseudo_label_survives_round_trip():
     assert T.serialize(T.parse_bracketed(text)) == text
 
 
-@pytest.mark.parametrize("bad", [
-    "(S (NP (DT the)",
-    "(S (NP (DT the) (NN cat))))",
-    "()",
-    "(S)",
-    "",
-    "   ",
-    "(S (NP a)) trailing",
-    "bare",
-])
-def test_parse_errors(bad):
-    with pytest.raises(FormatError):
+# Every malformed bracket text and the message it is rejected with; the
+# parser, ``strip`` and ``subword`` all give this one message.
+MALFORMED = [
+    ("(S (NP (DT the)", "unbalanced parentheses"),
+    ("(S (NP (DT the) (NN cat))))", "trailing material after the tree"),
+    ("()", "empty constituent '()'"),
+    ("(S)", "non-terminal 'S' has no children"),
+    ("", "empty input, expected a bracketed tree"),
+    ("   ", "empty input, expected a bracketed tree"),
+    ("(S (NP a)) trailing", "trailing material after the tree"),
+    ("bare", "expected '(', got 'bare'"),
+    ("(", "unbalanced parentheses"),
+    ("( (S x))", "missing constituent label"),
+    ("(S (X))", "non-terminal 'X' has no children"),
+    ("(S x) (T y)", "trailing material after the tree"),
+]
+
+
+@pytest.mark.parametrize("bad, message", MALFORMED, ids=[bad for bad, _ in MALFORMED])
+def test_parse_errors(bad, message):
+    with pytest.raises(FormatError) as err:
         T.parse_bracketed(bad)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("command", ["strip", "subword"])
+@pytest.mark.parametrize("bad, message", MALFORMED, ids=[bad for bad, _ in MALFORMED])
+def test_tree_commands_reject_malformed_brackets_with_the_same_line(
+        tmp_path, monkeypatch, capsys, command, bad, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.trees").write_text(bad + "\n", encoding="utf-8")
+    (tmp_path / "seg.tsv").write_text("x\n", encoding="utf-8")
+    argv = ["strip", "t.trees"] if command == "strip" else ["subword", "t.trees", "seg.tsv"]
+    if not bad.strip():
+        message = "blank line in tree file"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: t.trees:line 1: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["strip", "subword"])
+def test_tree_commands_name_a_blank_line(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.trees").write_text("(S (X x))\n\n", encoding="utf-8")
+    (tmp_path / "seg.tsv").write_text("x\nx\n", encoding="utf-8")
+    argv = ["strip", "t.trees"] if command == "strip" else ["subword", "t.trees", "seg.tsv"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: t.trees:line 2: blank line in tree file\n"
+    assert captured.out == "(S (X x))\n"
 
 
 def test_bracket_tokens_escaped():
