@@ -313,12 +313,12 @@ def cmd_project(args) -> int:
 def _strip_row(path: str, row: tuple, counts: Counter, skips: list) -> str:
     """The stripped tree of a ``(lineno, tree line)`` row."""
     lineno, line = row
-    tree = T.parse_tree_line(line, lineno, path)
+    tokens = T.tree_line_tokens(line, lineno, path)
     try:
-        stripped = projection.strip_pseudo(tree)
+        stripped = projection.strip_pseudo(tokens)
     except ValueError as exc:
         raise FormatError(str(exc), lineno, path) from None
-    return T.serialize(stripped) + "\n"
+    return stripped + "\n"
 
 
 def cmd_strip(args) -> int:
@@ -332,13 +332,13 @@ def _subword_row(paths: Sequence[str], marker: str, style: str, row: tuple,
                  counts: Counter, skips: list) -> str:
     """The subword tree of a ``(lineno, tree line, segmentation line)`` row."""
     lineno, tree_line, seg_line = row
-    tree = T.parse_tree_line(tree_line, lineno, paths[0])
+    tokens = T.tree_line_tokens(tree_line, lineno, paths[0])
     seg = subword.parse_segmentation_line(seg_line, lineno, paths[1])
     try:
-        converted = subword.to_subword_tree(tree, seg, marker=marker, style=style)
+        converted = subword.to_subword_tree(tokens, seg, marker=marker, style=style)
     except ValueError as exc:
         raise FormatError(str(exc), lineno, paths[1]) from None
-    return T.serialize(converted) + "\n"
+    return converted + "\n"
 
 
 def cmd_subword(args) -> int:

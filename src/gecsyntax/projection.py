@@ -32,6 +32,8 @@ from . import tree as T
 from .edits import MISS, RED, SUB, EditScript, make_script
 
 PLACEMENTS = ("below", "above")
+_RED_OPEN = "(" + RED
+_SPLICED_OPENS = ("(" + SUB, "(" + MISS)
 
 
 @dataclass
@@ -203,31 +205,39 @@ def project(
     return ProjectionResult(result, inserted)
 
 
-def strip_pseudo(root: T.NonTerminal) -> T.NonTerminal:
+def strip_pseudo(tree: T.NonTerminal | list[str]) -> T.NonTerminal | str:
     """Remove all inserted pseudo nodes.
 
     A RED node is deleted together with the terminal(s) it dominates;
     SUB/MISS nodes are spliced out with their children promoted.  Nodes
-    emptied by a deletion are pruned.
+    emptied by a deletion are pruned; what is left must be one rooted
+    tree, or ``ValueError``.  Given the tokens of :func:`tree.bracket_tokens`,
+    one pass over them gives the bracket text; given a root node, it gives
+    fresh nodes parsed from that text.
     """
-    kept: list[T.Node] = []
-    # Each entry is a node and the list its output joins; ``(None, out)``
-    # closes the constituent last added to ``out``, pruning it if empty.
-    stack: list[tuple[T.Node | None, list[T.Node]]] = [(root, kept)]
-    while stack:
-        node, out = stack.pop()
-        if node is None:
-            if not out[-1].children:
-                out.pop()
-        elif isinstance(node, T.Terminal):
-            out.append(T.Terminal(node.token))
-        elif node.label in (SUB, MISS):
-            stack.extend(zip(reversed(node.children), repeat(out)))
-        elif node.label != RED:
-            made = T.NonTerminal(node.label, [])
-            out.append(made)
-            stack.append((None, out))
-            stack.extend(zip(reversed(node.children), repeat(made.children)))
-    if len(kept) != 1 or not isinstance(kept[0], T.NonTerminal):
+    if not isinstance(tree, list):
+        return T.parse_bracketed(strip_pseudo(T.bracket_tokens(T.serialize(tree))))
+    out: list[str] = []
+    # Per open constituent, the index of its token in ``out``; -1 when spliced.
+    opened: list[int] = []
+    end = -1  # where the constituent that starts ``out`` ends
+    for tok in tree:
+        if tok == ")":
+            at = opened.pop()
+            if at < 0:
+                continue
+            if at == len(out) - 1 or out[at] == _RED_OPEN:
+                del out[at:]
+            else:
+                out.append(")")
+                if not at:
+                    end = len(out)
+        elif tok in _SPLICED_OPENS:
+            opened.append(-1)
+        else:
+            if tok[0] == "(":
+                opened.append(len(out))
+            out.append(tok)
+    if end != len(out):
         raise ValueError("stripping pseudo nodes did not leave a single rooted tree")
-    return kept[0]
+    return T.bracket_text(out)

@@ -1,9 +1,10 @@
 """Convert word-level trees to subword-level trees.
 
-:func:`to_subword_tree` builds a fresh tree in which each terminal word
-becomes its subword pieces, sibling terminals under the word's immediate
-parent, so every subword inherits the original word's head non-terminal
-(including pseudo nodes); the input tree is left as it was.
+:func:`to_subword_tree` turns each terminal word into its subword pieces,
+sibling terminals under the word's immediate parent, so every subword
+inherits the original word's head non-terminal (including pseudo nodes);
+the input tree is left as it was.  It rewrites the word tokens of
+:func:`tree.bracket_tokens` and builds no node unless given one.
 The module never runs a tokenizer itself: segmentations are supplied by
 the caller, with a configurable continuation-marker convention used only
 to verify that the pieces reassemble the word.
@@ -11,7 +12,6 @@ to verify that the pieces reassemble the word.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Sequence
 
 from . import tree as T
@@ -40,37 +40,32 @@ def join_pieces(pieces: Sequence[str], marker: str = "@@", style: str = "prefix"
 
 
 def to_subword_tree(
-    root: T.NonTerminal,
+    tree: T.NonTerminal | list[str],
     segmentation: SubwordSegmentation,
     marker: str = "@@",
     style: str = "prefix",
-) -> T.NonTerminal:
+) -> T.NonTerminal | str:
     """Replace each terminal with its subword pieces as sibling terminals.
 
     The segmentation must cover the tree's yield exactly: one piece list
     per word, each non-empty and reassembling (by the marker convention)
-    to its word, checked in that order after the one walk that builds the
-    result and collects the words.  Non-terminal structure is unchanged.
+    to its word, checked in that order.  Pieces are raw text: they are
+    checked against the unescaped word and written escaped.  Non-terminal
+    structure is unchanged.  Given the tokens of :func:`tree.bracket_tokens`,
+    one pass finds the words and gives the bracket text; given a root
+    node, it gives fresh nodes parsed from that text.
     """
-    result = T.NonTerminal(root.label, [])
-    words: list[str] = []
-    stack = list(zip(reversed(root.children), repeat(result.children)))
-    while stack:
-        node, siblings = stack.pop()
-        if isinstance(node, T.Terminal):
-            if len(words) < len(segmentation):
-                siblings.extend(map(T.Terminal, segmentation[len(words)]))
-            words.append(node.token)
-        else:
-            made = T.NonTerminal(node.label, [])
-            siblings.append(made)
-            stack.extend(zip(reversed(node.children), repeat(made.children)))
-
-    if len(segmentation) != len(words):
+    if not isinstance(tree, list):
+        return T.parse_bracketed(to_subword_tree(
+            T.bracket_tokens(T.serialize(tree)), segmentation, marker, style))
+    at = [i for i, tok in enumerate(tree) if tok[0] not in "()"]
+    if len(segmentation) != len(at):
         raise ValueError(
-            f"segmentation covers {len(segmentation)} words, tree has {len(words)}"
+            f"segmentation covers {len(segmentation)} words, tree has {len(at)}"
         )
-    for word, pieces in zip(words, segmentation):
+    out = list(tree)
+    for i, pieces in zip(at, segmentation):
+        word = T.unescape_token(tree[i])
         if not pieces:
             raise ValueError(f"empty subword list for word {word!r}")
         rebuilt = join_pieces(pieces, marker, style)
@@ -79,7 +74,8 @@ def to_subword_tree(
                 f"subword pieces {list(pieces)!r} reassemble to {rebuilt!r}, "
                 f"expected {word!r}"
             )
-    return result
+        out[i] = T.escape_token(" ".join(pieces))
+    return T.bracket_text(out)
 
 
 def parse_segmentation_line(line: str, lineno: int | None = None,

@@ -10,6 +10,11 @@ that does).
 
 Trees are treated as immutable after construction: every operation in
 this package returns fresh nodes and never mutates its input.
+
+:func:`bracket_tokens` is the one rule for valid bracket text.  Its
+tokens are ``"(LABEL"`` for an open constituent, ``")"`` for a close and
+the word as written (escaped) for a word; :func:`parse_bracketed` builds
+nodes from them, and ``strip`` and ``subword`` rewrite them without any.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .errors import FormatError
 
 PSEUDO_LABELS = frozenset({"SUB", "RED", "MISS"})
 
-_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
+_OPEN_SPACE_RE = re.compile(r"\(\s+")
 
 
 @dataclass
@@ -75,50 +80,78 @@ def unescape_token(token: str) -> str:
     return token.replace("-LRB-", "(").replace("-RRB-", ")")
 
 
+def bracket_tokens(text: str, lineno: int | None = None,
+                   path: str | None = None) -> list[str]:
+    """The checked tokens of one bracketed tree: ``"(S (NN cat))"`` gives
+    ``["(S", "(NN", "cat", ")", ")"]``.
+
+    The input must be a single balanced-parenthesis expression.  Raises
+    :class:`FormatError` on empty input, unbalanced parentheses, an empty
+    constituent ``()``, a missing label, a non-terminal with zero children,
+    or trailing material, whichever comes first in the text; the error
+    carries ``lineno`` and ``path`` when given.
+    """
+    # Spaced so, the split keeps each "(" on the label that follows it at once.
+    tokens = text.replace("(", " (").replace(")", " ) ").split()
+    if not tokens:
+        raise FormatError("empty input, expected a bracketed tree", lineno, path)
+    if tokens[0][0] != "(":
+        raise FormatError(f"expected '(', got {tokens[0]!r}", lineno, path)
+    depth = 0
+    prev = ""
+    it = iter(tokens)
+    for tok in it:
+        if tok == ")":
+            if prev[0] == "(":  # closes the constituent just opened
+                raise FormatError(f"non-terminal {prev[1:]!r} has no children",
+                                  lineno, path)
+            depth -= 1
+            if not depth:
+                break
+        elif tok[0] == "(":
+            if tok == "(":  # a "(" not followed at once by its label
+                label = next(it, None)
+                if label is None:
+                    raise FormatError("unbalanced parentheses", lineno, path)
+                if label == ")":
+                    raise FormatError("empty constituent '()'", lineno, path)
+                if label[0] == "(":
+                    raise FormatError("missing constituent label", lineno, path)
+                return bracket_tokens(_OPEN_SPACE_RE.sub("(", text), lineno, path)
+            depth += 1
+        prev = tok
+    else:  # the text ended inside the tree
+        raise FormatError("unbalanced parentheses", lineno, path)
+    if next(it, None) is not None:
+        raise FormatError("trailing material after the tree", lineno, path)
+    return tokens
+
+
+def bracket_text(tokens: list[str]) -> str:
+    """The canonical text of bracket tokens, as :func:`serialize` writes it."""
+    return " ".join(tokens).replace(" )", ")")
+
+
 def parse_bracketed(text: str, lineno: int | None = None,
                     path: str | None = None) -> NonTerminal:
     """Parse one bracketed tree, e.g. ``"(S (NP (DT the) (NN cat)))"``.
 
-    The input must be a single balanced-parenthesis expression.  Raises
-    :class:`FormatError` on empty input, unbalanced parentheses, an empty
-    constituent ``()``, a non-terminal with zero children, or trailing
-    material; the error carries ``lineno`` and ``path`` when given.
+    Raises the :class:`FormatError` of :func:`bracket_tokens` on text that
+    is not one valid tree.
     """
-    tokens = _TOKEN_RE.findall(text)
-    if not tokens:
-        raise FormatError("empty input, expected a bracketed tree", lineno, path)
-    if tokens[0] != "(":
-        raise FormatError(f"expected '(', got {tokens[0]!r}", lineno, path)
-    root = None
-    open_nodes: list[NonTerminal] = []
-    it = iter(tokens)
-    for tok in it:
-        if root is not None and not open_nodes:
-            raise FormatError("trailing material after the tree", lineno, path)
-        if tok == "(":
-            label = next(it, None)
-            if label is None:
-                raise FormatError("unbalanced parentheses", lineno, path)
-            if label == ")":
-                raise FormatError("empty constituent '()'", lineno, path)
-            if label == "(":
-                raise FormatError("missing constituent label", lineno, path)
-            node = NonTerminal(label, [])
-            if open_nodes:
-                open_nodes[-1].children.append(node)
-            else:
-                root = node
-            open_nodes.append(node)
-        elif tok == ")":
-            node = open_nodes.pop()
-            if not node.children:
-                raise FormatError(f"non-terminal {node.label!r} has no children",
-                                  lineno, path)
+    top: list[Node] = []
+    kids, open_kids = top, []
+    for tok in bracket_tokens(text, lineno, path):
+        if tok == ")":
+            kids = open_kids.pop()
+        elif tok[0] == "(":
+            node = NonTerminal(tok[1:], [])
+            kids.append(node)
+            open_kids.append(kids)
+            kids = node.children
         else:
-            open_nodes[-1].children.append(Terminal(unescape_token(tok)))
-    if open_nodes:
-        raise FormatError("unbalanced parentheses", lineno, path)
-    return root
+            kids.append(Terminal(unescape_token(tok)))
+    return top[0]
 
 
 def serialize(root: Node) -> str:
@@ -155,13 +188,24 @@ def yield_tokens(root: Node) -> list[str]:
     return [t.token for t in terminals(root)]
 
 
+def _check_tree_line(line: str, lineno: int | None, path: str | None) -> None:
+    if not line.strip():
+        raise FormatError("blank line in tree file", lineno, path)
+
+
 def parse_tree_line(line: str, lineno: int | None = None,
                     path: str | None = None) -> NonTerminal:
     """One line of a one-tree-per-line file.  A blank line is an error."""
-    stripped = line.strip()
-    if not stripped:
-        raise FormatError("blank line in tree file", lineno, path)
-    return parse_bracketed(stripped, lineno, path)
+    _check_tree_line(line, lineno, path)
+    return parse_bracketed(line, lineno, path)
+
+
+def tree_line_tokens(line: str, lineno: int | None = None,
+                     path: str | None = None) -> list[str]:
+    """The :func:`bracket_tokens` of one line of a one-tree-per-line file.
+    A blank line is an error."""
+    _check_tree_line(line, lineno, path)
+    return bracket_tokens(line, lineno, path)
 
 
 def read_trees(lines: Iterable[str], path: str | None = None) -> Iterator[NonTerminal]:

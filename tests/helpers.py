@@ -349,6 +349,49 @@ def subword_tree_oracle(root, segmentation, marker="@@", style="prefix"):
     return rebuild(root)[0]
 
 
+# --- bracket oracle -----------------------------------------------------
+
+def bracket_error_oracle(text):
+    """The message a malformed bracketed tree is rejected with, or ``None``:
+    the text split into ``(``, ``)`` and words, then read left to right
+    with a count of open constituents, reporting the first token that
+    breaks the rule.  Uses nothing from ``gecsyntax.tree``."""
+    tokens = re.findall(r"\(|\)|[^\s()]+", text)
+    if not tokens:
+        return "empty input, expected a bracketed tree"
+    if tokens[0] != "(":
+        return f"expected '(', got {tokens[0]!r}"
+    depth, i = 0, 0
+    children = []  # per open constituent: its label and child count
+    while i < len(tokens):
+        if i and not depth:
+            return "trailing material after the tree"
+        tok = tokens[i]
+        if tok == "(":
+            if i + 1 == len(tokens):
+                return "unbalanced parentheses"
+            label = tokens[i + 1]
+            if label == ")":
+                return "empty constituent '()'"
+            if label == "(":
+                return "missing constituent label"
+            if children:
+                children[-1][1] += 1
+            children.append([label, 0])
+            depth += 1
+            i += 2
+            continue
+        if tok == ")":
+            label, count = children.pop()
+            if not count:
+                return f"non-terminal {label!r} has no children"
+            depth -= 1
+        else:
+            children[-1][1] += 1
+        i += 1
+    return "unbalanced parentheses" if depth else None
+
+
 # --- strip oracle -------------------------------------------------------
 
 def strip_pseudo_oracle(root):

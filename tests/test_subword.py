@@ -192,3 +192,17 @@ def test_load_segmentation_file(tmp_path, capsys):
     trees.write_text("(S (DT the) (NN cat))\n(S (VBG playing))\n", encoding="utf-8")
     assert main(["subword", str(trees), str(seg)]) == 0
     assert capsys.readouterr().out == "(S (DT the) (NN ca @@t))\n(S (VBG play @@ing))\n"
+
+
+def test_pieces_are_checked_unescaped_and_written_escaped(tmp_path, capsys):
+    trees = tmp_path / "t.trees"
+    trees.write_text("(S (NN -LRB-) (NN x))\n", encoding="utf-8")
+    seg = tmp_path / "seg.tsv"
+    seg.write_text("(\tx\n", encoding="utf-8")
+    assert main(["subword", str(trees), str(seg)]) == 0
+    assert capsys.readouterr().out == "(S (NN -LRB-) (NN x))\n"
+    seg.write_text("-LRB-\tx\n", encoding="utf-8")
+    assert main(["subword", str(trees), str(seg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {seg}:line 1: subword pieces ['-LRB-'] reassemble to '-LRB-', "
+        "expected '('\n")

@@ -7,7 +7,7 @@ from gecsyntax import tree as T
 from gecsyntax.cli import main
 from gecsyntax.errors import FormatError
 
-from tests.helpers import SRC_VOCAB, random_tokens, random_tree
+from tests.helpers import SRC_VOCAB, bracket_error_oracle, random_tokens, random_tree
 
 
 def test_parse_simple():
@@ -154,6 +154,35 @@ def bracketed_trees(draw, max_tokens=6):
 @given(bracketed_trees())
 def test_parse_serialize_identity_property(tree):
     assert T.parse_bracketed(T.serialize(tree)) == tree
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(bracketed_trees(), st.data())
+def test_bracket_text_of_any_spacing_is_the_serialized_text(tree, data):
+    # Any whitespace between tokens, "(" and its label included.
+    space = st.text(alphabet=" \t\u00a0", min_size=1, max_size=2)
+    text = T.serialize(tree).replace(" ", "  ")
+    text = "".join(data.draw(space) if ch == " " else ch for ch in text)
+    text = text.replace("(", "(" + data.draw(st.sampled_from(["", " ", "\t"])))
+    assert T.bracket_text(T.bracket_tokens(text)) == T.serialize(tree)
+    assert T.parse_bracketed(text) == tree
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.text(alphabet="()( ) ab\t", max_size=14))
+def test_bracket_tokens_rejects_what_the_oracle_rejects(text):
+    expected = bracket_error_oracle(text)
+    try:
+        T.bracket_tokens(text)
+    except FormatError as err:
+        assert str(err) == expected
+    else:
+        assert expected is None
+
+
+def test_the_oracle_knows_every_pinned_message():
+    for bad, message in MALFORMED:
+        assert bracket_error_oracle(bad) == message
 
 
 def test_deep_trees_compare_and_print_without_recursion():
