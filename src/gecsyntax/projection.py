@@ -226,7 +226,7 @@ def strip_pseudo(tree: T.NonTerminal | list[str]) -> T.NonTerminal | str:
             at = opened.pop()
             if at < 0:
                 continue
-            if at == len(out) - 1 or out[at] == _RED_OPEN:
+            if at == len(out) - 1 or out[at] == _RED_OPEN:  # empty, or a RED
                 del out[at:]
             else:
                 out.append(")")

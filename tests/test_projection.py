@@ -189,8 +189,14 @@ def test_strip_pseudo_promotes_subword_children():
 
 
 def test_strip_pseudo_on_everything_pseudo_raises():
-    with pytest.raises(ValueError):
-        strip_pseudo(T.parse_bracketed("(RED x)"))
+    # Nothing left, a word at the root, two constituents at the root.
+    for text in ["(RED x)", "(SUB x)", "(SUB (A x) (B y))", "(MISS (A (RED x)))"]:
+        for tree in (T.parse_bracketed(text), T.bracket_tokens(text)):
+            with pytest.raises(ValueError) as err:
+                strip_pseudo(tree)
+            assert str(err.value) == \
+                "stripping pseudo nodes did not leave a single rooted tree"
+    assert strip_pseudo(T.bracket_tokens("(SUB (A x) (B (RED y)))")) == "(A x)"
 
 
 # Words with brackets in them, written escaped, among the usual ones.
