@@ -415,6 +415,130 @@ def strip_pseudo_oracle(root):
     return kept[0]
 
 
+# --- projection oracle --------------------------------------------------
+
+def project_oracle(target, script, src, placement="below"):
+    """``(bracket text, inserted)`` of the projection of ``target`` onto
+    ``src``; raises what the projection raises, with the same text.
+
+    The edits run on a fresh copy of the target's nodes, each copy holding
+    its parent in ``up``.  One walk over the ordered script checks it and
+    finds each source word's node; a second, right to left, deletes the
+    missing words (pruning emptied ancestors), wraps SUB and MISS words and
+    places RED words next to their neighbour's branch.  Writes the text by
+    recursion and uses nothing from ``gecsyntax.projection``."""
+    pseudo = ("SUB", "RED", "MISS")
+    if placement not in ("below", "above"):
+        raise ValueError("placement must be one of ('below', 'above')")
+    src = list(src)
+    n = len(src)
+    if not src and len(script):
+        raise ValueError("empty source sentence with a non-empty edit script")
+    top = T.NonTerminal("", [])
+    words = []
+
+    def copy(node, up):
+        if isinstance(node, T.Terminal):
+            made = T.Terminal(node.token)
+            words.append(made)
+        elif node.label in pseudo:
+            raise ValueError(f"target tree already contains {node.label!r} nodes")
+        else:
+            made = T.NonTerminal(node.label, [])
+        made.up = up
+        up.children.append(made)
+        for child in getattr(node, "children", ()):
+            copy(child, made)
+
+    def place(node):  # the index of ``node`` among its parent's children
+        return next(k for k, kid in enumerate(node.up.children) if kid is node)
+
+    def wrap(node, label):
+        up = node.up
+        if placement == "above" and len(up.children) == 1 and up.label not in pseudo:
+            node, up = up, up.up
+        while up.label in pseudo:
+            node, up = up, up.up
+        wrapper = T.NonTerminal(label, [node])
+        wrapper.up = up
+        up.children[place(node)] = wrapper
+        node.up = wrapper
+
+    copy(target, top)
+    edits = make_script(script).edits
+    expected, src_word, miss_words = [], [], {}
+    rightmost, sp = -1, 0
+    for e in edits:
+        if e.i < 0 or e.j > n:
+            raise ValueError(f"edit span [{e.i},{e.j}) out of range for {n} tokens")
+        tp = len(expected)
+        expected += src[sp:e.i] + list(e.tgt_tokens)
+        kept = (e.j if e.category == "SUB" else e.i) - sp
+        src_word += words[tp:tp + kept]
+        if kept:
+            rightmost = sp + kept - 1
+        if e.category == "RED":
+            src_word.append(None)
+        elif e.category == "MISS":
+            miss_words[e.i] = words[tp + kept:len(expected)]
+        sp = e.j
+    src_word += words[len(expected):]
+    expected += src[sp:]
+    if sp < n:
+        rightmost = n - 1
+    got = [w.token for w in words]
+    if got != expected:
+        raise ValueError("target tree yield does not match apply(src, script): "
+                         f"{got!r} vs {expected!r}")
+
+    inserted = []
+    src_word.append(src_word[rightmost] if rightmost >= 0 else None)
+    for e in reversed(edits):
+        if e.category == "MISS":
+            for node in miss_words[e.i]:
+                up = node.up
+                up.children.pop(place(node))
+                while not up.children:
+                    node, up = up, up.up
+                    if up is top:
+                        raise ValueError("deleting missing words emptied the whole tree")
+                    up.children.pop(place(node))
+        anchor = src_word[e.i + (e.category == "RED")]
+        if anchor is None:
+            raise ValueError("no source word available to anchor the edit")
+        if e.category == "SUB":
+            anchor.token = src[e.i]
+            wrap(anchor, "SUB")
+            inserted.append(("SUB", e.i))
+        elif e.category == "RED":
+            node, up = anchor, anchor.up
+            while up.up is not top and len(up.children) == 1:
+                node, up = up, up.up
+            new = T.Terminal(src[e.i])
+            red = T.NonTerminal("RED", [new])
+            new.up, red.up = red, up
+            up.children.insert(place(node) + (e.i == n - 1), red)
+            src_word[e.i] = new
+            inserted.append(("RED", e.i))
+        else:
+            wrap(anchor, "MISS")
+            inserted.append(("MISS", e.i if e.i < n else rightmost))
+
+    def text(node):
+        if isinstance(node, T.Terminal):
+            return node.token.replace("(", "-LRB-").replace(")", "-RRB-")
+        return f"({node.label} {' '.join(map(text, node.children))})"
+
+    def yield_of(node):
+        if isinstance(node, T.Terminal):
+            return [node.token]
+        return [w for child in node.children for w in yield_of(child)]
+
+    if yield_of(top) != src:
+        raise RuntimeError("projection produced a tree with the wrong yield")
+    return text(top.children[0]), sorted(inserted, key=lambda item: (item[1], item[0]))
+
+
 # --- graph oracles ------------------------------------------------------
 
 def neighbour_lists(parent) -> list[list[int]]:

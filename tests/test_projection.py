@@ -7,11 +7,11 @@ import pytest
 from gecsyntax import edits as E
 from gecsyntax import tree as T
 from gecsyntax.cli import main
-from gecsyntax.projection import project, strip_pseudo
+from gecsyntax.projection import ProjectionResult, project, strip_pseudo
 
 from tests.helpers import (
-    SRC_VOCAB, random_script, random_tokens, random_tree, strip_pseudo_oracle,
-    subword_tree_oracle,
+    SRC_VOCAB, project_oracle, random_script, random_tokens, random_tree,
+    strip_pseudo_oracle, subword_tree_oracle,
 )
 
 
@@ -282,6 +282,68 @@ def test_strip_and_subword_commands_match_the_oracles(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == \
         [T.serialize(subword_tree_oracle(t, seg)) for t, seg in zip(kept, segs)]
     assert rejected and len(kept) > 1_000
+
+
+def _random_projection_cases(rng, count):
+    """``count`` random ``(target tree, script, source)`` triples over words
+    holding brackets, with unary chains: 3% of the targets hold a pseudo
+    label, 10% have a yield the script does not give, and a few have every
+    source word RED, an empty source or a script longer than the source."""
+    vocab = BRACKET_VOCAB + ["x(y", "SUB"]
+    for _ in range(count):
+        src = random_tokens(rng, rng.randint(1, 10), vocab)
+        script = random_script(src, rng, vocab, force_empty_prob=0.05)
+        roll = rng.random()
+        if roll < 0.02:  # no source word is kept
+            script = E.make_script([E.red(i, w) for i, w in enumerate(src)] + [
+                E.miss(rng.randint(0, len(src)), random_tokens(rng, 2, vocab))])
+        tgt = E.apply_edits(src, script)
+        if 0.02 <= roll < 0.12:  # a target yield the script does not give
+            k = rng.randrange(len(tgt))
+            broken = [tgt + ["w0"], tgt[:k] + ["(("] + tgt[k + 1:]]
+            if len(tgt) > 1:
+                broken.append(tgt[:k] + tgt[k + 1:])
+            tgt = rng.choice(broken)
+        tree = random_tree(tgt, rng, unary_prob=rng.choice((0.0, 0.3, 0.6)))
+        if rng.random() < 0.03:
+            stack, phrases = [tree], []
+            while stack:
+                node = stack.pop()
+                if isinstance(node, T.NonTerminal):
+                    phrases.append(node)
+                    stack.extend(node.children)
+            rng.choice(phrases).label = rng.choice(("SUB", "RED", "MISS"))
+        roll = rng.random()
+        if roll < 0.01:
+            src = []
+        elif roll < 0.02:
+            src = src[:-1]
+        yield tree, script, src
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+def test_projection_matches_the_oracle():
+    # Each case under both placements: the text and ``inserted``, or the
+    # error's type and text, of the copy-and-edit oracle.
+    errors = []
+    for tree, script, src in _random_projection_cases(random.Random(81), 20_000):
+        for placement in ("below", "above"):
+            expected = _outcome(project_oracle, tree, script, src, placement)
+            got = _outcome(project, tree, script, src, placement)
+            if isinstance(got, ProjectionResult):
+                got = T.serialize(got.source_tree), got.inserted
+            else:
+                errors.append(got[1])
+            assert got == expected, (T.serialize(tree), script, src, placement)
+    for part in ("already contains", "out of range", "yield does not match",
+                 "empty source", "no source word", "emptied the whole tree"):
+        assert any(part in message for message in errors), part
 
 
 def _count_nodes(root):
