@@ -275,22 +275,23 @@ def cmd_align(args) -> int:
 
 def _project_row(paths: Sequence[str], placement: str, row: tuple,
                  counts: Counter, skips: list) -> str:
-    """The projected tree of a ``(lineno, pair line, tree line)`` row of
-    raw lines.  A pair that cannot be projected (tree yield mismatch,
-    pseudo nodes in the target tree, projection failure) is skipped and
-    gives ``""``.  Counts ``pairs``, ``skipped`` and each inserted label."""
+    """The projected text of a ``(lineno, pair line, tree line)`` row of raw
+    lines, from the tree line's bracket tokens; no tree node is built.  A
+    pair that cannot be projected (tree yield mismatch, pseudo nodes in the
+    target tree, projection failure) is skipped and gives ``""``.  Counts
+    ``pairs``, ``skipped`` and each inserted label."""
     lineno, pair, tree_line = row
     src, tgt = parse_tsv_line(pair, lineno, paths[0])
-    tree = T.parse_tree_line(tree_line, lineno, paths[1])
+    tokens = T.tree_line_tokens(tree_line, lineno, paths[1])
     counts["pairs"] += 1
     try:
-        result = projection.project(tree, ed.align(src, tgt), src, placement=placement)
+        result = projection.project(tokens, ed.align(src, tgt), src, placement=placement)
     except (ValueError, RuntimeError) as exc:
         skips.append((lineno, str(exc)))
         counts["skipped"] += 1
         return ""
     counts.update(label for label, _ in result.inserted)
-    return T.serialize(result.source_tree) + "\n"
+    return result.source_tree + "\n"
 
 
 def cmd_project(args) -> int:

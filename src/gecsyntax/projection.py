@@ -20,12 +20,16 @@ A word can carry several pseudo nodes at once; SUB sits innermost, MISS
 outermost.  ``placement="below"`` puts pseudo nodes directly above the
 terminal (below its POS tag); ``placement="above"`` puts them above the
 preterminal instead.
+
+:func:`project` (over integer node ids built from the tokens) and
+:func:`strip_pseudo` take :func:`tree.bracket_tokens` and give bracket text.
+A root node goes through that text and back, so a hand-built word the text
+cannot carry (empty, holding whitespace, or ``-LRB-``/``-RRB-``) is lost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 from . import tree as T
@@ -38,87 +42,78 @@ _SPLICED_OPENS = ("(" + SUB, "(" + MISS)
 
 @dataclass
 class ProjectionResult:
-    source_tree: T.NonTerminal
+    source_tree: T.NonTerminal | str  # a root node, or bracket text
     inserted: list[tuple[str, int]]  # (pseudo label, source token position)
 
 
-def _index_of(parent: T.NonTerminal, node: T.Node) -> int:
-    for idx, child in enumerate(parent.children):
-        if child is node:
-            return idx
-    raise RuntimeError("node is not a child of its recorded parent")
+class _Tree:
+    """The target tree as integer node ids, edited in place by projection:
+    node ``v`` has ``text[v]`` (its label, or its unescaped word), ``kids[v]``
+    (``None`` for a word) and ``parent[v]``; node 0 holds the root.  Ids are
+    never reused.  ``words`` holds the word ids, left to right."""
 
-
-class _Copy:
-    """A fresh copy of the target tree, edited in place by projection.
-
-    The copy hangs below ``top``, a holder node outside the tree.  Each
-    node's parent is kept in ``parent``, keyed by ``id(node)``, not in the
-    node, so the edits create no reference cycles.  Every node made by an
-    edit writes its own entry, so the stale entry of a pruned node whose
-    id is reused is never read.
-    """
-
-    def __init__(self, root: T.NonTerminal):
-        self.top = T.NonTerminal("", [])
-        self.parent: dict[int, T.NonTerminal] = {}
-        self.words: list[T.Terminal] = []  # left to right
-        parent_of, words = self.parent, self.words
-        stack: list[tuple[T.Node, T.NonTerminal]] = [(root, self.top)]
-        while stack:
-            node, parent = stack.pop()
-            if isinstance(node, T.Terminal):
-                made = T.Terminal(node.token)
-                words.append(made)
-            elif node.label in T.PSEUDO_LABELS:
-                raise ValueError(f"target tree already contains {node.label!r} nodes")
+    def __init__(self, tokens: list[str]):
+        self.text, self.kids, self.parent, self.words = [""], [[]], [0], []
+        text, kids, parent = self.text, self.kids, self.parent
+        at = 0
+        for tok in tokens:
+            if tok == ")":
+                at = parent[at]
+                continue
+            kids[at].append(len(text))
+            parent.append(at)
+            if tok[0] != "(":
+                self.words.append(len(text))
+                text.append(T.unescape_token(tok))
+                kids.append(None)
+            elif tok[1:] in T.PSEUDO_LABELS:
+                raise ValueError(f"target tree already contains {tok[1:]!r} nodes")
             else:
-                made = T.NonTerminal(node.label, [])
-                stack.extend(zip(reversed(node.children), repeat(made)))
-            parent_of[id(made)] = parent
-            parent.children.append(made)
+                at = len(text)
+                text.append(tok[1:])
+                kids.append([])
 
-    def mark(self, word: T.Terminal, label: str, placement: str) -> None:
-        """Insert a ``label`` node above ``word`` (or above its preterminal
+    def _add(self, text: str, kids: list[int] | None, parent: int) -> int:
+        self.text.append(text)
+        self.kids.append(kids)
+        self.parent.append(parent)
+        return len(self.text) - 1
+
+    def mark(self, v: int, label: str, placement: str) -> None:
+        """Insert a ``label`` node above word ``v`` (or above its preterminal
         with ``placement="above"``), outside the pseudo nodes already there."""
-        node, parent = word, self.parent[id(word)]
-        if placement == "above" and len(parent.children) == 1 \
-                and parent.label not in T.PSEUDO_LABELS:
-            node, parent = parent, self.parent[id(parent)]
-        while parent.label in T.PSEUDO_LABELS:
-            node, parent = parent, self.parent[id(parent)]
-        wrapper = T.NonTerminal(label, [node])
-        self.parent[id(wrapper)] = parent
-        self.parent[id(node)] = wrapper
-        parent.children[_index_of(parent, node)] = wrapper
+        text, kids, parent = self.text, self.kids, self.parent
+        p = parent[v]
+        if placement == "above" and len(kids[p]) == 1 and text[p] not in T.PSEUDO_LABELS:
+            v, p = p, parent[p]
+        while text[p] in T.PSEUDO_LABELS:
+            v, p = p, parent[p]
+        kids[p][kids[p].index(v)] = parent[v] = self._add(label, [v], p)
 
-    def insert_red(self, word: T.Terminal, token: str, before: bool) -> T.Terminal:
-        """Place ``(RED token)`` next to ``word``'s branch of its lowest
-        multi-child ancestor (or of the root); returns the new word."""
-        node, parent = word, self.parent[id(word)]
-        while self.parent[id(parent)] is not self.top and len(parent.children) == 1:
-            node, parent = parent, self.parent[id(parent)]
-        new = T.Terminal(token)
-        red = T.NonTerminal(RED, [new])
-        self.parent[id(new)] = red
-        self.parent[id(red)] = parent
-        idx = _index_of(parent, node)
-        parent.children.insert(idx if before else idx + 1, red)
-        return new
+    def insert_red(self, v: int, word: str, before: bool) -> int:
+        """Place ``(RED word)`` next to word ``v``'s branch of its lowest
+        multi-child ancestor (or of the root); returns the new word's id."""
+        kids, parent = self.kids, self.parent
+        p = parent[v]
+        while parent[p] and len(kids[p]) == 1:
+            v, p = p, parent[p]
+        red = self._add(RED, [len(kids) + 1], p)  # its word takes the next id
+        kids[p].insert(kids[p].index(v) + (not before), red)
+        return self._add(word, None, red)
 
-    def delete_word(self, node: T.Node) -> None:
+    def delete_word(self, v: int) -> None:
         """Remove a word and every ancestor that this leaves empty."""
-        parent = self.parent[id(node)]
-        parent.children.pop(_index_of(parent, node))
-        while not parent.children:
-            node, parent = parent, self.parent[id(parent)]
-            if parent is self.top:
+        p = self.parent[v]
+        self.kids[p].remove(v)
+        while not self.kids[p]:
+            v, p = p, self.parent[p]
+            if not p:
                 raise ValueError("deleting missing words emptied the whole tree")
-            parent.children.pop(_index_of(parent, node))
+            self.kids[p].remove(v)
 
 
 def project(
-    target_tree: T.NonTerminal,
+    target_tree: T.NonTerminal | list[str],
     script: EditScript,
     src_tokens: Sequence[str],
     placement: str = "below",
@@ -130,22 +125,27 @@ def project(
     nodes; raises ``ValueError`` otherwise.  An empty script returns a
     structurally identical tree.  One walk over the ordered script checks
     it against the source and the tree's words; a second, right to left,
-    makes the edits.
+    makes the edits.  Tokens give bracket text, a root node fresh nodes.
     """
+    if not isinstance(target_tree, list):
+        result = project(T.bracket_tokens(T.serialize(target_tree)), script,
+                         src_tokens, placement)
+        return ProjectionResult(T.parse_bracketed(result.source_tree), result.inserted)
     if placement not in PLACEMENTS:
         raise ValueError(f"placement must be one of {PLACEMENTS}")
     src_tokens = list(src_tokens)
     n = len(src_tokens)
     if not src_tokens and len(script):
         raise ValueError("empty source sentence with a non-empty edit script")
-    tree = _Copy(target_tree)
+    tree = _Tree(target_tree)
     edits = make_script(script).edits
-    # The yield the script asks for; per source position the copy's word (None
-    # under a RED); per MISS point the words it deletes; the rightmost kept one.
-    # Slices, not indexes, let a tree with too few words reach the yield check.
+    # The yield the script asks for; per source position the word's id (None
+    # under a RED); per MISS point the words it deletes; the rightmost kept
+    # one.  Slices, not indexes, let a tree with too few words reach the
+    # yield check.
     expected: list[str] = []
-    src_node: list[T.Terminal | None] = []
-    miss_words: dict[int, list[T.Terminal]] = {}
+    src_node: list[int | None] = []
+    miss_words: dict[int, list[int]] = {}
     rightmost = -1
     sp = 0
     for e in edits:
@@ -167,12 +167,10 @@ def project(
     expected += src_tokens[sp:]
     if sp < n:
         rightmost = n - 1
-    got = [t.token for t in tree.words]
+    got = [tree.text[v] for v in tree.words]
     if got != expected:
-        raise ValueError(
-            "target tree yield does not match apply(src, script): "
-            f"{got!r} vs {expected!r}"
-        )
+        raise ValueError("target tree yield does not match apply(src, script): "
+                         f"{got!r} vs {expected!r}")
 
     inserted: list[tuple[str, int]] = []
     # Right to left, so chained RED words stack as siblings and at one position
@@ -182,13 +180,13 @@ def project(
     src_node.append(src_node[rightmost] if rightmost >= 0 else None)
     for e in reversed(edits):
         if e.category == MISS:
-            for word in miss_words[e.i]:
-                tree.delete_word(word)
+            for v in miss_words[e.i]:
+                tree.delete_word(v)
         anchor = src_node[e.i + (e.category == RED)]
         if anchor is None:
             raise ValueError("no source word available to anchor the edit")
         if e.category == SUB:
-            anchor.token = src_tokens[e.i]
+            tree.text[anchor] = src_tokens[e.i]
             tree.mark(anchor, SUB, placement)
             inserted.append((SUB, e.i))
         elif e.category == RED:
@@ -198,11 +196,24 @@ def project(
             tree.mark(anchor, MISS, placement)
             inserted.append((MISS, e.i if e.i < n else rightmost))
 
-    result = tree.top.children[0]
-    if T.yield_tokens(result) != src_tokens:
+    # The text, by one walk; the words it writes, for the self-check.
+    text, kids = tree.text, tree.kids
+    out, words, stack = [], [], kids[0][:]
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            out.append(")")
+        elif kids[v] is None:
+            words.append(text[v])
+            out.append(T.escape_token(text[v]))
+        else:
+            out.append("(" + text[v])
+            stack.append(-1)
+            stack += reversed(kids[v])
+    if words != src_tokens:
         raise RuntimeError("projection produced a tree with the wrong yield")
     inserted.sort(key=lambda item: (item[1], item[0]))
-    return ProjectionResult(result, inserted)
+    return ProjectionResult(T.serialize(out), inserted)
 
 
 def strip_pseudo(tree: T.NonTerminal | list[str]) -> T.NonTerminal | str:
@@ -211,9 +222,8 @@ def strip_pseudo(tree: T.NonTerminal | list[str]) -> T.NonTerminal | str:
     A RED node is deleted together with the terminal(s) it dominates;
     SUB/MISS nodes are spliced out with their children promoted.  Nodes
     emptied by a deletion are pruned; what is left must be one rooted
-    tree, or ``ValueError``.  Given the tokens of :func:`tree.bracket_tokens`,
-    one pass over them gives the bracket text; given a root node, it gives
-    fresh nodes parsed from that text.
+    tree, or ``ValueError``.  Tokens give bracket text by one pass over
+    them, a root node fresh nodes.
     """
     if not isinstance(tree, list):
         return T.parse_bracketed(strip_pseudo(T.bracket_tokens(T.serialize(tree))))
@@ -240,4 +250,4 @@ def strip_pseudo(tree: T.NonTerminal | list[str]) -> T.NonTerminal | str:
             out.append(tok)
     if end != len(out):
         raise ValueError("stripping pseudo nodes did not leave a single rooted tree")
-    return T.bracket_text(out)
+    return T.serialize(out)

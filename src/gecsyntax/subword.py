@@ -75,7 +75,7 @@ def to_subword_tree(
                 f"expected {word!r}"
             )
         out[i] = T.escape_token(" ".join(pieces))
-    return T.bracket_text(out)
+    return T.serialize(out)
 
 
 def parse_segmentation_line(line: str, lineno: int | None = None,

@@ -14,7 +14,8 @@ this package returns fresh nodes and never mutates its input.
 :func:`bracket_tokens` is the one rule for valid bracket text.  Its
 tokens are ``"(LABEL"`` for an open constituent, ``")"`` for a close and
 the word as written (escaped) for a word; :func:`parse_bracketed` builds
-nodes from them, and ``strip`` and ``subword`` rewrite them without any.
+nodes from them, :func:`serialize` writes them as canonical text, and
+``project``, ``strip`` and ``subword`` rewrite them without any.
 """
 
 from __future__ import annotations
@@ -127,21 +128,18 @@ def bracket_tokens(text: str, lineno: int | None = None,
     return tokens
 
 
-def bracket_text(tokens: list[str]) -> str:
-    """The canonical text of bracket tokens, as :func:`serialize` writes it."""
-    return " ".join(tokens).replace(" )", ")")
-
-
-def parse_bracketed(text: str, lineno: int | None = None,
+def parse_bracketed(text: str | list[str], lineno: int | None = None,
                     path: str | None = None) -> NonTerminal:
-    """Parse one bracketed tree, e.g. ``"(S (NP (DT the) (NN cat)))"``.
+    """Parse one bracketed tree, e.g. ``"(S (NP (DT the) (NN cat)))"``, or
+    the tokens :func:`bracket_tokens` gives for one.
 
     Raises the :class:`FormatError` of :func:`bracket_tokens` on text that
     is not one valid tree.
     """
+    tokens = text if isinstance(text, list) else bracket_tokens(text, lineno, path)
     top: list[Node] = []
     kids, open_kids = top, []
-    for tok in bracket_tokens(text, lineno, path):
+    for tok in tokens:
         if tok == ")":
             kids = open_kids.pop()
         elif tok[0] == "(":
@@ -154,22 +152,23 @@ def parse_bracketed(text: str, lineno: int | None = None,
     return top[0]
 
 
-def serialize(root: Node) -> str:
-    """Render a tree in canonical bracketed form (single spaces)."""
-    # Each piece but ")" brings its leading space; the first one's is cut.
-    parts: list[str] = []
-    stack: list[Node | str] = [root]
+def serialize(tree: Node | list[str]) -> str:
+    """Render a tree, or the tokens of :func:`bracket_tokens`, in canonical
+    bracketed form (single spaces)."""
+    if isinstance(tree, list):
+        return " ".join(tree).replace(" )", ")")
+    tokens, stack = [], [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, str):
-            parts.append(node)
+            tokens.append(node)
         elif isinstance(node, Terminal):
-            parts.append(" " + escape_token(node.token))
+            tokens.append(escape_token(node.token))
         else:
-            parts.append(" (" + node.label)
+            tokens.append("(" + node.label)
             stack.append(")")
             stack.extend(reversed(node.children))
-    return "".join(parts)[1:]
+    return serialize(tokens)
 
 
 def terminals(root: Node) -> Iterator[Terminal]:
@@ -188,27 +187,16 @@ def yield_tokens(root: Node) -> list[str]:
     return [t.token for t in terminals(root)]
 
 
-def _check_tree_line(line: str, lineno: int | None, path: str | None) -> None:
-    if not line.strip():
-        raise FormatError("blank line in tree file", lineno, path)
-
-
-def parse_tree_line(line: str, lineno: int | None = None,
-                    path: str | None = None) -> NonTerminal:
-    """One line of a one-tree-per-line file.  A blank line is an error."""
-    _check_tree_line(line, lineno, path)
-    return parse_bracketed(line, lineno, path)
-
-
 def tree_line_tokens(line: str, lineno: int | None = None,
                      path: str | None = None) -> list[str]:
     """The :func:`bracket_tokens` of one line of a one-tree-per-line file.
     A blank line is an error."""
-    _check_tree_line(line, lineno, path)
+    if not line.strip():
+        raise FormatError("blank line in tree file", lineno, path)
     return bracket_tokens(line, lineno, path)
 
 
 def read_trees(lines: Iterable[str], path: str | None = None) -> Iterator[NonTerminal]:
     """Parse a one-tree-per-line stream."""
     for lineno, line in enumerate(lines, start=1):
-        yield parse_tree_line(line, lineno, path)
+        yield parse_bracketed(tree_line_tokens(line, lineno, path))

@@ -553,6 +553,32 @@ def _write_treebank_corpus(root, n_pairs, seed, skipped=()):
             _write_lines(root / "seg.tsv", seg))
 
 
+def test_tree_commands_build_no_nodes(tmp_path, monkeypatch):
+    # project, subword and strip work on bracket tokens alone: with the
+    # parser and both node types made to raise, every output is the same.
+    pairs, trees, seg = _write_treebank_corpus(tmp_path, 300, seed=17, skipped=(4, 260))
+
+    def outputs(name):
+        out = tmp_path / name
+        out.mkdir()
+        source = str(out / "source.trees")
+        assert main(["project", pairs, trees, "-o", source,
+                     "--summary", str(out / "summary.json")]) == 0
+        assert main(["subword", source, seg, "-o", str(out / "sub.trees")]) == 0
+        assert main(["strip", source, "-o", str(out / "stripped.trees")]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    plain = outputs("plain")
+
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("a tree command built a node")
+
+    for name in ("parse_bracketed", "NonTerminal", "Terminal"):
+        monkeypatch.setattr(T, name, no_nodes)
+    assert outputs("patched") == plain
+    assert len(plain) == 4 and b'"skipped": 2' in plain["summary.json"]
+
+
 # A child process runs one command and prints its own peak resident size,
 # then the largest peak among the processes it reaped (its pool workers),
 # both in KB.

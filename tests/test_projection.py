@@ -322,25 +322,31 @@ def _random_projection_cases(rng, count):
 
 
 def _outcome(fn, *args):
+    """``fn(*args)`` as ``(bracket text, inserted)``, or its error's
+    ``(type, text)``."""
     try:
-        return fn(*args)
+        result = fn(*args)
     except (ValueError, RuntimeError) as err:
         return type(err), str(err)
+    if isinstance(result, ProjectionResult):
+        tree = result.source_tree
+        return (tree if isinstance(tree, str) else T.serialize(tree)), result.inserted
+    return result
 
 
 def test_projection_matches_the_oracle():
-    # Each case under both placements: the text and ``inserted``, or the
-    # error's type and text, of the copy-and-edit oracle.
+    # Each case under both placements, in node and token form: the text and
+    # ``inserted``, or the error's type and text, of the copy-and-edit oracle.
     errors = []
     for tree, script, src in _random_projection_cases(random.Random(81), 20_000):
+        tokens = T.bracket_tokens(T.serialize(tree))
         for placement in ("below", "above"):
             expected = _outcome(project_oracle, tree, script, src, placement)
             got = _outcome(project, tree, script, src, placement)
-            if isinstance(got, ProjectionResult):
-                got = T.serialize(got.source_tree), got.inserted
-            else:
-                errors.append(got[1])
             assert got == expected, (T.serialize(tree), script, src, placement)
+            assert _outcome(project, tokens, script, src, placement) == expected
+            if isinstance(got[0], type):
+                errors.append(got[1])
     for part in ("already contains", "out of range", "yield does not match",
                  "empty source", "no source word", "emptied the whole tree"):
         assert any(part in message for message in errors), part

@@ -164,7 +164,7 @@ def test_bracket_text_of_any_spacing_is_the_serialized_text(tree, data):
     text = T.serialize(tree).replace(" ", "  ")
     text = "".join(data.draw(space) if ch == " " else ch for ch in text)
     text = text.replace("(", "(" + data.draw(st.sampled_from(["", " ", "\t"])))
-    assert T.bracket_text(T.bracket_tokens(text)) == T.serialize(tree)
+    assert T.serialize(T.bracket_tokens(text)) == T.serialize(tree)
     assert T.parse_bracketed(text) == tree
 
 
