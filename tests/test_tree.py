@@ -166,6 +166,7 @@ def test_bracket_text_of_any_spacing_is_the_serialized_text(tree, data):
     text = text.replace("(", "(" + data.draw(st.sampled_from(["", " ", "\t"])))
     assert T.serialize(T.bracket_tokens(text)) == T.serialize(tree)
     assert T.parse_bracketed(text) == tree
+    assert T.parse_bracketed(T.bracket_tokens(text)) == tree
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
