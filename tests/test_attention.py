@@ -91,6 +91,19 @@ def test_backward_rejects_what_forward_rejects(Q, M, params):
     assert str(backward.value) == str(forward.value)
 
 
+def test_non_square_projection_rejected():
+    params = init_attention(3)
+    params.Wk = np.zeros((3, 2))
+    with pytest.raises(ValueError, match=r"^Wk has shape \(3, 2\), expected \(3, 3\)$"):
+        cross_attention(np.ones((2, 3)), np.ones((4, 3)), params)
+
+
+def test_backward_checks_the_d_out_shape():
+    with pytest.raises(ValueError, match="^d_out shape does not match attention output$"):
+        cross_attention_backward(np.ones((2, 3)), np.ones((4, 3)), init_attention(3),
+                                 d_out=np.ones((4, 3)))
+
+
 def test_dual_zero_value_memory_adds_nothing():
     d = 3
     rng = np.random.default_rng(8)

@@ -356,6 +356,29 @@ def test_ensemble_apply_bad_model_is_exit_2(tmp_path, capsys, model_text, messag
     assert capsys.readouterr().err == f"error: {model}: {message}\n"
 
 
+@pytest.mark.parametrize("model_text,message", [
+    ('[0, 0, 0, 0, 0, 0]', "a model needs a 'weights' list and a 'bias'"),
+    ('{"weights": {"w": 0}, "bias": 0}', "a model needs a 'weights' list and a 'bias'"),
+    ('{"weights": [0, 0, 0, 0, 0, 0]}', "a model needs a 'weights' list and a 'bias'"),
+    ('{"weights": [0, 0, 0, 0, 0, "0"], "bias": 0}', "model parameters must be finite numbers"),
+    ('{"weights": [0, 0, 0, 0, 0, 0], "bias": true}', "model parameters must be finite numbers"),
+    ('{"weights": [0, 0, 0, 0, 0, 0], "bias": 0, "threshold": NaN}',
+     "model parameters must be finite numbers"),
+], ids=["not-an-object", "weights-not-a-list", "no-bias", "string-weight", "bool-bias",
+        "nan-threshold"])
+def test_ensemble_apply_malformed_model_is_exit_2(tmp_path, capsys, model_text, message):
+    paths = []
+    for name in ("src", "h1", "h2"):
+        paths.append(tmp_path / f"{name}.txt")
+        paths[-1].write_text("a cat\n", encoding="utf-8")
+    model = tmp_path / "model.json"
+    model.write_text(model_text, encoding="utf-8")
+    assert main(["ensemble-apply", *map(str, paths), str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {model}: bad model file: {message}\n"
+    assert captured.out == ""
+
+
 def test_ensemble_train_source_mismatch_is_exit_2(tmp_path, capsys):
     (tmp_path / "src.txt").write_text("a cat\n", encoding="utf-8")
     (tmp_path / "h1.txt").write_text("a dog\n", encoding="utf-8")

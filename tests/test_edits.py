@@ -281,6 +281,12 @@ def test_m2_round_trip():
     assert parsed == [(lineno, list(s), sc) for lineno, (s, sc) in zip((1, 4, 7), pairs)]
 
 
+def test_m2_s_line_without_a_blank_line_starts_the_next_block():
+    lines = ["S a b", "A 0 1|||SUB|||x", "S c", "A 0 1|||RED|||", "", "S d"]
+    assert list(E.m2_blocks(lines)) == [
+        (1, ["S a b", "A 0 1|||SUB|||x"]), (3, ["S c", "A 0 1|||RED|||"]), (6, ["S d"])]
+
+
 @pytest.mark.parametrize("lines,lineno", [
     (["A 0 1|||SUB|||x"], 1),
     (["S a b", "A 0 1|||WHAT|||x"], 2),

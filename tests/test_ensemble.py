@@ -123,6 +123,15 @@ def test_training_rejects_divergence_and_empty_input():
         train(cands, [1.0, 0.0], lr=1e12, l2=1.0, epochs=500)
 
 
+def test_training_rejects_divergence_after_the_last_epoch():
+    # One step from zero is taken with a finite loss; the L2 term of the
+    # weights it reaches overflows, so only the final check catches it.
+    cands = [EditCandidate(E.sub(0, "a", "b"), (1, 0)),
+             EditCandidate(E.red(1, "c"), (0, 1))]
+    with pytest.raises(ValueError, match="^training diverged"):
+        train(cands, [1.0, 0.0], lr=1e300, l2=1.0, epochs=1)
+
+
 def test_training_consumes_iterables_in_lockstep():
     sources, golds, hyps = build_ensemble_corpus(seed=3, n_sentences=30)
     cands, labels = [], []

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import random
 
@@ -149,6 +150,51 @@ def test_terminal_inits_shape_checked():
     stack = init_stack(g.nt_labels, d=4, num_layers=1)
     with pytest.raises(ValueError):
         gcn_encode(g, np.zeros((g.num_terminals + 1, 4)), stack)
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda d: {"layers": [GcnLayerParams(np.zeros((d, d + 1)), np.zeros(d))]},
+     r"layer shapes \(4, 5\)/\(4,\) do not match width 4"),
+    (lambda d: {"layers": [GcnLayerParams(np.zeros((d, d)), np.zeros(d + 1))]},
+     r"layer shapes \(4, 4\)/\(5,\) do not match width 4"),
+    (lambda d: {"layers": [GcnLayerParams(np.zeros((d, d)), np.full(d, np.inf))]},
+     "non-finite layer parameters"),
+    (lambda d: {"layers": [GcnLayerParams(np.full((d, d), np.nan), np.zeros(d))]},
+     "non-finite layer parameters"),
+    (lambda d: {"E_nt": np.zeros((3, d))},
+     "embedding table shape does not match labels/width"),
+], ids=["W-shape", "b-shape", "inf-b", "nan-W", "embedding-rows"])
+def test_stack_rejects_bad_parameters(change, message):
+    # replace() rebuilds the stack through its constructor, the checks included.
+    stack = init_stack(["S", "NP"], d=4, num_layers=1, seed=0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataclasses.replace(stack, **change(4))
+
+
+def test_min_abs_preactivation_of_an_empty_stack_is_inf():
+    g = small_graph()
+    stack = init_stack(g.nt_labels, d=3, num_layers=0, seed=0)
+    assert min_abs_preactivation(g, np.ones((g.num_terminals, 3)), stack) == float("inf")
+
+
+def test_encode_backward_checks_the_d_out_shape():
+    g = small_graph()
+    stack = init_stack(g.nt_labels, d=3, num_layers=1, seed=0)
+    with pytest.raises(ValueError, match="^d_out shape does not match encoder output$"):
+        encode_backward(g, np.ones((g.num_terminals, 3)), stack,
+                        d_out=np.ones((g.num_nodes, 4)))
+
+
+def test_init_stack_draw_order():
+    labels, d, layers, seed = ["S", "NP", "VP"], 5, 3, 11
+    stack = init_stack(labels, d, layers, seed)
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(3.0 / d)
+    for params in stack.layers:
+        assert np.array_equal(params.W, rng.uniform(-scale, scale, (d, d)))
+        assert np.array_equal(params.b, rng.uniform(-scale, scale, d))
+    assert np.array_equal(stack.E_nt, rng.uniform(-0.1, 0.1, (len(labels), d)))
+    assert stack.labels == labels and len(stack.layers) == layers and stack.d == d
 
 
 def _sample_instance(seed, d=5, layers=2, max_tokens=4):
