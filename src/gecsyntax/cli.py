@@ -27,10 +27,12 @@ batch, the rows read before it.  :func:`_run_batches`, the one consumer,
 takes the batches in row order: it writes each text, logs the skips,
 raises the row error, then the reading error, and adds up the counts.
 So the output before an error is exactly that of the rows before it.
-With at most two batches per usable CPU in flight, once the input
-exceeds one batch the batches run on every CPU in the process's affinity
-mask (``taskset`` limits this), with output, warnings and errors the
-same as on one CPU.
+``project``, ``subword``, ``strip`` and ``ensemble-apply`` all run
+through :func:`_run_lines`, which reads their line-parallel files in
+lockstep (``strip`` has one) and opens the output.  With at most two
+batches per usable CPU in flight, once the input exceeds one batch the
+batches run on every CPU in the process's affinity mask (``taskset``
+limits this), with output, warnings and errors the same as on one CPU.
 
 A count mismatch is reported as ``path:line N: file ends, but OTHER goes
 on`` at the first line (for an ``.m2`` file, the first block) that only
@@ -249,6 +251,14 @@ def _out_stream(path: str | None):
         raise
 
 
+def _run_lines(row_fn: RowFn, paths: Sequence[str], output: str | None) -> Counter:
+    """:func:`_run_batches` over the ``(lineno, line, ...)`` rows of the
+    line-parallel files ``paths``, written to ``output`` as
+    :func:`_out_stream` opens it; gives the counts."""
+    with _out_stream(output) as out:
+        return _run_batches(out, row_fn, _lockstep([read_lines(p) for p in paths], paths))
+
+
 def _align_m2_blocks(pairs: Iterable[tuple], path: str) -> Iterator[tuple]:
     """``(source, script)`` per ``(lineno, source, target)`` pair; a replacement
     token holding ``|||`` splits its ``A`` line, so it is a :class:`FormatError`."""
@@ -296,10 +306,8 @@ def _project_row(paths: Sequence[str], placement: str, row: tuple,
 
 def cmd_project(args) -> int:
     paths = [args.parallel, args.trees]
-    with _out_stream(args.output) as out:
-        counts = _run_batches(
-            out, functools.partial(_project_row, paths, args.pseudo_placement),
-            _lockstep([read_lines(p) for p in paths], paths))
+    counts = _run_lines(functools.partial(_project_row, paths, args.pseudo_placement),
+                        paths, args.output)
     summary = {"pairs": counts["pairs"], "skipped": counts["skipped"],
                "pseudo_counts": {label: counts[label] for label in T.PSEUDO_LABELS}}
     summary_json = json.dumps(summary, sort_keys=True)
@@ -323,9 +331,7 @@ def _strip_row(path: str, row: tuple, counts: Counter, skips: list) -> str:
 
 
 def cmd_strip(args) -> int:
-    with _out_stream(args.output) as out:
-        _run_batches(out, functools.partial(_strip_row, args.trees),
-                     enumerate(read_lines(args.trees), start=1))
+    _run_lines(functools.partial(_strip_row, args.trees), [args.trees], args.output)
     return 0
 
 
@@ -344,10 +350,8 @@ def _subword_row(paths: Sequence[str], marker: str, style: str, row: tuple,
 
 def cmd_subword(args) -> int:
     paths = [args.trees, args.segmentation]
-    with _out_stream(args.output) as out:
-        _run_batches(out, functools.partial(_subword_row, paths, args.marker,
-                                            args.marker_style),
-                     _lockstep([read_lines(p) for p in paths], paths))
+    _run_lines(functools.partial(_subword_row, paths, args.marker, args.marker_style),
+               paths, args.output)
     return 0
 
 
@@ -408,10 +412,10 @@ def cmd_ensemble_train(args) -> int:
     if not counts:
         raise FormatError("no edits proposed by any system; nothing to train on")
     try:
-        model = ensemble.train(counts=counts, lr=args.lr, epochs=args.epochs,
-                               l2=args.l2, threshold=args.threshold)
+        model = ensemble.train(counts=counts, lr=args.lr, epochs=args.epochs, l2=args.l2)
     except ValueError as exc:
         raise FormatError(f"--lr {args.lr} --l2 {args.l2}: {exc}") from None
+    model.threshold = args.threshold
     payload = json.dumps(ensemble.model_to_dict(model), sort_keys=True)
     with _out_stream(args.output) as out:
         out.write(payload + "\n")
@@ -440,10 +444,8 @@ def cmd_ensemble_apply(args) -> int:
                           f"{len(args.hypotheses)} hypothesis files", path=args.model)
     if args.threshold is not None:
         model.threshold = args.threshold
-    paths = [args.source, *args.hypotheses]
-    with _out_stream(args.output) as out:
-        _run_batches(out, functools.partial(_apply_row, model),
-                     _lockstep([read_lines(p) for p in paths], paths))
+    _run_lines(functools.partial(_apply_row, model), [args.source, *args.hypotheses],
+               args.output)
     return 0
 
 
@@ -474,7 +476,11 @@ def _number(kind: type, sign: str = "finite"):
     argparse's message, e.g. ``invalid positive int value: '0'``."""
     def parse(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and _SIGNS[sign](value)):
+        try:
+            ok = math.isfinite(value) and _SIGNS[sign](value)
+        except OverflowError:  # an int beyond float range
+            ok = False
+        if not ok:
             raise ValueError(text)
         return value
 

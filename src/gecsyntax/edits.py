@@ -272,18 +272,12 @@ def apply_edits(src_tokens: Sequence[str], edits: Iterable[Edit]) -> list[str]:
 
 # --- serialization -----------------------------------------------------
 
-def script_to_dict(script: EditScript) -> dict:
-    return {
-        "edits": [
-            {"cat": e.category, "i": e.i, "j": e.j,
-             "src": list(e.src_tokens), "tgt": list(e.tgt_tokens)}
-            for e in script
-        ]
-    }
-
-
 def script_to_json(script: EditScript) -> str:
-    return json.dumps(script_to_dict(script), ensure_ascii=False)
+    return json.dumps({"edits": [
+        {"cat": e.category, "i": e.i, "j": e.j,
+         "src": list(e.src_tokens), "tgt": list(e.tgt_tokens)}
+        for e in script
+    ]}, ensure_ascii=False)
 
 
 def write_m2(blocks: Iterable[tuple[Sequence[str], EditScript]], fh) -> None:

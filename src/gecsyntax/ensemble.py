@@ -133,7 +133,6 @@ def row_counts(labeled: Iterable[tuple[EditCandidate, float]]) -> Counter:
 
 def train(candidates: Iterable[EditCandidate] = (), labels: Iterable[float] = (),
           lr: float = 0.5, epochs: int = 500, l2: float = 0.0,
-          threshold: float = 0.5,
           counts: Mapping[tuple[tuple[int, ...], str, float], int] | None = None,
           ) -> LogRegModel:
     """Full-batch gradient descent from zero-initialized parameters.
@@ -166,7 +165,7 @@ def train(candidates: Iterable[EditCandidate] = (), labels: Iterable[float] = ()
     loss, _, _ = loss_and_grad(w, b, X, y, l2, freq)
     if not (math.isfinite(loss) and math.isfinite(b) and np.isfinite(w).all()):
         raise ValueError(_DIVERGED)
-    return LogRegModel(w, b, threshold, feature_names(len(next(iter(groups))[0])),
+    return LogRegModel(w, b, feature_names=feature_names(len(next(iter(groups))[0])),
                        final_loss=loss)
 
 

@@ -31,30 +31,31 @@ class GcnLayerParams:
     W: np.ndarray  # (d, d)
     b: np.ndarray  # (d,)
 
-    def check(self, d: int) -> None:
-        if self.W.shape != (d, d) or self.b.shape != (d,):
-            raise ValueError(
-                f"layer shapes {self.W.shape}/{self.b.shape} do not match width {d}"
-            )
-        if not (np.isfinite(self.W).all() and np.isfinite(self.b).all()):
-            raise ValueError("non-finite layer parameters")
-
 
 @dataclass
 class GcnStack:
     layers: list[GcnLayerParams]
     labels: list[str]            # row i of E_nt embeds labels[i]
-    E_nt: np.ndarray             # (n_labels, d)
-    d: int
+    E_nt: np.ndarray             # (n_labels, d): its width is the stack's
     _label_rows: dict[str, int] = field(default=None, init=False, repr=False,
                                         compare=False)
 
     def __post_init__(self):
         self._label_rows = {lab: i for i, lab in enumerate(self.labels)}
-        for layer in self.layers:
-            layer.check(self.d)
-        if self.E_nt.shape != (len(self.labels), self.d):
+        if self.E_nt.ndim != 2 or len(self.E_nt) != len(self.labels):
             raise ValueError("embedding table shape does not match labels/width")
+        d = self.d
+        for layer in self.layers:
+            if layer.W.shape != (d, d) or layer.b.shape != (d,):
+                raise ValueError(
+                    f"layer shapes {layer.W.shape}/{layer.b.shape} do not match width {d}"
+                )
+            if not (np.isfinite(layer.W).all() and np.isfinite(layer.b).all()):
+                raise ValueError("non-finite layer parameters")
+
+    @property
+    def d(self) -> int:
+        return self.E_nt.shape[1]
 
     def label_row(self, label: str) -> int:
         try:
@@ -78,7 +79,7 @@ def init_stack(labels, d: int = 64, num_layers: int = 3, seed: int = 0) -> GcnSt
         for _ in range(num_layers)
     ]
     E_nt = rng.uniform(-0.1, 0.1, (len(labels), d))
-    return GcnStack(layers, list(labels), E_nt, d)
+    return GcnStack(layers, list(labels), E_nt)
 
 
 def gcn_layer(graph: SyntaxGraph, H: np.ndarray, params: GcnLayerParams) -> np.ndarray:

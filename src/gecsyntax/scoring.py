@@ -32,14 +32,11 @@ class Scores:
     def f05(self) -> float:
         return f_beta(self.precision, self.recall, beta=0.5)
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "tp": self.tp, "fp": self.fp, "fn": self.fn,
             "P": self.precision, "R": self.recall, "F05": self.f05,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        })
 
     def summary(self) -> str:
         return (f"TP {self.tp}  FP {self.fp}  FN {self.fn}  "

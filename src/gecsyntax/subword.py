@@ -81,11 +81,10 @@ def to_subword_tree(
 def parse_segmentation_line(line: str, lineno: int | None = None,
                             path: str | None = None) -> list[list[str]]:
     """One sentence per line: words separated by TAB, pieces by spaces."""
-    stripped = line.rstrip("\n")
-    if not stripped.strip():
+    if not line.strip():
         raise FormatError("blank line in segmentation file", lineno, path)
     groups = []
-    for field in stripped.split("\t"):
+    for field in line.split("\t"):
         pieces = field.split()
         if not pieces:
             raise FormatError("empty word field in segmentation", lineno, path)

@@ -343,7 +343,19 @@ def test_ensemble_train_and_apply(tmp_path, capsys):
     ('{"weights": [0, 0, 0, 0, 0], "bias": 0}', "5 weights do not fit 2 hypothesis files"),
     ('{"weights": [0, 0, 0, 0, 0, 0], "bi',
      "bad model file: Unterminated string starting at: line 1 column 33 (char 32)"),
-], ids=["weight-count", "truncated-json"])
+    ('[0, 0, 0, 0, 0, 0]', "bad model file: a model needs a 'weights' list and a 'bias'"),
+    ('{"weights": {"w": 0}, "bias": 0}',
+     "bad model file: a model needs a 'weights' list and a 'bias'"),
+    ('{"weights": [0, 0, 0, 0, 0, 0]}',
+     "bad model file: a model needs a 'weights' list and a 'bias'"),
+    ('{"weights": [0, 0, 0, 0, 0, "0"], "bias": 0}',
+     "bad model file: model parameters must be finite numbers"),
+    ('{"weights": [0, 0, 0, 0, 0, 0], "bias": true}',
+     "bad model file: model parameters must be finite numbers"),
+    ('{"weights": [0, 0, 0, 0, 0, 0], "bias": 0, "threshold": NaN}',
+     "bad model file: model parameters must be finite numbers"),
+], ids=["weight-count", "truncated-json", "not-an-object", "weights-not-a-list", "no-bias",
+        "string-weight", "bool-bias", "nan-threshold"])
 def test_ensemble_apply_bad_model_is_exit_2(tmp_path, capsys, model_text, message):
     paths = []
     for name in ("src", "h1", "h2"):
@@ -354,29 +366,6 @@ def test_ensemble_apply_bad_model_is_exit_2(tmp_path, capsys, model_text, messag
     assert main(["ensemble-apply", *map(str, paths), str(model)]) == 2
     # A file without a line number is named as "path: message".
     assert capsys.readouterr().err == f"error: {model}: {message}\n"
-
-
-@pytest.mark.parametrize("model_text,message", [
-    ('[0, 0, 0, 0, 0, 0]', "a model needs a 'weights' list and a 'bias'"),
-    ('{"weights": {"w": 0}, "bias": 0}', "a model needs a 'weights' list and a 'bias'"),
-    ('{"weights": [0, 0, 0, 0, 0, 0]}', "a model needs a 'weights' list and a 'bias'"),
-    ('{"weights": [0, 0, 0, 0, 0, "0"], "bias": 0}', "model parameters must be finite numbers"),
-    ('{"weights": [0, 0, 0, 0, 0, 0], "bias": true}', "model parameters must be finite numbers"),
-    ('{"weights": [0, 0, 0, 0, 0, 0], "bias": 0, "threshold": NaN}',
-     "model parameters must be finite numbers"),
-], ids=["not-an-object", "weights-not-a-list", "no-bias", "string-weight", "bool-bias",
-        "nan-threshold"])
-def test_ensemble_apply_malformed_model_is_exit_2(tmp_path, capsys, model_text, message):
-    paths = []
-    for name in ("src", "h1", "h2"):
-        paths.append(tmp_path / f"{name}.txt")
-        paths[-1].write_text("a cat\n", encoding="utf-8")
-    model = tmp_path / "model.json"
-    model.write_text(model_text, encoding="utf-8")
-    assert main(["ensemble-apply", *map(str, paths), str(model)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {model}: bad model file: {message}\n"
-    assert captured.out == ""
 
 
 def test_ensemble_train_source_mismatch_is_exit_2(tmp_path, capsys):
@@ -471,6 +460,20 @@ def test_every_numeric_flag_rejects_non_finite_values(tmp_path, capsys, command,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: argument {flag}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--d", "--layers", "--epochs"])
+def test_integer_flag_beyond_float_range_is_refused(capsys, flag):
+    # Only the parser runs, so no huge stack or training loop is started.
+    command = "ensemble-train" if flag == "--epochs" else "gcn-check"
+    inputs = ["src", "hyp", "gold"] if flag == "--epochs" else ["trees"]
+    huge = "9" * 400
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *inputs, f"{flag}={huge}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: invalid " in err and f" int value: '{huge}'" in err
+    assert "Traceback" not in err
 
 
 def _write_lines(path, lines):

@@ -64,14 +64,16 @@ _COMMANDS = {
 # undrawn flag keeps its default.  gcn-check's one large width is refused
 # by the allocator at once, and it comes first so that the derandomized
 # draws reach it; no large depth is drawn, as the layers are allocated
-# and run one by one.
+# and run one by one.  Only the seed also draws an integer beyond float
+# range, which the parser refuses: a depth or epoch count of that size,
+# were it let through, would run for ever.
 _EDGE_NUMBERS = ["inf", "-inf", "nan", "0", "-1", "1e12", "0.5", "5"]
 _SMALL_INTS = ["0", "-3", "1", "4"]
 _FLAGS = {"ensemble-train": {flag: _EDGE_NUMBERS for flag in
                              ("--lr", "--l2", "--epochs", "--threshold")},
           "ensemble-apply": {"--threshold": _EDGE_NUMBERS},
           "gcn-check": {"--d": ["1000000", *_SMALL_INTS],
-                        "--layers": _SMALL_INTS, "--seed": _SMALL_INTS}}
+                        "--layers": _SMALL_INTS, "--seed": [*_SMALL_INTS, "9" * 400]}}
 
 
 def _spliced(seed: bytes):

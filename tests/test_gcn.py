@@ -97,7 +97,7 @@ def test_zero_inits_single_layer_is_relu_bias():
     rng = np.random.default_rng(2)
     layer = GcnLayerParams(rng.standard_normal((d, d)), rng.standard_normal(d))
     stack = GcnStack([layer], sorted(set(g.nt_labels)),
-                     np.zeros((len(set(g.nt_labels)), d)), d)
+                     np.zeros((len(set(g.nt_labels)), d)))
     out = gcn_encode(g, np.zeros((g.num_terminals, d)), stack)
     expected = np.tile(np.maximum(layer.b, 0.0), (g.num_nodes, 1))
     assert np.allclose(out, expected)
