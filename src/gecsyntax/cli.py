@@ -61,7 +61,6 @@ import io
 import itertools
 import json
 import logging
-import math
 import os
 import sys
 from collections import Counter, deque
@@ -476,11 +475,8 @@ def _number(kind: type, sign: str = "finite"):
     argparse's message, e.g. ``invalid positive int value: '0'``."""
     def parse(text: str):
         value = kind(text)
-        try:
-            ok = math.isfinite(value) and _SIGNS[sign](value)
-        except OverflowError:  # an int beyond float range
-            ok = False
-        if not ok:
+        # False for nan, +-inf and an int beyond float range alike.
+        if not (abs(value) <= sys.float_info.max and _SIGNS[sign](value)):
             raise ValueError(text)
         return value
 
