@@ -17,13 +17,15 @@ aligner that shares no code with this module.
 
 An :class:`Edit` is a named tuple of ``(category, i, j, src_tokens,
 tgt_tokens)``: it hashes and compares field-wise, equals the plain 5-tuple
-of its fields, and none of its fields can be assigned.
+of its fields, and none of its fields can be assigned.  An edit script
+(:data:`EditScript`) is a plain tuple of edits in slot order
+(:attr:`Edit.slot`); :func:`make_script` alone orders and checks one, and
+:func:`align` builds its script in that order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FormatError
@@ -81,46 +83,17 @@ def miss(i: int, tgt_tokens: Sequence[str]) -> Edit:
     return Edit(MISS, i, i, (), tuple(tgt_tokens))
 
 
-@dataclass(frozen=True, slots=True)
-class EditScript:
-    """Edits in slot order (:attr:`Edit.slot`): by span start, and at equal
-    start a MISS before the SUB or RED.
-
-    That is the order :func:`make_script` and :func:`align` give; the class
-    itself enforces neither the order nor any rule of :func:`check_script`.
-    """
-
-    edits: tuple[Edit, ...] = ()
-
-    def __iter__(self) -> Iterator[Edit]:
-        return iter(self.edits)
-
-    def __len__(self) -> int:
-        return len(self.edits)
-
-    @property
-    def cost(self) -> int:
-        return sum(e.cost for e in self.edits)
-
-    def category_counts(self) -> dict[str, int]:
-        counts = {SUB: 0, RED: 0, MISS: 0}
-        for e in self.edits:
-            counts[e.category] += 1
-        return counts
-
-
-def _ordered(edits: Iterable[Edit]) -> tuple[Edit, ...]:
-    """``edits`` in slot order; ``ValueError`` unless they form a valid script."""
-    ordered = tuple(sorted(edits, key=Edit.slot.fget))
-    problems = check_script(ordered)
-    if problems:
-        raise ValueError("invalid edit script: " + "; ".join(problems))
-    return ordered
+EditScript = tuple[Edit, ...]
 
 
 def make_script(edits: Iterable[Edit]) -> EditScript:
-    """Build a script from edits in any order, enforcing the invariants."""
-    return EditScript(_ordered(edits))
+    """The script of ``edits`` given in any order: a tuple sorted by
+    :attr:`Edit.slot`, or ``ValueError`` unless it passes :func:`check_script`."""
+    script = tuple(sorted(edits, key=Edit.slot.fget))
+    problems = check_script(script)
+    if problems:
+        raise ValueError("invalid edit script: " + "; ".join(problems))
+    return script
 
 
 def check_script(edits: Sequence[Edit]) -> list[str]:
@@ -174,7 +147,7 @@ def align(src_tokens: Sequence[str], tgt_tokens: Sequence[str]) -> EditScript:
     while offset < n and offset < m and src_tokens[offset] == tgt_tokens[offset]:
         offset += 1
     if offset == n and offset == m:
-        return EditScript()
+        return ()
     s, t = src_tokens, tgt_tokens
     if offset:
         s = s[offset:]
@@ -247,7 +220,7 @@ def align(src_tokens: Sequence[str], tgt_tokens: Sequence[str]) -> EditScript:
         while i < n and j < m and s[i] == t[j]:
             i += 1
             j += 1
-    return EditScript(tuple(edits))
+    return tuple(edits)
 
 
 def apply_edits(src_tokens: Sequence[str], edits: Iterable[Edit]) -> list[str]:
@@ -260,7 +233,7 @@ def apply_edits(src_tokens: Sequence[str], edits: Iterable[Edit]) -> list[str]:
     n = len(src_tokens)
     out: list[str] = []
     at = 0
-    for e in _ordered(edits):
+    for e in make_script(edits):
         if e.i < 0 or e.j > n:
             raise ValueError(f"edit span [{e.i},{e.j}) out of range for {n} tokens")
         out.extend(src_tokens[at:e.i])

@@ -120,11 +120,12 @@ def project(
 ) -> ProjectionResult:
     """Rewrite ``target_tree`` into a tree over ``src_tokens``.
 
-    Requires a valid script in any order, ``yield(target_tree) ==
-    apply_edits(src_tokens, script)`` and a target tree free of SUB/RED/MISS
-    nodes; raises ``ValueError`` otherwise.  An empty script returns a
-    structurally identical tree.  One walk over the ordered script checks
-    it against the source and the tree's words; a second, right to left,
+    Requires edits in any order that :func:`make_script` accepts,
+    ``yield(target_tree) == apply_edits(src_tokens, script)`` and a target
+    tree free of SUB/RED/MISS nodes; raises ``ValueError`` otherwise.  An
+    empty script returns a structurally identical tree.  ``make_script``
+    gives the script as a tuple in slot order; one walk over it checks it
+    against the source and the tree's words, and a second, right to left,
     makes the edits.  Tokens give bracket text, a root node fresh nodes.
     """
     if not isinstance(target_tree, list):
@@ -138,7 +139,7 @@ def project(
     if not src_tokens and len(script):
         raise ValueError("empty source sentence with a non-empty edit script")
     tree = _Tree(target_tree)
-    edits = make_script(script).edits
+    edits = make_script(script)
     # The yield the script asks for; per source position the word's id (None
     # under a RED); per MISS point the words it deletes; the rightmost kept
     # one.  Slices, not indexes, let a tree with too few words reach the

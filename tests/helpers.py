@@ -146,9 +146,23 @@ def all_pairs_levenshtein(seqs) -> np.ndarray:
     return dp[rows[:, None], rows[None, :], lens[:, None], lens[None, :]]
 
 
+def script_cost(script) -> int:
+    """Unit cost of a script from its edits' fields: one per SUB or RED,
+    one per word a MISS inserts."""
+    return sum(len(e.tgt_tokens) if e.category == MISS else 1 for e in script)
+
+
+def category_counts(script) -> dict[str, int]:
+    """How many edits of each category a script holds, zero-filled."""
+    counts = {SUB: 0, RED: 0, MISS: 0}
+    for e in script:
+        counts[e.category] += 1
+    return counts
+
+
 def our_cost_row(src) -> bytes:
     """align() script costs of one source against every enumerated target."""
-    return bytes(align(list(src), list(t)).cost for t in all_sequences())
+    return bytes(script_cost(align(list(src), list(t))) for t in all_sequences())
 
 
 def enumerate_scripts(src, tgt, max_cost) -> list[EditScript]:
@@ -465,7 +479,7 @@ def project_oracle(target, script, src, placement="below"):
         node.up = wrapper
 
     copy(target, top)
-    edits = make_script(script).edits
+    edits = make_script(script)
     expected, src_word, miss_words = [], [], {}
     rightmost, sp = -1, 0
     for e in edits:

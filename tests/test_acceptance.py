@@ -29,9 +29,9 @@ from gecsyntax.projection import project, strip_pseudo
 from gecsyntax.scoring import corpus_score, f_beta
 from tests.helpers import (
     SRC_VOCAB, all_pairs_levenshtein, all_sequences, attention_scalar_oracle,
-    build_ensemble_corpus, gcn_dense_oracle, levenshtein_scalar, max_rel_err,
-    numeric_grad, our_cost_row, random_pair, random_script, random_tokens,
-    random_tree,
+    build_ensemble_corpus, category_counts, gcn_dense_oracle, levenshtein_scalar,
+    max_rel_err, numeric_grad, our_cost_row, random_pair, random_script,
+    random_tokens, random_tree,
 )
 
 
@@ -119,7 +119,7 @@ def test_criterion_2_projection_correctness(projection_corpus):
     good = 0
     for src, script, _, result in projection_corpus:
         ok = T.yield_tokens(result.source_tree) == src
-        ok = ok and _pseudo_counts_in(result.source_tree) == script.category_counts()
+        ok = ok and _pseudo_counts_in(result.source_tree) == category_counts(script)
         good += ok
 
     hand = [
@@ -158,7 +158,7 @@ def test_criterion_3_ablation_hooks(projection_corpus):
         ok = ok and terms_s == terms_p - counts["RED"]
         ok = ok and _pseudo_counts_in(stripped) == {"SUB": 0, "RED": 0, "MISS": 0}
         strip_exact += ok
-        if not script.edits:
+        if not script:
             empty_seen += 1
             identity_ok += projected == target_tree
 

@@ -14,42 +14,43 @@ from gecsyntax.errors import FormatError
 from tests.helpers import (
     SRC_VOCAB, align_table_oracle, all_sequences, apply_edits_oracle,
     build_ensemble_corpus, child_env, enumerate_scripts, has_vmhwm, levenshtein_scalar,
-    random_pair, random_script, random_tokens, script_oracle,
+    random_pair, random_script, random_tokens, script_cost, script_oracle,
 )
 
 
 def test_align_identical_sequences():
-    assert E.align(["a", "cat"], ["a", "cat"]).edits == ()
-    assert E.align([], []).edits == ()
+    assert E.align(["a", "cat"], ["a", "cat"]) == ()
+    assert E.align([], []) == ()
 
 
 def test_align_single_substitution_unique_minimum():
     src, tgt = ["a", "cat", "sat"], ["a", "dog", "sat"]
     script = E.align(src, tgt)
-    assert script.edits == (E.sub(1, "cat", "dog"),)
+    assert script == (E.sub(1, "cat", "dog"),)
     # every script of cost <= 2 that maps src to tgt; the minimum is unique
     candidates = enumerate_scripts(src, tgt, max_cost=2)
-    minima = [s for s in candidates if s.cost == min(c.cost for c in candidates)]
+    minima = [s for s in candidates
+              if script_cost(s) == min(script_cost(c) for c in candidates)]
     assert minima == [script]
 
 
 def test_align_merges_adjacent_insertions():
     script = E.align(["cat", "sat"], ["the", "big", "cat", "sat"])
-    assert script.edits == (E.miss(0, ["the", "big"]),)
+    assert script == (E.miss(0, ["the", "big"]),)
 
 
 def test_align_prefers_keeping_early_source_tokens():
     script = E.align(["the", "the", "cat"], ["the", "cat"])
-    assert script.edits == (E.red(1, "the"),)
+    assert script == (E.red(1, "the"),)
 
 
 def test_align_decomposes_replacement_regions():
     # two source words against one target word: SUB then RED
     script = E.align(["x", "y"], ["q"])
-    assert script.edits == (E.sub(0, "x", "q"), E.red(1, "y"))
+    assert script == (E.sub(0, "x", "q"), E.red(1, "y"))
     # one source word against two target words: SUB then trailing MISS
     script = E.align(["x"], ["q", "r"])
-    assert script.edits == (E.sub(0, "x", "q"), E.miss(1, ["r"]))
+    assert script == (E.sub(0, "x", "q"), E.miss(1, ["r"]))
 
 
 def test_align_deterministic():
@@ -140,7 +141,7 @@ def test_make_script_accepts_exactly_the_pairwise_rule():
             with pytest.raises(ValueError, match="invalid edit script"):
                 E.make_script(edits)
         else:
-            assert E.make_script(edits).edits == tuple(want)
+            assert E.make_script(edits) == tuple(want)
             valid += 1
     assert 5_000 < valid < 15_000, valid
 
@@ -148,6 +149,37 @@ def test_make_script_accepts_exactly_the_pairwise_rule():
 def test_make_script_orders_miss_before_sub():
     script = E.make_script([E.sub(1, "a", "b"), E.miss(1, ["x"])])
     assert [e.category for e in script] == [E.MISS, E.SUB]
+
+
+def _is_plain_script(script):
+    return (type(script) is tuple and all(type(e) is E.Edit for e in script)
+            and [e.slot for e in script] == sorted(e.slot for e in script))
+
+
+def test_every_constructor_gives_a_plain_tuple_in_slot_order():
+    src, tgt = ["a", "x", "b", "c"], ["q", "a", "b", "r", "c", "s"]
+    aligned = E.align(src, tgt)
+    assert aligned and _is_plain_script(aligned)
+    assert _is_plain_script(E.align(src, src)) and E.align(src, src) == ()
+    made = E.make_script(reversed(aligned))
+    assert made == aligned and _is_plain_script(made)
+    block = ["S " + " ".join(src)] + [
+        f"A {e.i} {e.j}|||{e.category}|||{' '.join(e.tgt_tokens)}" for e in aligned]
+    parsed_src, parsed = E.parse_m2_block(1, block)
+    assert parsed_src == src and parsed == aligned and _is_plain_script(parsed)
+    ((lineno, read_src, read),) = E.read_m2(block)
+    assert (lineno, read_src, read) == (1, src, aligned) and _is_plain_script(read)
+
+
+def test_m2_a_lines_out_of_slot_order_parse_to_the_ordered_script():
+    ordered = ["S a b c", "A 0 0|||MISS|||x y", "A 0 1|||SUB|||q",
+               "A 2 3|||RED|||", "A 3 3|||MISS|||z"]
+    want = (E.miss(0, ["x", "y"]), E.sub(0, "a", "q"), E.red(2, "c"), E.miss(3, ["z"]))
+    assert E.parse_m2_block(1, ordered) == (["a", "b", "c"], want)
+    for a_lines in ([ordered[4], ordered[2], ordered[1], ordered[3]],
+                    [ordered[2], ordered[1], ordered[4], ordered[3]]):
+        assert E.parse_m2_block(1, [ordered[0], *a_lines]) == (["a", "b", "c"], want)
+        assert list(E.read_m2([ordered[0], *a_lines])) == [(1, ["a", "b", "c"], want)]
 
 
 def test_round_trip_random_pairs():
@@ -166,7 +198,7 @@ def test_cost_matches_scalar_oracle_random():
         tgt = [rng.choice(vocab) for _ in range(rng.randint(0, 8))]
         if not src and not tgt:
             continue
-        assert E.align(src, tgt).cost == levenshtein_scalar(src, tgt)
+        assert script_cost(E.align(src, tgt)) == levenshtein_scalar(src, tgt)
 
 
 def _as_tuples(script):
@@ -256,7 +288,7 @@ def test_align_long_lines_in_bounded_time_and_memory():
 def test_round_trip_and_minimality_property(src, tgt):
     script = E.align(src, tgt)
     assert E.apply_edits(src, script) == tgt
-    assert script.cost == levenshtein_scalar(src, tgt)
+    assert script_cost(script) == levenshtein_scalar(src, tgt)
 
 
 def test_script_json_round_trip():

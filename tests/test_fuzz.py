@@ -6,9 +6,12 @@ or free bytes biased toward the characters the formats are made of.
 ``ensemble-train`` also draws its numeric training flags and threshold,
 ``ensemble-apply`` its threshold and ``gcn-check`` its width, depth and
 seed, each left at its default or set to a value from a small set of
-edge cases.  A drawn flag is one ``--flag=value`` argument, so a value
-such as ``-inf`` reaches the flag's type instead of reading as an
-option.  In half of these commands' examples the files are the
+edge cases.  ``project`` draws ``--pseudo-placement`` from ``below``,
+``above`` and the unknown ``inside``; ``subword`` draws
+``--marker-style`` from ``prefix``, ``suffix`` and the unknown ``infix``,
+and ``--marker`` from ``@@``, the empty marker, ``(`` and ``-LRB-``.  A
+drawn flag is one ``--flag=value`` argument, so a value such as ``-inf``
+reaches the flag's type instead of reading as an option.  In half of these commands' examples the files are the
 well-formed seeds, so the flags reach the computation.  Whatever the
 bytes and flags, the command exits 0, or 2 with an ``error:`` line on
 stderr (argparse rejecting a flag value exits 2 the same way); only
@@ -60,8 +63,8 @@ _COMMANDS = {
 }
 
 
-# Numeric flags drawn per command, and the values each draws from; an
-# undrawn flag keeps its default.  gcn-check's one large width is refused
+# Flags drawn per command, and the values each draws from; an undrawn
+# flag keeps its default.  gcn-check's one large width is refused
 # by the allocator at once, and it comes first so that the derandomized
 # draws reach it; no large depth is drawn, as the layers are allocated
 # and run one by one.  Only the seed also draws an integer beyond float
@@ -72,6 +75,9 @@ _SMALL_INTS = ["0", "-3", "1", "4"]
 _FLAGS = {"ensemble-train": {flag: _EDGE_NUMBERS for flag in
                              ("--lr", "--l2", "--epochs", "--threshold")},
           "ensemble-apply": {"--threshold": _EDGE_NUMBERS},
+          "project": {"--pseudo-placement": ["below", "above", "inside"]},
+          "subword": {"--marker-style": ["prefix", "suffix", "infix"],
+                      "--marker": ["@@", "", "(", "-LRB-"]},
           "gcn-check": {"--d": ["1000000", *_SMALL_INTS],
                         "--layers": _SMALL_INTS, "--seed": [*_SMALL_INTS, "9" * 400]}}
 

@@ -10,8 +10,8 @@ from gecsyntax.cli import main
 from gecsyntax.projection import ProjectionResult, project, strip_pseudo
 
 from tests.helpers import (
-    SRC_VOCAB, project_oracle, random_script, random_tokens, random_tree,
-    strip_pseudo_oracle, subword_tree_oracle,
+    SRC_VOCAB, category_counts, project_oracle, random_script, random_tokens,
+    random_tree, strip_pseudo_oracle, subword_tree_oracle,
 )
 
 
@@ -382,7 +382,7 @@ def test_randomized_projection_properties(placement):
         counts = {"SUB": 0, "RED": 0, "MISS": 0}
         for label, _ in result.inserted:
             counts[label] += 1
-        assert counts == script.category_counts()
+        assert counts == category_counts(script)
         in_tree = {"SUB": 0, "RED": 0, "MISS": 0}
         stack = [projected]
         while stack:
@@ -393,7 +393,7 @@ def test_randomized_projection_properties(placement):
                 stack.extend(node.children)
         assert in_tree == counts
 
-        if not script.edits:
+        if not script:
             assert projected == target_tree
 
         stripped = strip_pseudo(projected)
