@@ -36,14 +36,13 @@ def edge_encode_reference(graph: SyntaxGraph, terminal_inits: np.ndarray,
     return H
 
 
-def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
-    return abs(a - b) / max(abs(a), abs(b), floor)
+def rel_err(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b), 1e-6)
 
 
 def gcn_gradient_check(graph: SyntaxGraph, terminal_inits: np.ndarray,
                        stack: GcnStack, rng: np.random.Generator,
-                       samples_per_tensor: int = 8,
-                       h: float = 1e-5) -> float:
+                       samples_per_tensor: int = 8) -> float:
     """Max relative error between analytic and numeric gradients.
 
     Probes a random subset of coordinates of W/b of every layer, of the
@@ -55,6 +54,7 @@ def gcn_gradient_check(graph: SyntaxGraph, terminal_inits: np.ndarray,
     to rounding, however close a pre-activation lies to its kink.
     """
     grads = encode_backward(graph, terminal_inits, stack)
+    h = 1e-5
 
     def loss_and_masks() -> tuple[float, list[np.ndarray]]:
         out, _, pres = _encode_with_cache(graph, terminal_inits, stack)

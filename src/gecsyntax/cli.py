@@ -305,16 +305,17 @@ def _project_row(paths: Sequence[str], placement: str, row: tuple,
 
 def cmd_project(args) -> int:
     paths = [args.parallel, args.trees]
-    counts = _run_lines(functools.partial(_project_row, paths, args.pseudo_placement),
-                        paths, args.output)
-    summary = {"pairs": counts["pairs"], "skipped": counts["skipped"],
-               "pseudo_counts": {label: counts[label] for label in T.PSEUDO_LABELS}}
-    summary_json = json.dumps(summary, sort_keys=True)
-    if args.summary:
-        with _out_stream(args.summary) as fh:
-            fh.write(summary_json + "\n")
-    else:
-        print(summary_json, file=sys.stderr)
+    if args.summary and args.output and (
+            os.path.realpath(args.summary) == os.path.realpath(args.output)):
+        raise FormatError(f"-o and --summary name the same file: {args.output}")
+    # Opened first, so a summary that cannot be written fails before any work.
+    with (_out_stream(args.summary) if args.summary
+          else contextlib.nullcontext(sys.stderr)) as summary_out:
+        counts = _run_lines(functools.partial(_project_row, paths, args.pseudo_placement),
+                            paths, args.output)
+        summary = {"pairs": counts["pairs"], "skipped": counts["skipped"],
+                   "pseudo_counts": {label: counts[label] for label in T.PSEUDO_LABELS}}
+        summary_out.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
 
 

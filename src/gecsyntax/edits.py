@@ -55,11 +55,6 @@ class Edit(NamedTuple):
     tgt_tokens: tuple[str, ...]
 
     @property
-    def cost(self) -> int:
-        """Unit cost: 1 per substituted/deleted word, 1 per inserted word."""
-        return len(self.tgt_tokens) if self.category == MISS else 1
-
-    @property
     def slot(self) -> int:
         """Where the edit sits: the gap before source word ``i`` is slot
         ``2i`` and word ``i`` is slot ``2i + 1``.  A MISS takes its gap, a

@@ -17,10 +17,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .edits import MISS, RED, SUB, Edit, EditScript, align, apply_edits
+from .edits import CATEGORIES, Edit, EditScript, align, apply_edits
 from .errors import FormatError
 
-_CATEGORY_ORDER = {SUB: 0, RED: 1, MISS: 2}
+_CATEGORY_ORDER = {cat: k for k, cat in enumerate(CATEGORIES)}
 _DIVERGED = "training diverged (non-finite loss or parameters); lower the lr"
 
 

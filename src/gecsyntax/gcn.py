@@ -37,11 +37,11 @@ class GcnStack:
     layers: list[GcnLayerParams]
     labels: list[str]            # row i of E_nt embeds labels[i]
     E_nt: np.ndarray             # (n_labels, d): its width is the stack's
-    _label_rows: dict[str, int] = field(default=None, init=False, repr=False,
-                                        compare=False)
+    _row_of: dict[str, int] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
-        self._label_rows = {lab: i for i, lab in enumerate(self.labels)}
+        self._row_of = {lab: i for i, lab in enumerate(self.labels)}
         if self.E_nt.ndim != 2 or len(self.E_nt) != len(self.labels):
             raise ValueError("embedding table shape does not match labels/width")
         d = self.d
@@ -57,11 +57,13 @@ class GcnStack:
     def d(self) -> int:
         return self.E_nt.shape[1]
 
-    def label_row(self, label: str) -> int:
+    def rows(self, labels) -> np.ndarray:
+        """The ``E_nt`` row of each label, as an ``intp`` index array (so no
+        labels index no rows)."""
         try:
-            return self._label_rows[label]
-        except KeyError:
-            raise ValueError(f"no embedding row for label {label!r}") from None
+            return np.array([self._row_of[lab] for lab in labels], dtype=np.intp)
+        except KeyError as exc:
+            raise ValueError(f"no embedding row for label {exc.args[0]!r}") from None
 
 
 def init_stack(labels, d: int = 64, num_layers: int = 3, seed: int = 0) -> GcnStack:
@@ -106,11 +108,8 @@ def initial_node_matrix(graph: SyntaxGraph, terminal_inits: np.ndarray,
             f"terminal inits shape {terminal_inits.shape} does not match "
             f"({graph.num_terminals}, {stack.d})"
         )
-    rows = [stack.label_row(lab) for lab in graph.nt_labels]
-    return np.vstack([
-        np.asarray(terminal_inits, dtype=float),
-        stack.E_nt[rows] if rows else np.zeros((0, stack.d)),
-    ])
+    return np.vstack([np.asarray(terminal_inits, dtype=float),
+                      stack.E_nt[stack.rows(graph.nt_labels)]])
 
 
 def _encode_with_cache(graph, terminal_inits, stack):
@@ -127,23 +126,6 @@ def gcn_encode(graph: SyntaxGraph, terminal_inits: np.ndarray,
                stack: GcnStack) -> np.ndarray:
     """Run the full stack; returns the final node matrix (nodes x d)."""
     return _encode_with_cache(graph, terminal_inits, stack)[0]
-
-
-# A finite-difference check that takes every probe as valid needs inputs
-# whose pre-activations all lie at least this far from a ReLU kink.  The
-# margin must comfortably exceed the finite-difference step times the
-# pre-activation's sensitivity to one parameter entry, or the perturbed
-# pass lands on the other side of the kink and the numeric gradient is
-# garbage.
-KINK_MARGIN = 1e-3
-
-
-def min_abs_preactivation(graph, terminal_inits, stack) -> float:
-    """Smallest |pre-activation| across all layers (inf for empty stacks)."""
-    _, _, pres = _encode_with_cache(graph, terminal_inits, stack)
-    if not pres:
-        return float("inf")
-    return min(float(np.min(np.abs(p))) for p in pres)
 
 
 @dataclass
@@ -179,9 +161,7 @@ def encode_backward(graph: SyntaxGraph, terminal_inits: np.ndarray,
         grad = d_msgs @ stack.layers[l].W
     nt = graph.num_terminals
     dE = np.zeros_like(stack.E_nt)
-    # intp, not float: a graph without non-terminals gives an empty index.
-    rows = np.array([stack.label_row(lab) for lab in graph.nt_labels], dtype=np.intp)
-    np.add.at(dE, rows, grad[nt:])
+    np.add.at(dE, stack.rows(graph.nt_labels), grad[nt:])
     return GcnGradients(dW, db, dE, grad[:nt].copy())
 
 

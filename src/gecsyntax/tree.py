@@ -3,10 +3,10 @@
 A tree is represented by its root :class:`NonTerminal`.  Terminal nodes
 are the words of the sentence, in yield order; non-terminal nodes carry
 a constituent label and an ordered, non-empty child list.
-The reserved labels ``SUB``, ``RED`` and ``MISS`` mark substituted,
-redundant and missing-adjacent words in error-extended trees; ordinary
-parser output must not contain them (projection rejects a target tree
-that does).
+The reserved labels ``SUB``, ``RED`` and ``MISS``, the edit categories,
+mark substituted, redundant and missing-adjacent words in error-extended
+trees; ordinary parser output must not contain them (projection rejects
+a target tree that does).
 
 Trees are treated as immutable after construction: every operation in
 this package returns fresh nodes and never mutates its input.
@@ -24,9 +24,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
+from .edits import CATEGORIES
 from .errors import FormatError
 
-PSEUDO_LABELS = frozenset({"SUB", "RED", "MISS"})
+PSEUDO_LABELS = frozenset(CATEGORIES)
 
 _OPEN_SPACE_RE = re.compile(r"\(\s+")
 

@@ -194,7 +194,7 @@ def enumerate_scripts(src, tgt, max_cost) -> list[EditScript]:
                 results.append(make_script(edits))
             return
         for m in miss_options(point, max_cost - cost):
-            extra = 0 if m is None else m.cost
+            extra = 0 if m is None else script_cost([m])
             if cost + extra > max_cost:
                 continue
             step = edits + ([m] if m is not None else [])
@@ -202,7 +202,7 @@ def enumerate_scripts(src, tgt, max_cost) -> list[EditScript]:
                 expand(point + 1, step, cost + extra)
                 continue
             for choice in position_choices[point]:
-                c2 = cost + extra + (0 if choice is None else choice.cost)
+                c2 = cost + extra + (0 if choice is None else script_cost([choice]))
                 if c2 > max_cost:
                     continue
                 expand(point + 1, step + ([choice] if choice is not None else []),
@@ -646,8 +646,8 @@ def dense_adjacency(n: int, edges) -> np.ndarray:
 
 # --- numeric oracles ----------------------------------------------------
 
-def gcn_dense_oracle(graph, H, W, b) -> np.ndarray:
-    """ReLU(A @ H @ W^T + b) with an explicit dense adjacency matrix.
+def gcn_dense_preactivation(graph, H, W, b) -> np.ndarray:
+    """A @ H @ W^T + b with an explicit dense adjacency matrix.
 
     ``graph`` has ``num_nodes`` and its edges either as symmetric
     neighbour lists ``adjacency`` or as a ``parent`` vector (-1 at a
@@ -658,7 +658,62 @@ def gcn_dense_oracle(graph, H, W, b) -> np.ndarray:
     else:
         edges = [(v, p) for v, p in enumerate(graph.parent) if p >= 0]
     A = dense_adjacency(graph.num_nodes, edges)
-    return np.maximum(A @ np.asarray(H) @ np.asarray(W).T + np.asarray(b), 0.0)
+    return A @ np.asarray(H) @ np.asarray(W).T + np.asarray(b)
+
+
+def gcn_dense_oracle(graph, H, W, b) -> np.ndarray:
+    """ReLU(A @ H @ W^T + b), by :func:`gcn_dense_preactivation`."""
+    return np.maximum(gcn_dense_preactivation(graph, H, W, b), 0.0)
+
+
+def gcn_preactivations(graph, inits, stack) -> list[np.ndarray]:
+    """Every layer's pre-activation under ``stack``, recomputed densely.
+
+    The node matrix starts as the terminal inits over the ``E_nt`` rows
+    that ``stack.labels`` names for the graph's non-terminals.
+    """
+    H = np.vstack([inits, stack.E_nt[[stack.labels.index(lab) for lab in graph.nt_labels]]])
+    pres = []
+    for params in stack.layers:
+        pres.append(gcn_dense_preactivation(graph, H, params.W, params.b))
+        H = np.maximum(pres[-1], 0.0)
+    return pres
+
+
+# A finite-difference test that takes every probe as valid needs inputs
+# whose pre-activations all lie at least this far from a ReLU kink.  The
+# margin must comfortably exceed the finite-difference step times the
+# pre-activation's sensitivity to one parameter entry, or the perturbed
+# pass lands on the other side of the kink and the numeric gradient is
+# garbage.
+KINK_MARGIN = 1e-3
+
+
+def kink_free_gcn_instance(seed, d=5):
+    """Graph, two-layer stack of width ``d`` and inits with every
+    pre-activation at least ``KINK_MARGIN`` from a ReLU kink, by
+    :func:`gcn_preactivations`.
+
+    The graph is a random tree of 1-4 words from ``random.Random(seed)``.
+    Stack and inits are re-rolled together, up to 100 trials: non-terminal
+    pre-activations in the first layer are independent of the terminal
+    inits.
+    """
+    from gecsyntax.gcn import init_stack
+    from gecsyntax.graph import build_graph
+
+    rng = random.Random(seed)
+    tokens = random_tokens(rng, rng.randint(1, 4), SRC_VOCAB)
+    g = build_graph(random_tree(tokens, rng))
+    labels = sorted(set(g.nt_labels))
+    for trial in range(100):
+        stack = init_stack(labels, d=d, num_layers=2, seed=seed + 31 * trial)
+        inits = np.random.default_rng(seed + 977 * (trial + 1)).uniform(
+            -0.5, 0.5, (g.num_terminals, d))
+        pres = gcn_preactivations(g, inits, stack)
+        if min(np.min(np.abs(p)) for p in pres) >= KINK_MARGIN:
+            return g, stack, inits
+    raise RuntimeError("no kink-free sample found")
 
 
 def attention_scalar_oracle(Q, M, Wq, Wk, Wv) -> np.ndarray:

@@ -20,18 +20,15 @@ from gecsyntax.cli import main as cli_main
 from gecsyntax.ensemble import gather, label_candidates, loss_and_grad, select_edits
 from gecsyntax.ensemble import train as train_selector
 from gecsyntax.ensemble import EditCandidate, feature_matrix
-from gecsyntax.gcn import (
-    KINK_MARGIN, GcnLayerParams, encode_backward, fuse, gcn_encode, gcn_layer,
-    init_stack, min_abs_preactivation,
-)
+from gecsyntax.gcn import GcnLayerParams, encode_backward, fuse, gcn_encode, gcn_layer
 from gecsyntax.graph import build_graph
 from gecsyntax.projection import project, strip_pseudo
 from gecsyntax.scoring import corpus_score, f_beta
 from tests.helpers import (
     SRC_VOCAB, all_pairs_levenshtein, all_sequences, attention_scalar_oracle,
-    build_ensemble_corpus, category_counts, gcn_dense_oracle, levenshtein_scalar,
-    max_rel_err, numeric_grad, our_cost_row, random_pair, random_script,
-    random_tokens, random_tree,
+    build_ensemble_corpus, category_counts, gcn_dense_oracle, kink_free_gcn_instance,
+    levenshtein_scalar, max_rel_err, numeric_grad, our_cost_row, random_pair,
+    random_script, random_tokens, random_tree,
 )
 
 
@@ -191,18 +188,7 @@ def test_criterion_4_gcn_oracle_and_gradients():
 
     worst_rel = 0.0
     for seed in range(20):
-        inst_rng = random.Random(500 + seed)
-        tokens = random_tokens(inst_rng, inst_rng.randint(1, 4), SRC_VOCAB)
-        g = build_graph(random_tree(tokens, inst_rng))
-        labels = sorted(set(g.nt_labels))
-        # re-sample stack and inits together until clear of ReLU kinks
-        for trial in range(100):
-            stack = init_stack(labels, d=5, num_layers=2,
-                               seed=500 + seed + 31 * trial)
-            inst_np = np.random.default_rng(500 + seed + 977 * (trial + 1))
-            inits = inst_np.uniform(-0.5, 0.5, (g.num_terminals, 5))
-            if min_abs_preactivation(g, inits, stack) >= KINK_MARGIN:
-                break
+        g, stack, inits = kink_free_gcn_instance(500 + seed)
         grads = encode_backward(g, inits, stack)
 
         def loss():

@@ -208,6 +208,35 @@ def test_unwritable_output_names_the_output(tmp_path, capsys):
     assert ".tmp" not in err and "input" not in err
 
 
+def _one_pair_project_inputs(tmp_path):
+    parallel = tmp_path / "p.tsv"
+    parallel.write_text("a cat\ta cat\n", encoding="utf-8")
+    trees = tmp_path / "t.trees"
+    trees.write_text("(S (DT a) (NN cat))\n", encoding="utf-8")
+    return [str(parallel), str(trees)]
+
+
+def test_unwritable_summary_leaves_no_projected_trees(tmp_path, capsys):
+    inputs = _one_pair_project_inputs(tmp_path)
+    out, summary = tmp_path / "out.trees", tmp_path / "absent" / "s.json"
+    assert main(["project", *inputs, "-o", str(out), "--summary", str(summary)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {summary}: No such file or directory" in err
+    assert sorted(os.listdir(tmp_path)) == ["p.tsv", "t.trees"]
+
+
+def test_summary_naming_the_output_is_refused(tmp_path, capsys):
+    inputs = _one_pair_project_inputs(tmp_path)
+    out = tmp_path / "out.trees"
+    out.write_text("kept\n", encoding="utf-8")
+    same = os.path.join(str(tmp_path), ".", "out.trees")
+    assert main(["project", *inputs, "-o", str(out), "--summary", same]) == 2
+    err = capsys.readouterr().err
+    assert f"error: -o and --summary name the same file: {out}" in err
+    assert out.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.trees", "p.tsv", "t.trees"]
+
+
 def test_subword_command(tmp_path, capsys):
     trees = tmp_path / "t.trees"
     trees.write_text("(S (VBG playing) (NN cat))\n", encoding="utf-8")
@@ -225,6 +254,17 @@ def test_subword_empty_suffix_marker(tmp_path, capsys):
     assert main(["subword", str(trees), str(seg), "--marker", "",
                  "--marker-style", "suffix"]) == 0
     assert capsys.readouterr().out == "(S (VBG play ing) (NN cat))\n"
+
+
+@pytest.mark.parametrize("marker,pieces", [("(", "play (ing"), ("-LRB-", "play -LRB-ing")])
+def test_subword_bracket_marker(tmp_path, capsys, marker, pieces):
+    # A marker that starts with "-" must be given as --marker=VALUE.
+    trees = tmp_path / "t.trees"
+    trees.write_text("(S (VBG playing) (NN cat))\n", encoding="utf-8")
+    seg = tmp_path / "seg.tsv"
+    seg.write_text(f"{pieces}\tcat\n", encoding="utf-8")
+    assert main(["subword", str(trees), str(seg), f"--marker={marker}"]) == 0
+    assert capsys.readouterr().out == "(S (VBG play -LRB-ing) (NN cat))\n"
 
 
 def test_malformed_tree_names_tree_file_and_line(tmp_path, capsys):

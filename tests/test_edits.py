@@ -334,9 +334,6 @@ def test_m2_format_errors_carry_line_numbers(lines, lineno):
 
 
 def test_edit_costs():
-    assert E.sub(0, "a", "b").cost == 1
-    assert E.red(0, "a").cost == 1
-    assert E.miss(0, ["x", "y", "z"]).cost == 3
     assert E.sub(1, "a", "b").identity() == (E.SUB, 1, 2, ("b",))
     assert E.red(3, "x").identity() == (E.RED, 3, 4, ())
     assert E.miss(2, ["x", "y"]).identity() == (E.MISS, 2, 2, ("x", "y"))
@@ -349,7 +346,7 @@ def test_edit_is_an_immutable_tuple_of_its_fields():
     assert hash(edit) == hash(same)
     assert len({edit, same}) == 1
     assert edit != E.sub(1, "a", "c") and edit != E.red(1, "a")
-    for name in ("category", "i", "j", "src_tokens", "tgt_tokens", "cost", "other"):
+    for name in ("category", "i", "j", "src_tokens", "tgt_tokens", "slot", "other"):
         with pytest.raises(AttributeError):
             setattr(edit, name, None)
     assert edit == same

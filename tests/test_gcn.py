@@ -8,16 +8,15 @@ import pytest
 
 from gecsyntax import tree as T
 from gecsyntax.gcn import (
-    KINK_MARGIN, GcnLayerParams, GcnStack, _encode_with_cache, encode_backward,
-    fuse, gcn_encode, gcn_layer, init_stack, min_abs_preactivation,
+    GcnLayerParams, GcnStack, encode_backward, fuse, gcn_encode, gcn_layer, init_stack,
 )
 from gecsyntax.checks import edge_encode_reference, gcn_gradient_check
 from gecsyntax.cli import main
 from gecsyntax.graph import SyntaxGraph, build_graph, build_graph_dep
 
 from tests.helpers import (
-    SRC_VOCAB, gcn_dense_oracle, max_rel_err, neighbour_lists, numeric_grad,
-    random_tokens, random_tree,
+    SRC_VOCAB, gcn_dense_oracle, gcn_preactivations, kink_free_gcn_instance,
+    max_rel_err, neighbour_lists, numeric_grad, random_tokens, random_tree,
 )
 
 
@@ -88,7 +87,7 @@ def test_zero_layer_stack_returns_initial_matrix():
     out = gcn_encode(g, inits, stack)
     assert np.allclose(out[:2], inits)
     for k, lab in enumerate(g.nt_labels):
-        assert np.allclose(out[2 + k], stack.E_nt[stack.label_row(lab)])
+        assert np.allclose(out[2 + k], stack.E_nt[stack.labels.index(lab)])
 
 
 def test_zero_inits_single_layer_is_relu_bias():
@@ -108,7 +107,7 @@ def test_encode_equals_sequential_layers():
     stack = init_stack(g.nt_labels, d=6, num_layers=3, seed=3)
     inits = np.random.default_rng(3).standard_normal((g.num_terminals, 6))
     out = gcn_encode(g, inits, stack)
-    H = np.vstack([inits, stack.E_nt[[stack.label_row(l) for l in g.nt_labels]]])
+    H = np.vstack([inits, stack.E_nt[[stack.labels.index(l) for l in g.nt_labels]]])
     for params in stack.layers:
         H = gcn_layer(g, H, params)
     assert np.allclose(out, H)
@@ -141,8 +140,9 @@ def test_permutation_equivariance():
 def test_missing_label_row_is_an_error():
     g = small_graph()
     stack = init_stack(["S", "NP"], d=4, num_layers=1)
-    with pytest.raises(ValueError):
-        gcn_encode(g, np.zeros((g.num_terminals, 4)), stack)
+    for run in (gcn_encode, encode_backward):
+        with pytest.raises(ValueError, match="^no embedding row for label 'DT'$"):
+            run(g, np.zeros((g.num_terminals, 4)), stack)
 
 
 def test_terminal_inits_shape_checked():
@@ -171,12 +171,6 @@ def test_stack_rejects_bad_parameters(change, message):
         dataclasses.replace(stack, **change(4))
 
 
-def test_min_abs_preactivation_of_an_empty_stack_is_inf():
-    g = small_graph()
-    stack = init_stack(g.nt_labels, d=3, num_layers=0, seed=0)
-    assert min_abs_preactivation(g, np.ones((g.num_terminals, 3)), stack) == float("inf")
-
-
 def test_encode_backward_checks_the_d_out_shape():
     g = small_graph()
     stack = init_stack(g.nt_labels, d=3, num_layers=1, seed=0)
@@ -197,28 +191,9 @@ def test_init_stack_draw_order():
     assert stack.labels == labels and len(stack.layers) == layers and stack.d == d
 
 
-def _sample_instance(seed, d=5, layers=2, max_tokens=4):
-    """Graph, stack and inits with pre-activations clear of ReLU kinks.
-
-    Stack and inits are re-rolled together: non-terminal pre-activations
-    in the first layer are independent of the terminal inits.
-    """
-    rng = random.Random(seed)
-    tokens = random_tokens(rng, rng.randint(1, max_tokens), SRC_VOCAB)
-    g = build_graph(random_tree(tokens, rng))
-    labels = sorted(set(g.nt_labels))
-    for trial in range(100):
-        stack = init_stack(labels, d=d, num_layers=layers, seed=seed + 31 * trial)
-        np_rng = np.random.default_rng(seed + 977 * (trial + 1))
-        inits = np_rng.uniform(-0.5, 0.5, (g.num_terminals, d))
-        if min_abs_preactivation(g, inits, stack) >= KINK_MARGIN:
-            return g, stack, inits
-    raise RuntimeError("no kink-free sample found")
-
-
 def test_gradients_match_finite_differences():
     for seed in range(6):
-        g, stack, inits = _sample_instance(seed)
+        g, stack, inits = kink_free_gcn_instance(seed)
         grads = encode_backward(g, inits, stack)
 
         def loss():
@@ -232,13 +207,13 @@ def test_gradients_match_finite_differences():
 
 
 def test_gradient_check_holds_next_to_a_kink():
-    g, stack, inits = _sample_instance(17, d=3)
+    g, stack, inits = kink_free_gcn_instance(17, d=3)
     # Move one layer-1 pre-activation to 1e-7 through the bias, so the
     # bias probe of its column (h = 1e-5) flips that ReLU both ways.
-    _, _, pres = _encode_with_cache(g, inits, stack)
+    pres = gcn_preactivations(g, inits, stack)
     v, c = np.unravel_index(np.argmax(pres[0]), pres[0].shape)
     stack.layers[0].b[c] -= pres[0][v, c] - 1e-7
-    assert min_abs_preactivation(g, inits, stack) < 1e-6
+    assert min(np.min(np.abs(p)) for p in gcn_preactivations(g, inits, stack)) < 1e-6
     every = max(arr.size for arr in (stack.E_nt, inits, *(p.W for p in stack.layers)))
     worst = gcn_gradient_check(g, inits, stack, np.random.default_rng(0),
                                samples_per_tensor=every)
