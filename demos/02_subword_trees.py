@@ -7,20 +7,20 @@ Attaching every piece of a word under the word's original head node
 closes that gap, and pseudo error nodes carry over to all pieces.
 """
 
-from gecsyntax import parse_bracketed, serialize, to_subword_tree
+from gecsyntax import bracket_tokens, to_subword_tree
 
-tree = parse_bracketed("(S (PRP I) (VP (VBP enjoy) (NP (NN playing))))")
+tree = bracket_tokens("(S (PRP I) (VP (VBP enjoy) (NP (NN playing))))")
 
 # One piece list per word, continuation pieces marked with a leading @@.
 segmentation = [["I"], ["en", "@@joy"], ["play", "@@ing"]]
-print(serialize(to_subword_tree(tree, segmentation)))
+print(to_subword_tree(tree, segmentation))
 
 # A word marked as a substitution error keeps its SUB node above all of
 # its pieces.
-marked = parse_bracketed("(S (NP (DT a) (NN (SUB playgroud))))")
+marked = bracket_tokens("(S (NP (DT a) (NN (SUB playgroud))))")
 seg = [["a"], ["play", "@@groud"]]
-print(serialize(to_subword_tree(marked, seg)))
+print(to_subword_tree(marked, seg))
 
 # Fairseq-style trailing markers work through the style switch.
-tree2 = parse_bracketed("(S (VBG playing))")
-print(serialize(to_subword_tree(tree2, [["play@@", "ing"]], style="suffix")))
+tree2 = bracket_tokens("(S (VBG playing))")
+print(to_subword_tree(tree2, [["play@@", "ing"]], style="suffix"))

@@ -19,6 +19,7 @@ from .tree import (
     NonTerminal,
     PSEUDO_LABELS,
     Terminal,
+    bracket_tokens,
     parse_bracketed,
     serialize,
     yield_tokens,
@@ -41,8 +42,8 @@ _LAZY = {name: module for module, names in (
 ) for name in names}
 
 __all__ = [
-    "NonTerminal", "Terminal", "PSEUDO_LABELS", "parse_bracketed", "serialize",
-    "yield_tokens",
+    "NonTerminal", "Terminal", "PSEUDO_LABELS", "bracket_tokens", "parse_bracketed",
+    "serialize", "yield_tokens",
     "Edit", "EditScript", "align", "apply_edits", "make_script",
     "ProjectionResult", "project", "strip_pseudo",
     "to_subword_tree",

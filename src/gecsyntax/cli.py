@@ -41,12 +41,14 @@ line N.
 
 Each numeric flag's range is part of its argparse ``type``: a value out
 of range is rejected by the argument parser before any file is opened.
-Exit codes: 0 on success, 2 on input-format errors (reported with line
-numbers), on a flag the parser rejects, on training that diverges,
-when memory runs out and when a worker process ends abruptly, 1 when a
-numeric self-check fails, 141 when the reader of standard output closes
-it early.  Set ``CSYN_LOG`` to a level name (debug, info, warning, ...)
-for diagnostics on stderr; any other value means warning.
+So is an output (``-o``, ``--summary``) that names an input or the other
+output, by :func:`_out_stream`.  Exit codes: 0 on success, 2 on
+input-format errors (reported with line numbers), on a flag the parser
+rejects, on training that diverges, when memory runs out and when a
+worker process ends abruptly, 1 when a numeric self-check fails, 141
+when the reader of standard output closes it early.  Set ``CSYN_LOG``
+to a level name (debug, info, warning, ...) for diagnostics on stderr;
+any other value means warning.
 
 Only ``gcn-check``, ``ensemble-train`` and ``ensemble-apply`` import
 numpy, inside the command; the other commands start without it.
@@ -224,18 +226,26 @@ def _run_batches(out, row_fn: RowFn, rows: Iterable) -> Counter:
     return counts
 
 
-@contextlib.contextmanager
-def _out_stream(path: str | None):
-    """Standard output, or the file ``path`` written whole or not at all.
-
-    The file is written under a temporary name in its own directory and
-    renamed into place on success; on any error the temporary file is
-    removed and an existing output file is left as it was.  OS errors
-    on the temporary file or the rename name ``path``.
-    """
+def _out_stream(path: str | None, keep: Sequence[str | None], default=None):
+    """A context manager for the file ``path``, written whole or not at all,
+    or for ``default`` (standard output) without one.  A ``path`` naming
+    (by ``os.path.realpath``) one of ``keep``, the command's inputs and
+    other output, is a :class:`FormatError` raised by this call, so before
+    the command opens any file."""
     if not path:
-        yield sys.stdout
-        return
+        return contextlib.nullcontext(default or sys.stdout)
+    for other in keep:
+        if other and os.path.realpath(other) == os.path.realpath(path):
+            raise FormatError(f"output {path} names the same file as {other}")
+    return _written_whole(path)
+
+
+@contextlib.contextmanager
+def _written_whole(path: str):
+    """``path`` written under a temporary name in its own directory and
+    renamed into place on success; on any error the temporary file is
+    removed and an existing file is left as it was.  OS errors on the
+    temporary file or the rename name ``path``."""
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
@@ -250,11 +260,11 @@ def _out_stream(path: str | None):
         raise
 
 
-def _run_lines(row_fn: RowFn, paths: Sequence[str], output: str | None) -> Counter:
+def _run_lines(row_fn: RowFn, paths: Sequence[str], output) -> Counter:
     """:func:`_run_batches` over the ``(lineno, line, ...)`` rows of the
-    line-parallel files ``paths``, written to ``output`` as
-    :func:`_out_stream` opens it; gives the counts."""
-    with _out_stream(output) as out:
+    line-parallel files ``paths``, written to the stream of ``output``, a
+    context manager from :func:`_out_stream`; gives the counts."""
+    with output as out:
         return _run_batches(out, row_fn, _lockstep([read_lines(p) for p in paths], paths))
 
 
@@ -273,7 +283,7 @@ def _align_m2_blocks(pairs: Iterable[tuple], path: str) -> Iterator[tuple]:
 def cmd_align(args) -> int:
     pairs = ((lineno, *parse_tsv_line(line, lineno, args.parallel))
              for lineno, line in enumerate(read_lines(args.parallel), start=1))
-    with _out_stream(args.output) as out:
+    with _out_stream(args.output, [args.parallel]) as out:
         if args.format == "m2":
             ed.write_m2(_align_m2_blocks(pairs, args.parallel), out)
         else:
@@ -305,14 +315,11 @@ def _project_row(paths: Sequence[str], placement: str, row: tuple,
 
 def cmd_project(args) -> int:
     paths = [args.parallel, args.trees]
-    if args.summary and args.output and (
-            os.path.realpath(args.summary) == os.path.realpath(args.output)):
-        raise FormatError(f"-o and --summary name the same file: {args.output}")
+    output = _out_stream(args.output, [*paths, args.summary])
     # Opened first, so a summary that cannot be written fails before any work.
-    with (_out_stream(args.summary) if args.summary
-          else contextlib.nullcontext(sys.stderr)) as summary_out:
+    with _out_stream(args.summary, [*paths, args.output], sys.stderr) as summary_out:
         counts = _run_lines(functools.partial(_project_row, paths, args.pseudo_placement),
-                            paths, args.output)
+                            paths, output)
         summary = {"pairs": counts["pairs"], "skipped": counts["skipped"],
                    "pseudo_counts": {label: counts[label] for label in T.PSEUDO_LABELS}}
         summary_out.write(json.dumps(summary, sort_keys=True) + "\n")
@@ -331,7 +338,8 @@ def _strip_row(path: str, row: tuple, counts: Counter, skips: list) -> str:
 
 
 def cmd_strip(args) -> int:
-    _run_lines(functools.partial(_strip_row, args.trees), [args.trees], args.output)
+    _run_lines(functools.partial(_strip_row, args.trees), [args.trees],
+               _out_stream(args.output, [args.trees]))
     return 0
 
 
@@ -351,7 +359,7 @@ def _subword_row(paths: Sequence[str], marker: str, style: str, row: tuple,
 def cmd_subword(args) -> int:
     paths = [args.trees, args.segmentation]
     _run_lines(functools.partial(_subword_row, paths, args.marker, args.marker_style),
-               paths, args.output)
+               paths, _out_stream(args.output, paths))
     return 0
 
 
@@ -405,6 +413,7 @@ def cmd_ensemble_train(args) -> int:
     from . import ensemble
 
     paths = [args.source, *args.hypotheses, args.gold]
+    output = _out_stream(args.output, paths)
     streams = [*map(read_lines, paths[:-1]), ed.m2_blocks(read_lines(args.gold), args.gold)]
     # The rows give no text, so nothing is written to the sink.
     counts = _run_batches(io.StringIO(), functools.partial(_train_row, args.gold),
@@ -417,7 +426,7 @@ def cmd_ensemble_train(args) -> int:
         raise FormatError(f"--lr {args.lr} --l2 {args.l2}: {exc}") from None
     model.threshold = args.threshold
     payload = json.dumps(ensemble.model_to_dict(model), sort_keys=True)
-    with _out_stream(args.output) as out:
+    with output as out:
         out.write(payload + "\n")
     logger.info("trained on %d candidates, final loss %.6f",
                 sum(counts.values()), model.final_loss)
@@ -438,19 +447,21 @@ def _apply_row(model, row: tuple, counts: Counter, skips: list) -> str:
 def cmd_ensemble_apply(args) -> int:
     from . import ensemble
 
+    paths = [args.source, *args.hypotheses]
+    output = _out_stream(args.output, [*paths, args.model])
     model = ensemble.load_model(args.model)
     if len(model.weights) != len(ensemble.feature_names(len(args.hypotheses))):
         raise FormatError(f"{len(model.weights)} weights do not fit "
                           f"{len(args.hypotheses)} hypothesis files", path=args.model)
     if args.threshold is not None:
         model.threshold = args.threshold
-    _run_lines(functools.partial(_apply_row, model), [args.source, *args.hypotheses],
-               args.output)
+    _run_lines(functools.partial(_apply_row, model), paths, output)
     return 0
 
 
 def cmd_score(args) -> int:
     paths = [args.hypothesis, args.gold]
+    output = _out_stream(args.output, paths)
 
     def pairs() -> Iterator[tuple[ed.EditScript, ed.EditScript]]:
         for _, (h_line, hs, h), (g_line, gs, g) in _lockstep(
@@ -461,7 +472,7 @@ def cmd_score(args) -> int:
             yield h, g
 
     result = scoring.corpus_score(pairs())
-    with _out_stream(args.output) as out:
+    with output as out:
         out.write(result.to_json() + "\n")
     print(result.summary(), file=sys.stderr)
     return 0

@@ -23,8 +23,6 @@ preterminal instead.
 
 :func:`project` (over integer node ids built from the tokens) and
 :func:`strip_pseudo` take :func:`tree.bracket_tokens` and give bracket text.
-A root node goes through that text and back, so a hand-built word the text
-cannot carry (empty, holding whitespace, or ``-LRB-``/``-RRB-``) is lost.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ _SPLICED_OPENS = ("(" + SUB, "(" + MISS)
 
 @dataclass
 class ProjectionResult:
-    source_tree: T.NonTerminal | str  # a root node, or bracket text
+    source_tree: str  # bracket text
     inserted: list[tuple[str, int]]  # (pseudo label, source token position)
 
 
@@ -113,12 +111,12 @@ class _Tree:
 
 
 def project(
-    target_tree: T.NonTerminal | list[str],
+    target_tree: list[str],
     script: EditScript,
     src_tokens: Sequence[str],
     placement: str = "below",
 ) -> ProjectionResult:
-    """Rewrite ``target_tree`` into a tree over ``src_tokens``.
+    """Rewrite the tokens ``target_tree`` into bracket text over ``src_tokens``.
 
     Requires edits in any order that :func:`make_script` accepts,
     ``yield(target_tree) == apply_edits(src_tokens, script)`` and a target
@@ -126,12 +124,8 @@ def project(
     empty script returns a structurally identical tree.  ``make_script``
     gives the script as a tuple in slot order; one walk over it checks it
     against the source and the tree's words, and a second, right to left,
-    makes the edits.  Tokens give bracket text, a root node fresh nodes.
+    makes the edits.
     """
-    if not isinstance(target_tree, list):
-        result = project(T.bracket_tokens(T.serialize(target_tree)), script,
-                         src_tokens, placement)
-        return ProjectionResult(T.parse_bracketed(result.source_tree), result.inserted)
     if placement not in PLACEMENTS:
         raise ValueError(f"placement must be one of {PLACEMENTS}")
     src_tokens = list(src_tokens)
@@ -217,17 +211,14 @@ def project(
     return ProjectionResult(T.serialize(out), inserted)
 
 
-def strip_pseudo(tree: T.NonTerminal | list[str]) -> T.NonTerminal | str:
-    """Remove all inserted pseudo nodes.
+def strip_pseudo(tree: list[str]) -> str:
+    """Remove all inserted pseudo nodes from the tokens ``tree``, by one pass.
 
     A RED node is deleted together with the terminal(s) it dominates;
     SUB/MISS nodes are spliced out with their children promoted.  Nodes
     emptied by a deletion are pruned; what is left must be one rooted
-    tree, or ``ValueError``.  Tokens give bracket text by one pass over
-    them, a root node fresh nodes.
+    tree, or ``ValueError``.
     """
-    if not isinstance(tree, list):
-        return T.parse_bracketed(strip_pseudo(T.bracket_tokens(T.serialize(tree))))
     out: list[str] = []
     # Per open constituent, the index of its token in ``out``; -1 when spliced.
     opened: list[int] = []

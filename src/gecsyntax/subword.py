@@ -4,7 +4,7 @@
 sibling terminals under the word's immediate parent, so every subword
 inherits the original word's head non-terminal (including pseudo nodes);
 the input tree is left as it was.  It rewrites the word tokens of
-:func:`tree.bracket_tokens` and builds no node unless given one.
+:func:`tree.bracket_tokens` into bracket text.
 The module never runs a tokenizer itself: segmentations are supplied by
 the caller, with a configurable continuation-marker convention used only
 to verify that the pieces reassemble the word.
@@ -40,24 +40,19 @@ def join_pieces(pieces: Sequence[str], marker: str = "@@", style: str = "prefix"
 
 
 def to_subword_tree(
-    tree: T.NonTerminal | list[str],
+    tree: list[str],
     segmentation: SubwordSegmentation,
     marker: str = "@@",
     style: str = "prefix",
-) -> T.NonTerminal | str:
+) -> str:
     """Replace each terminal with its subword pieces as sibling terminals.
 
     The segmentation must cover the tree's yield exactly: one piece list
     per word, each non-empty and reassembling (by the marker convention)
     to its word, checked in that order.  Pieces are raw text: they are
     checked against the unescaped word and written escaped.  Non-terminal
-    structure is unchanged.  Given the tokens of :func:`tree.bracket_tokens`,
-    one pass finds the words and gives the bracket text; given a root
-    node, it gives fresh nodes parsed from that text.
+    structure is unchanged.  One pass finds the words and gives the text.
     """
-    if not isinstance(tree, list):
-        return T.parse_bracketed(to_subword_tree(
-            T.bracket_tokens(T.serialize(tree)), segmentation, marker, style))
     at = [i for i, tok in enumerate(tree) if tok[0] not in "()"]
     if len(segmentation) != len(at):
         raise ValueError(

@@ -8,14 +8,14 @@ mark substituted, redundant and missing-adjacent words in error-extended
 trees; ordinary parser output must not contain them (projection rejects
 a target tree that does).
 
-Trees are treated as immutable after construction: every operation in
-this package returns fresh nodes and never mutates its input.
+Trees are treated as immutable after construction: no operation in
+this package mutates its input.
 
 :func:`bracket_tokens` is the one rule for valid bracket text.  Its
 tokens are ``"(LABEL"`` for an open constituent, ``")"`` for a close and
 the word as written (escaped) for a word; :func:`parse_bracketed` builds
 nodes from them, :func:`serialize` writes them as canonical text, and
-``project``, ``strip`` and ``subword`` rewrite them without any.
+``project``, ``strip_pseudo`` and ``to_subword_tree`` rewrite them as text.
 """
 
 from __future__ import annotations

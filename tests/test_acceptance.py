@@ -82,7 +82,7 @@ def projection_corpus():
             script = E.EditScript()
             tgt = list(src)
         target_tree = random_tree(tgt, rng)
-        result = project(target_tree, script, src)
+        result = project(T.bracket_tokens(T.serialize(target_tree)), script, src)
         corpus.append((src, script, target_tree, result))
     return corpus
 
@@ -115,8 +115,9 @@ def _node_counts(root):
 def test_criterion_2_projection_correctness(projection_corpus):
     good = 0
     for src, script, _, result in projection_corpus:
-        ok = T.yield_tokens(result.source_tree) == src
-        ok = ok and _pseudo_counts_in(result.source_tree) == category_counts(script)
+        projected = T.parse_bracketed(result.source_tree)
+        ok = T.yield_tokens(projected) == src
+        ok = ok and _pseudo_counts_in(projected) == category_counts(script)
         good += ok
 
     hand = [
@@ -130,8 +131,8 @@ def test_criterion_2_projection_correctness(projection_corpus):
          "(S (NP (NN (MISS cat))) (VP (VBD sat)))"),
     ]
     hand_ok = all(
-        T.serialize(project(T.parse_bracketed(text), E.make_script(edits),
-                            src).source_tree) == expected
+        project(T.bracket_tokens(text), E.make_script(edits), src).source_tree
+        == expected
         for text, edits, src, expected in hand)
 
     _report(2, good == len(projection_corpus) and hand_ok,
@@ -143,8 +144,8 @@ def test_criterion_2_projection_correctness(projection_corpus):
 def test_criterion_3_ablation_hooks(projection_corpus):
     strip_exact = identity_ok = empty_seen = 0
     for src, script, target_tree, result in projection_corpus:
-        projected = result.source_tree
-        stripped = strip_pseudo(projected)
+        projected = T.parse_bracketed(result.source_tree)
+        stripped = T.parse_bracketed(strip_pseudo(T.bracket_tokens(result.source_tree)))
         red_words = {e.i for e in script if e.category == E.RED}
         counts = _pseudo_counts_in(projected)
         nts_p, terms_p = _node_counts(projected)

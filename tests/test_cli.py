@@ -111,11 +111,11 @@ def test_end_to_end_matches_module_calls(tmp_path, three_pair_fixture):
     pairs = [(s.split(), t.split()) for s, t in
              (line.split("\t") for line in
               parallel.read_text().splitlines())]
-    trees = T.read_trees(tree_file.read_text().splitlines())
+    trees = [T.bracket_tokens(line) for line in tree_file.read_text().splitlines()]
     results = [project(tree, E.align(src, tgt), src)
                for (src, tgt), tree in zip(pairs, trees)]
     expected = [r.source_tree for r in results]
-    assert projected.read_text() == "".join(T.serialize(t) + "\n" for t in expected)
+    assert projected.read_text() == "".join(t + "\n" for t in expected)
     labels = [label for r in results for label, _ in r.inserted]
     assert json.loads(summary_file.read_text()) == {
         "pairs": 3, "skipped": 0,
@@ -126,7 +126,7 @@ def test_end_to_end_matches_module_calls(tmp_path, three_pair_fixture):
     stripped = tmp_path / "stripped.trees"
     assert main(["strip", str(projected), "-o", str(stripped)]) == 0
     assert stripped.read_text() == "".join(
-        T.serialize(strip_pseudo(t)) + "\n" for t in expected)
+        strip_pseudo(T.bracket_tokens(t)) + "\n" for t in expected)
 
 
 def test_project_skips_bad_lines_but_counts_them(tmp_path, capsys):
@@ -232,9 +232,46 @@ def test_summary_naming_the_output_is_refused(tmp_path, capsys):
     same = os.path.join(str(tmp_path), ".", "out.trees")
     assert main(["project", *inputs, "-o", str(out), "--summary", same]) == 2
     err = capsys.readouterr().err
-    assert f"error: -o and --summary name the same file: {out}" in err
+    assert f"error: output {out} names the same file as {same}" in err
     assert out.read_text(encoding="utf-8") == "kept\n"
     assert sorted(os.listdir(tmp_path)) == ["out.trees", "p.tsv", "t.trees"]
+
+
+# (argv, the output, the input or output it names)
+OUTPUT_CLASHES = [
+    (["project", "p.tsv", "t.trees", "-o", "p.tsv"], "p.tsv", "p.tsv"),
+    (["project", "p.tsv", "t.trees", "--summary", "./p.tsv"], "./p.tsv", "p.tsv"),
+    (["project", "p.tsv", "t.trees", "-o", "o.trees", "--summary", "t.trees"],
+     "t.trees", "t.trees"),
+    (["strip", "t.trees", "-o", "t.trees"], "t.trees", "t.trees"),
+    (["subword", "t.trees", "seg.tsv", "-o", "seg.tsv"], "seg.tsv", "seg.tsv"),
+    (["align", "p.tsv", "-o", "sub/../p.tsv"], "sub/../p.tsv", "p.tsv"),
+    (["score", "h.m2", "g.m2", "-o", "g.m2"], "g.m2", "g.m2"),
+    (["ensemble-train", "src.txt", "h.txt", "g.m2", "-o", "h.txt"], "h.txt", "h.txt"),
+    (["ensemble-apply", "src.txt", "h.txt", "model.json", "-o", "model.json"],
+     "model.json", "model.json"),
+]
+
+
+@pytest.mark.parametrize("argv,output,named", OUTPUT_CLASHES,
+                         ids=[" ".join(argv) for argv, _, _ in OUTPUT_CLASHES])
+def test_output_naming_an_input_is_refused(tmp_path, capsys, monkeypatch, argv,
+                                           output, named):
+    # Refused before any file is opened: every file keeps its bytes, and
+    # no temporary or output file appears.
+    files = {"p.tsv": "a cat\ta cat\n", "t.trees": "(S (DT a) (NN cat))\n",
+             "seg.tsv": "a\tcat\n", "h.m2": "S a cat\n", "g.m2": "S a cat\n",
+             "src.txt": "a cat\n", "h.txt": "a cat\n", "model.json": "{}\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: output {output} names the same file as {named}\n"
+    assert sorted(os.listdir(tmp_path)) == sorted([*files, "sub"])
+    for name, text in files.items():
+        assert (tmp_path / name).read_text(encoding="utf-8") == text
 
 
 def test_subword_command(tmp_path, capsys):

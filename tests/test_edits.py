@@ -333,7 +333,7 @@ def test_m2_format_errors_carry_line_numbers(lines, lineno):
     assert err.value.lineno == lineno
 
 
-def test_edit_costs():
+def test_edit_identity():
     assert E.sub(1, "a", "b").identity() == (E.SUB, 1, 2, ("b",))
     assert E.red(3, "x").identity() == (E.RED, 3, 4, ())
     assert E.miss(2, ["x", "y"]).identity() == (E.MISS, 2, 2, ("x", "y"))

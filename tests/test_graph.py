@@ -40,8 +40,9 @@ def test_small_tree_counts_and_degrees():
 
 
 def test_adjacency_symmetric_and_tree_edge_count():
-    # Trees built from Terminal(token) alone, by hand or by project,
-    # strip_pseudo and to_subword_tree, give the graph of their reparsed text.
+    # Trees built from Terminal(token) alone, by hand, or parsed from the text
+    # of project, strip_pseudo and to_subword_tree, give the graph of their
+    # reparsed text.
     roots = [T.NonTerminal("S", [T.NonTerminal("NP", [T.Terminal("a")]),
                                  T.NonTerminal("VP", [T.Terminal("b")])])]
     rng = random.Random(3)
@@ -49,10 +50,11 @@ def test_adjacency_symmetric_and_tree_edge_count():
         src = random_tokens(rng, rng.randint(1, 9), SRC_VOCAB)
         script = random_script(src, rng, SRC_VOCAB)
         target = random_tree(apply_edits(src, script), rng)
-        projected = project(target, script, src).source_tree
+        text = project(T.bracket_tokens(T.serialize(target)), script, src).source_tree
+        projected = T.bracket_tokens(text)
         pieces = [[w[:1], "@@" + w[1:]] if len(w) > 1 else [w] for w in src]
-        roots += [target, projected, strip_pseudo(projected),
-                  to_subword_tree(projected, pieces)]
+        roots += [target, *map(T.parse_bracketed, (
+            text, strip_pseudo(projected), to_subword_tree(projected, pieces)))]
     for root in roots:
         g = build_graph(root)
         assert g == build_graph(T.parse_bracketed(T.serialize(root)))

@@ -11,12 +11,13 @@ import gecsyntax
 
 from tests.helpers import child_env
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # Each public name, by the module that defines it.
 DEFINED_IN = {
-    "tree": ("NonTerminal", "Terminal", "PSEUDO_LABELS", "parse_bracketed",
-             "serialize", "yield_tokens"),
+    "tree": ("NonTerminal", "Terminal", "PSEUDO_LABELS", "bracket_tokens",
+             "parse_bracketed", "serialize", "yield_tokens"),
     "edits": ("Edit", "EditScript", "align", "apply_edits", "make_script"),
     "projection": ("ProjectionResult", "project", "strip_pseudo"),
     "subword": ("to_subword_tree",),
@@ -63,3 +64,13 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour_prints_what_it_says(capsys):
+    # The first python block under "## Library tour" prints the lines of
+    # its "# " comments.
+    tour = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library tour")[1]
+    code = tour.split("```python\n")[1].split("```")[0]
+    expected = [line[2:] for line in code.splitlines() if line.startswith("# ")]
+    exec(code, {})
+    assert expected and capsys.readouterr().out.splitlines() == expected

@@ -16,108 +16,107 @@ from tests.helpers import (
 
 
 def proj(tree_text, edits, src):
-    tree = T.parse_bracketed(tree_text)
-    return project(tree, E.make_script(edits), src)
+    return project(T.bracket_tokens(tree_text), E.make_script(edits), src)
 
 
 def test_error_free_pair_is_unchanged():
-    tree = T.parse_bracketed("(S (NP (DT a) (NN cat)))")
-    result = project(tree, E.EditScript(), ["a", "cat"])
-    assert result.source_tree == tree
+    text = "(S (NP (DT a) (NN cat)))"
+    result = project(T.bracket_tokens(text), E.EditScript(), ["a", "cat"])
+    assert result.source_tree == text
     assert result.inserted == []
 
 
 def test_sub_rule():
     result = proj("(S (NP (DT a) (NN dog)))", [E.sub(1, "cat", "dog")], ["a", "cat"])
-    assert T.serialize(result.source_tree) == "(S (NP (DT a) (NN (SUB cat))))"
+    assert result.source_tree == "(S (NP (DT a) (NN (SUB cat))))"
     assert result.inserted == [("SUB", 1)]
 
 
 def test_red_rule():
     result = proj("(S (NP (DT a) (NN cat)) (VP (VBD sat)))",
                   [E.red(1, "the")], ["a", "the", "cat", "sat"])
-    assert T.serialize(result.source_tree) == \
+    assert result.source_tree == \
         "(S (NP (DT a) (RED the) (NN cat)) (VP (VBD sat)))"
 
 
 def test_miss_rule():
     result = proj("(S (NP (DT the) (NN cat)) (VP (VBD sat)))",
                   [E.miss(0, ["the"])], ["cat", "sat"])
-    assert T.serialize(result.source_tree) == \
+    assert result.source_tree == \
         "(S (NP (NN (MISS cat))) (VP (VBD sat)))"
 
 
 def test_sub_above_preterminal():
-    tree = T.parse_bracketed("(S (NP (DT a) (NN dog)))")
+    tree = T.bracket_tokens("(S (NP (DT a) (NN dog)))")
     result = project(tree, E.make_script([E.sub(1, "cat", "dog")]),
                      ["a", "cat"], placement="above")
-    assert T.serialize(result.source_tree) == "(S (NP (DT a) (SUB (NN cat))))"
+    assert result.source_tree == "(S (NP (DT a) (SUB (NN cat))))"
 
 
 def test_miss_above_preterminal_stacks_outside_sub():
-    tree = T.parse_bracketed("(S (DT a) (NN dog))")
+    tree = T.bracket_tokens("(S (DT a) (NN dog))")
     script = E.make_script([E.miss(0, ["a"]), E.sub(0, "cat", "dog")])
     result = project(tree, script, ["cat"], placement="above")
-    assert T.serialize(result.source_tree) == "(S (MISS (SUB (NN cat))))"
+    assert result.source_tree == "(S (MISS (SUB (NN cat))))"
 
 
 def test_chained_redundant_words_share_a_phrase():
     result = proj("(S (NP (DT a) (NN cat)) (VP (VBD sat)))",
                   [E.red(1, "x"), E.red(2, "y")],
                   ["a", "x", "y", "cat", "sat"])
-    assert T.serialize(result.source_tree) == \
+    assert result.source_tree == \
         "(S (NP (DT a) (RED x) (RED y) (NN cat)) (VP (VBD sat)))"
 
 
 def test_sentence_final_red_attaches_right_of_left_word():
     result = proj("(S (NP (DT a) (NN cat)) (VP (VBD sat)))",
                   [E.red(3, "x")], ["a", "cat", "sat", "x"])
-    assert T.serialize(result.source_tree) == \
+    assert result.source_tree == \
         "(S (NP (DT a) (NN cat)) (VP (VBD sat)) (RED x))"
 
 
 def test_sentence_final_red_chain():
     result = proj("(S (NP (DT a) (NN cat)))",
                   [E.red(2, "x"), E.red(3, "y")], ["a", "cat", "x", "y"])
-    assert T.serialize(result.source_tree) == \
+    assert result.source_tree == \
         "(S (NP (DT a) (NN cat) (RED x) (RED y)))"
 
 
 def test_red_walks_through_unary_chain():
     result = proj("(S (NP (NP (NN cat))))", [E.red(0, "x")], ["x", "cat"])
-    assert T.serialize(result.source_tree) == "(S (RED x) (NP (NP (NN cat))))"
+    assert result.source_tree == "(S (RED x) (NP (NP (NN cat))))"
 
 
 def test_multiword_miss_inserts_one_node():
     result = proj("(S (NP (DT the) (JJ big) (NN cat)) (VP (VBD sat)))",
                   [E.miss(0, ["the", "big"])], ["cat", "sat"])
-    assert T.serialize(result.source_tree) == \
+    assert result.source_tree == \
         "(S (NP (NN (MISS cat))) (VP (VBD sat)))"
     assert result.inserted == [("MISS", 0)]
 
 
 def test_sentence_final_miss_anchors_left_word():
     result = proj("(S (NN cat) (RB now))", [E.miss(1, ["now"])], ["cat"])
-    assert T.serialize(result.source_tree) == "(S (NN (MISS cat)))"
+    assert result.source_tree == "(S (NN (MISS cat)))"
 
 
 def test_stacked_miss_and_sub_on_one_word():
-    tree = T.parse_bracketed("(S (DT a) (NN dog))")
+    tree = T.bracket_tokens("(S (DT a) (NN dog))")
     script = E.make_script([E.miss(0, ["a"]), E.sub(0, "cat", "dog")])
     result = project(tree, script, ["cat"])
-    assert T.serialize(result.source_tree) == "(S (NN (MISS (SUB cat))))"
+    assert result.source_tree == "(S (NN (MISS (SUB cat))))"
     assert sorted(result.inserted) == [("MISS", 0), ("SUB", 0)]
 
 
 def test_yield_mismatch_is_an_error():
-    tree = T.parse_bracketed("(S (NN cat))")
+    tree = T.bracket_tokens("(S (NN cat))")
     with pytest.raises(ValueError, match=r"target tree yield does not match "
                        r"apply\(src, script\): \['cat'\] vs \['dog'\]"):
         project(tree, E.EditScript(), ["dog"])
 
 
 def test_out_of_range_span_is_an_error():
-    tree = T.parse_bracketed("(S (X a) (Y x))")
+    tree = T.bracket_tokens("(S (X a) (Y x))")
     with pytest.raises(ValueError, match=r"edit span \[5,5\) out of range for 1 tokens"):
         project(tree, E.EditScript((E.miss(5, ["x"]),)), ["a"])
 
@@ -135,67 +134,65 @@ def test_project_checks_its_script_once(monkeypatch):
     calls = []
     check = E.check_script
     monkeypatch.setattr(E, "check_script", lambda edits: calls.append(1) or check(edits))
-    tree = T.parse_bracketed("(S (DT a) (NN cat) (VB sat))")
+    tree = T.bracket_tokens("(S (DT a) (NN cat) (VB sat))")
     script = E.EditScript((E.red(3, "the"), E.sub(1, "dog", "cat")))
     project(tree, script, ["a", "dog", "sat", "the"])
     assert len(calls) == 1
 
 
 def test_malformed_script_is_an_error():
-    tree = T.parse_bracketed("(S (NP (NN x)) (VP (VB b)))")
+    tree = T.bracket_tokens("(S (NP (NN x)) (VP (VB b)))")
     script = E.EditScript((E.Edit(E.SUB, 0, 2, ("a", "b"), ("x",)),))
     with pytest.raises(ValueError, match="bad SUB shape at 0"):
         project(tree, script, ["a", "b"])
 
 
 def test_target_tree_with_pseudo_nodes_is_an_error():
-    tree = T.parse_bracketed("(S (NP (SUB (DT a))) (NN cat))")
+    tree = T.bracket_tokens("(S (NP (SUB (DT a))) (NN cat))")
     with pytest.raises(ValueError, match="SUB"):
         project(tree, E.EditScript(), ["a", "cat"])
 
 
 def test_empty_source_with_script_is_an_error():
-    tree = T.parse_bracketed("(S (NN cat))")
+    tree = T.bracket_tokens("(S (NN cat))")
     with pytest.raises(ValueError,
                        match="empty source sentence with a non-empty edit script"):
         project(tree, E.make_script([E.miss(0, ["cat"])]), [])
 
 
 def test_bad_placement_rejected():
-    tree = T.parse_bracketed("(S (NN cat))")
+    tree = T.bracket_tokens("(S (NN cat))")
     with pytest.raises(ValueError):
         project(tree, E.EditScript(), ["cat"], placement="inside")
 
 
 def test_strip_pseudo_no_op_without_pseudo():
-    tree = T.parse_bracketed("(S (NP (DT a) (NN cat)))")
-    assert strip_pseudo(tree) == tree
+    text = "(S (NP (DT a) (NN cat)))"
+    assert strip_pseudo(T.bracket_tokens(text)) == text
 
 
 def test_strip_pseudo_removes_red_with_word():
-    tree = T.parse_bracketed("(S (NP (DT a) (RED the) (NN cat)))")
-    assert T.serialize(strip_pseudo(tree)) == "(S (NP (DT a) (NN cat)))"
+    tree = T.bracket_tokens("(S (NP (DT a) (RED the) (NN cat)))")
+    assert strip_pseudo(tree) == "(S (NP (DT a) (NN cat)))"
 
 
 def test_strip_pseudo_unwraps_unary_pseudo():
-    assert T.serialize(strip_pseudo(T.parse_bracketed("(NN (SUB cat))"))) == "(NN cat)"
-    assert T.serialize(strip_pseudo(T.parse_bracketed("(NN (MISS (SUB cat)))"))) \
-        == "(NN cat)"
+    assert strip_pseudo(T.bracket_tokens("(NN (SUB cat))")) == "(NN cat)"
+    assert strip_pseudo(T.bracket_tokens("(NN (MISS (SUB cat)))")) == "(NN cat)"
 
 
 def test_strip_pseudo_promotes_subword_children():
-    tree = T.parse_bracketed("(NN (SUB ca @@t))")
-    assert T.serialize(strip_pseudo(tree)) == "(NN ca @@t)"
+    tree = T.bracket_tokens("(NN (SUB ca @@t))")
+    assert strip_pseudo(tree) == "(NN ca @@t)"
 
 
 def test_strip_pseudo_on_everything_pseudo_raises():
     # Nothing left, a word at the root, two constituents at the root.
     for text in ["(RED x)", "(SUB x)", "(SUB (A x) (B y))", "(MISS (A (RED x)))"]:
-        for tree in (T.parse_bracketed(text), T.bracket_tokens(text)):
-            with pytest.raises(ValueError) as err:
-                strip_pseudo(tree)
-            assert str(err.value) == \
-                "stripping pseudo nodes did not leave a single rooted tree"
+        with pytest.raises(ValueError) as err:
+            strip_pseudo(T.bracket_tokens(text))
+        assert str(err.value) == \
+            "stripping pseudo nodes did not leave a single rooted tree"
     assert strip_pseudo(T.bracket_tokens("(SUB (A x) (B (RED y)))")) == "(A x)"
 
 
@@ -215,8 +212,9 @@ def _random_trees_with_pseudo_nodes(rng, count):
         if not tgt:
             continue
         placement = ("below", "above")[len(trees) % 2]
-        target = random_tree(tgt, rng, unary_prob=0.3)
-        trees.append(project(target, script, src, placement=placement).source_tree)
+        target = T.bracket_tokens(T.serialize(random_tree(tgt, rng, unary_prob=0.3)))
+        trees.append(T.parse_bracketed(
+            project(target, script, src, placement=placement).source_tree))
     for _ in range(count // 3):
         tree = random_tree(random_tokens(rng, rng.randint(1, 6), BRACKET_VOCAB),
                            rng, unary_prob=0.3)
@@ -243,8 +241,10 @@ def test_strip_pseudo_matches_the_oracle():
     checked = errors = 0
     for tree in _random_trees_with_pseudo_nodes(random.Random(71), 1_000):
         expected = strip_pseudo_oracle(tree)
+        if not isinstance(expected, str):
+            expected = T.serialize(expected)
         try:
-            got = strip_pseudo(tree)
+            got = strip_pseudo(T.bracket_tokens(T.serialize(tree)))
         except ValueError as err:
             got = str(err)
             errors += 1
@@ -329,22 +329,20 @@ def _outcome(fn, *args):
     except (ValueError, RuntimeError) as err:
         return type(err), str(err)
     if isinstance(result, ProjectionResult):
-        tree = result.source_tree
-        return (tree if isinstance(tree, str) else T.serialize(tree)), result.inserted
+        return result.source_tree, result.inserted
     return result
 
 
 def test_projection_matches_the_oracle():
-    # Each case under both placements, in node and token form: the text and
-    # ``inserted``, or the error's type and text, of the copy-and-edit oracle.
+    # Each case under both placements: the text and ``inserted``, or the
+    # error's type and text, of the copy-and-edit oracle.
     errors = []
     for tree, script, src in _random_projection_cases(random.Random(81), 20_000):
         tokens = T.bracket_tokens(T.serialize(tree))
         for placement in ("below", "above"):
             expected = _outcome(project_oracle, tree, script, src, placement)
-            got = _outcome(project, tree, script, src, placement)
+            got = _outcome(project, tokens, script, src, placement)
             assert got == expected, (T.serialize(tree), script, src, placement)
-            assert _outcome(project, tokens, script, src, placement) == expected
             if isinstance(got[0], type):
                 errors.append(got[1])
     for part in ("already contains", "out of range", "yield does not match",
@@ -375,8 +373,9 @@ def test_randomized_projection_properties(placement):
         if not tgt:
             continue
         target_tree = random_tree(tgt, rng)
-        result = project(target_tree, script, src, placement=placement)
-        projected = result.source_tree
+        result = project(T.bracket_tokens(T.serialize(target_tree)), script, src,
+                         placement=placement)
+        projected = T.parse_bracketed(result.source_tree)
 
         assert T.yield_tokens(projected) == src
         counts = {"SUB": 0, "RED": 0, "MISS": 0}
@@ -396,7 +395,7 @@ def test_randomized_projection_properties(placement):
         if not script:
             assert projected == target_tree
 
-        stripped = strip_pseudo(projected)
+        stripped = T.parse_bracketed(strip_pseudo(T.bracket_tokens(result.source_tree)))
         red_words = {e.i for e in script if e.category == E.RED}
         assert T.yield_tokens(stripped) == \
             [w for i, w in enumerate(src) if i not in red_words]
@@ -422,9 +421,10 @@ def test_projections_match_their_recorded_digest(placement):
     for _ in range(1000):
         src = random_tokens(rng, rng.randint(1, 12), SRC_VOCAB)
         script = random_script(src, rng, SRC_VOCAB, force_empty_prob=0.05)
-        target_tree = random_tree(E.apply_edits(src, script), rng)
+        target_tree = T.bracket_tokens(T.serialize(
+            random_tree(E.apply_edits(src, script), rng)))
         result = project(target_tree, script, src, placement=placement)
-        digest.update(f"{T.serialize(result.source_tree)}\t{result.inserted}\n"
+        digest.update(f"{result.source_tree}\t{result.inserted}\n"
                       .encode("utf-8"))
     assert digest.hexdigest() == PROJECTION_DIGESTS[placement]
 
@@ -437,8 +437,9 @@ def test_sub_only_scripts_strip_back_to_target():
                                sub_prob=0.4, red_prob=0.0, miss_prob=0.0)
         tgt = E.apply_edits(src, script)
         target_tree = random_tree(tgt, rng)
-        projected = project(target_tree, script, src).source_tree
-        stripped = strip_pseudo(projected)
+        projected = project(T.bracket_tokens(T.serialize(target_tree)), script,
+                            src).source_tree
+        stripped = T.parse_bracketed(strip_pseudo(T.bracket_tokens(projected)))
         words = list(T.terminals(stripped))
         for e in script:
             words[e.i].token = e.tgt_tokens[0]

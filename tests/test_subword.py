@@ -15,20 +15,20 @@ from tests.helpers import (
 
 
 def test_identity_segmentation_is_a_no_op():
-    tree = T.parse_bracketed("(S (NP (DT the) (NN cat)))")
-    assert to_subword_tree(tree, [["the"], ["cat"]]) == tree
+    text = "(S (NP (DT the) (NN cat)))"
+    assert to_subword_tree(T.bracket_tokens(text), [["the"], ["cat"]]) == text
 
 
 def test_splits_word_into_sibling_terminals():
-    tree = T.parse_bracketed("(S (VBG playing))")
+    tree = T.bracket_tokens("(S (VBG playing))")
     out = to_subword_tree(tree, [["play", "@@ing"]])
-    assert T.serialize(out) == "(S (VBG play @@ing))"
+    assert out == "(S (VBG play @@ing))"
 
 
 def test_pseudo_node_covers_all_subwords():
-    tree = T.parse_bracketed("(NN (SUB cat))")
+    tree = T.bracket_tokens("(NN (SUB cat))")
     out = to_subword_tree(tree, [["ca", "@@t"]])
-    assert T.serialize(out) == "(NN (SUB ca @@t))"
+    assert out == "(NN (SUB ca @@t))"
 
 
 def test_join_pieces_styles():
@@ -45,19 +45,19 @@ def test_join_pieces_with_empty_marker():
 
 
 def test_suffix_marker_convention():
-    tree = T.parse_bracketed("(S (VBG playing))")
+    tree = T.bracket_tokens("(S (VBG playing))")
     out = to_subword_tree(tree, [["play@@", "ing"]], style="suffix")
-    assert T.serialize(out) == "(S (VBG play@@ ing))"
+    assert out == "(S (VBG play@@ ing))"
 
 
 def test_custom_join_convention():
-    tree = T.parse_bracketed("(S (VBG playing))")
+    tree = T.bracket_tokens("(S (VBG playing))")
     out = to_subword_tree(tree, [["play", "##ing"]], marker="##")
-    assert T.yield_tokens(out) == ["play", "##ing"]
+    assert T.yield_tokens(T.parse_bracketed(out)) == ["play", "##ing"]
 
 
 def test_mismatched_segmentation_rejected():
-    tree = T.parse_bracketed("(S (NN cat))")
+    tree = T.bracket_tokens("(S (NN cat))")
     with pytest.raises(ValueError):
         to_subword_tree(tree, [["ca", "@@t"], ["extra"]])
     with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ def test_structure_counts_and_parent_labels():
                 seg.append([tok[:cut], "@@" + tok[cut:]])
             else:
                 seg.append([tok])
-        out = to_subword_tree(tree, seg)
+        out = T.parse_bracketed(to_subword_tree(T.bracket_tokens(T.serialize(tree)), seg))
 
         pieces = T.yield_tokens(out)
         assert len(pieces) == sum(len(s) for s in seg)
@@ -153,15 +153,19 @@ def test_matches_the_two_pass_oracle():
         tgt = apply_edits(src, script)
         if not tgt:
             continue
-        tree = project(random_tree(tgt, rng, unary_prob=0.3), script, src).source_tree
+        target = T.bracket_tokens(T.serialize(random_tree(tgt, rng, unary_prob=0.3)))
+        text = project(target, script, src).source_tree
+        tree = T.parse_bracketed(text)
         for seg, marker, style in _segmentations(T.yield_tokens(tree), rng):
             expected = subword_tree_oracle(tree, seg, marker, style)
+            if not isinstance(expected, str):
+                expected = T.serialize(expected)
             try:
-                got = to_subword_tree(tree, seg, marker, style)
+                got = to_subword_tree(T.bracket_tokens(text), seg, marker, style)
             except ValueError as err:
                 got = str(err)
                 errors += 1
-            assert got == expected, (T.serialize(tree), seg, marker, style)
+            assert got == expected, (text, seg, marker, style)
             checked += 1
     assert 0 < errors < checked
 
@@ -172,9 +176,9 @@ def test_converts_in_one_walk_of_its_own(monkeypatch):
 
     monkeypatch.setattr(T, "yield_tokens", refuse)
     monkeypatch.setattr(T, "terminals", refuse)
-    tree = T.parse_bracketed("(S (NP (DT the) (NN (SUB cat))) (VP (VB sat)))")
+    tree = T.bracket_tokens("(S (NP (DT the) (NN (SUB cat))) (VP (VB sat)))")
     out = to_subword_tree(tree, [["the"], ["ca", "@@t"], ["s", "@@at"]])
-    assert T.serialize(out) == "(S (NP (DT the) (NN (SUB ca @@t))) (VP (VB s @@at)))"
+    assert out == "(S (NP (DT the) (NN (SUB ca @@t))) (VP (VB s @@at)))"
 
 
 def test_parse_segmentation_line():
