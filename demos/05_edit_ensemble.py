@@ -11,7 +11,7 @@ drops one-off guesses.
 import numpy as np
 
 from gecsyntax import align, apply_edits, gather, select_and_apply, train
-from gecsyntax.ensemble import label_candidates, select_edits
+from gecsyntax.ensemble import label_candidates, row_counts, select_edits
 
 source = "I has a the cat".split()
 gold = "I have a cat".split()
@@ -29,7 +29,7 @@ for cand in candidates:
 
 # Label each pooled candidate against the gold edits and fit the selector.
 labels = label_candidates(candidates, align(source, gold))
-model = train(candidates, labels, lr=0.5, epochs=400)
+model = train(row_counts(zip(candidates, labels)), lr=0.5, epochs=400)
 print("\nselector weights per feature:")
 for name, weight in zip(model.feature_names, model.weights):
     print(f"  {name:14s} {weight:+.3f}")

@@ -7,49 +7,33 @@ stack, combines two syntax memories by dual cross-attention, ensembles
 edits from multiple correction systems, and scores corrections with
 edit-level P/R/F0.5.
 
-The tree, edit, projection, subword and scoring names are imported here.
-The numpy-backed ones (graphs, the GCN, attention and the ensemble
-selector) are imported on first use (PEP 562), so a program that needs
-only the former never loads numpy.
+Every public name is imported from its defining module on first use
+(PEP 562), so ``import gecsyntax`` loads none of them, and a program
+loads only the modules whose names it uses: one that needs no graph,
+GCN, attention or ensemble name never loads numpy.
 """
 
 import importlib
 
-from .tree import (
-    NonTerminal,
-    PSEUDO_LABELS,
-    Terminal,
-    bracket_tokens,
-    parse_bracketed,
-    serialize,
-    yield_tokens,
-)
-from .edits import Edit, EditScript, align, apply_edits, make_script
-from .projection import ProjectionResult, project, strip_pseudo
-from .subword import to_subword_tree
-from .scoring import Scores, corpus_score, f_beta, match_edits
-
 __version__ = "0.1.0"
 
-# The numpy-backed public names, by defining module.
+# Every public name, by defining module.
 _LAZY = {name: module for module, names in (
+    ("tree", ("NonTerminal", "Terminal", "PSEUDO_LABELS", "bracket_tokens",
+              "parse_bracketed", "serialize", "yield_tokens")),
+    ("edits", ("Edit", "EditScript", "align", "apply_edits", "make_script")),
+    ("projection", ("ProjectionResult", "project", "strip_pseudo")),
+    ("subword", ("to_subword_tree",)),
     ("graph", ("SyntaxGraph", "build_graph", "build_graph_dep")),
     ("gcn", ("GcnStack", "GcnLayerParams", "init_stack", "gcn_layer", "gcn_encode",
              "fuse")),
     ("attention", ("AttentionParams", "cross_attention", "dual_combine")),
     ("ensemble", ("EditCandidate", "LogRegModel", "gather", "train",
                   "select_and_apply")),
+    ("scoring", ("Scores", "match_edits", "f_beta", "corpus_score")),
 ) for name in names}
 
-__all__ = [
-    "NonTerminal", "Terminal", "PSEUDO_LABELS", "bracket_tokens", "parse_bracketed",
-    "serialize", "yield_tokens",
-    "Edit", "EditScript", "align", "apply_edits", "make_script",
-    "ProjectionResult", "project", "strip_pseudo",
-    "to_subword_tree",
-    "Scores", "match_edits", "f_beta", "corpus_score",
-    *_LAZY,
-]
+__all__ = [*_LAZY]
 
 
 def __getattr__(name):

@@ -421,7 +421,7 @@ def cmd_ensemble_train(args) -> int:
     if not counts:
         raise FormatError("no edits proposed by any system; nothing to train on")
     try:
-        model = ensemble.train(counts=counts, lr=args.lr, epochs=args.epochs, l2=args.l2)
+        model = ensemble.train(counts, lr=args.lr, epochs=args.epochs, l2=args.l2)
     except ValueError as exc:
         raise FormatError(f"--lr {args.lr} --l2 {args.l2}: {exc}") from None
     model.threshold = args.threshold

@@ -44,8 +44,8 @@ class Edit(NamedTuple):
     ``j == i`` (a pure insertion point) for MISS.
 
     A named tuple: it hashes and compares as the tuple of its five fields,
-    so ``sub(0, "a", "b") == ("SUB", 0, 1, ("a",), ("b",))``, and assigning
-    a field raises :class:`AttributeError`.
+    so ``Edit(SUB, 0, 1, ("a",), ("b",)) == ("SUB", 0, 1, ("a",), ("b",))``,
+    and assigning a field raises :class:`AttributeError`.
     """
 
     category: str
@@ -64,18 +64,6 @@ class Edit(NamedTuple):
     def identity(self) -> tuple:
         """Equality key used for pooling edits across systems."""
         return (self.category, self.i, self.j, self.tgt_tokens)
-
-
-def sub(i: int, src_token: str, tgt_token: str) -> Edit:
-    return Edit(SUB, i, i + 1, (src_token,), (tgt_token,))
-
-
-def red(i: int, src_token: str) -> Edit:
-    return Edit(RED, i, i + 1, (src_token,), ())
-
-
-def miss(i: int, tgt_tokens: Sequence[str]) -> Edit:
-    return Edit(MISS, i, i, (), tuple(tgt_tokens))
 
 
 EditScript = tuple[Edit, ...]
@@ -322,16 +310,13 @@ def parse_m2_block(lineno: int, lines: Sequence[str],
         raise FormatError(str(exc), lineno, path) from None
 
 
-def read_m2(lines: Iterable[str],
-            path: str | None = None) -> Iterator[tuple[int, list[str], EditScript]]:
-    """Parse ``S``/``A`` blocks lazily; blocks are separated by blank lines.
+def load_m2_file(path: str) -> Iterator[tuple[int, list[str], EditScript]]:
+    """Parse the ``S``/``A`` blocks of an ``.m2`` file lazily; blocks are
+    separated by blank lines.
 
     Yields ``(line number of the S line, source tokens, script)``.  Errors
-    are those of :func:`m2_blocks` and :func:`parse_m2_block`.
+    are those of :func:`read_lines`, :func:`m2_blocks` and
+    :func:`parse_m2_block`.
     """
-    for lineno, block in m2_blocks(lines, path):
+    for lineno, block in m2_blocks(read_lines(path), path):
         yield lineno, *parse_m2_block(lineno, block, path)
-
-
-def load_m2_file(path: str) -> Iterator[tuple[int, list[str], EditScript]]:
-    return read_m2(read_lines(path), path)

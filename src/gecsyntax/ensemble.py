@@ -131,29 +131,22 @@ def row_counts(labeled: Iterable[tuple[EditCandidate, float]]) -> Counter:
     return Counter((c.votes, c.edit.category, float(label)) for c, label in labeled)
 
 
-def train(candidates: Iterable[EditCandidate] = (), labels: Iterable[float] = (),
-          lr: float = 0.5, epochs: int = 500, l2: float = 0.0,
-          counts: Mapping[tuple[tuple[int, ...], str, float], int] | None = None,
-          ) -> LogRegModel:
+def train(counts: Mapping[tuple[tuple[int, ...], str, float], int],
+          lr: float = 0.5, epochs: int = 500, l2: float = 0.0) -> LogRegModel:
     """Full-batch gradient descent from zero-initialized parameters.
 
-    Trains on the rows of ``candidates`` and their ``labels``, consumed
-    once, in lockstep, so they may be generators, and then on ``counts``,
-    rows already counted elsewhere (for example by worker processes) as
-    :func:`row_counts` gives them.  Each distinct ``(votes, category,
-    label)`` is one row weighted by its count, in first-seen order, so the
-    loss is the mean over all candidates.  Deterministic: no sampling is
-    involved.  Raises ``ValueError`` if the two lengths differ, if there
-    are no candidates, or if the loss or the parameters go non-finite
-    (learning rate too large).
+    Trains on ``counts``, the feature rows as :func:`row_counts` gives
+    them: each distinct ``(votes, category, label)`` is one row weighted
+    by its count, in key order, so the loss is the mean over all
+    candidates.  Deterministic: no sampling is involved.  Raises
+    ``ValueError`` if there are no rows, or if the loss or the parameters
+    go non-finite (learning rate too large).
     """
-    groups = row_counts(zip(candidates, labels, strict=True))
-    groups.update(counts or {})
-    if not groups:
+    if not counts:
         raise ValueError("no candidates to train on")
-    X = np.array([_feature_row(votes, cat) for votes, cat, _ in groups])
-    y = np.array([label for _, _, label in groups])
-    freq = np.array(list(groups.values()), dtype=float)
+    X = np.array([_feature_row(votes, cat) for votes, cat, _ in counts])
+    y = np.array([label for _, _, label in counts])
+    freq = np.array(list(counts.values()), dtype=float)
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(epochs):
@@ -165,7 +158,7 @@ def train(candidates: Iterable[EditCandidate] = (), labels: Iterable[float] = ()
     loss, _, _ = loss_and_grad(w, b, X, y, l2, freq)
     if not (math.isfinite(loss) and math.isfinite(b) and np.isfinite(w).all()):
         raise ValueError(_DIVERGED)
-    return LogRegModel(w, b, feature_names=feature_names(len(next(iter(groups))[0])),
+    return LogRegModel(w, b, feature_names=feature_names(len(next(iter(counts))[0])),
                        final_loss=loss)
 
 

@@ -21,8 +21,30 @@ import numpy as np
 import gecsyntax
 from gecsyntax import tree as T
 from gecsyntax.edits import (
-    Edit, EditScript, MISS, RED, SUB, align, apply_edits, make_script, miss, red, sub,
+    Edit, EditScript, MISS, RED, SUB, align, apply_edits, make_script, m2_blocks,
+    parse_m2_block,
 )
+
+# --- edit builders and m2 reading ---------------------------------------
+
+def sub(i: int, src_token: str, tgt_token: str) -> Edit:
+    return Edit(SUB, i, i + 1, (src_token,), (tgt_token,))
+
+
+def red(i: int, src_token: str) -> Edit:
+    return Edit(RED, i, i + 1, (src_token,), ())
+
+
+def miss(i: int, tgt_tokens) -> Edit:
+    return Edit(MISS, i, i, (), tuple(tgt_tokens))
+
+
+def read_m2(lines, path=None):
+    """``(line number of the S line, source tokens, script)`` for each
+    ``S``/``A`` block of ``lines``, lazily, as ``edits.load_m2_file``
+    gives them for a file."""
+    for lineno, block in m2_blocks(lines, path):
+        yield lineno, *parse_m2_block(lineno, block, path)
 
 # --- Levenshtein oracles ------------------------------------------------
 

@@ -17,7 +17,9 @@ from gecsyntax.attention import (
     init_attention,
 )
 from gecsyntax.cli import main as cli_main
-from gecsyntax.ensemble import gather, label_candidates, loss_and_grad, select_edits
+from gecsyntax.ensemble import (
+    gather, label_candidates, loss_and_grad, row_counts, select_edits,
+)
 from gecsyntax.ensemble import train as train_selector
 from gecsyntax.ensemble import EditCandidate, feature_matrix
 from gecsyntax.gcn import GcnLayerParams, encode_backward, fuse, gcn_encode, gcn_layer
@@ -27,8 +29,8 @@ from gecsyntax.scoring import corpus_score, f_beta
 from tests.helpers import (
     SRC_VOCAB, all_pairs_levenshtein, all_sequences, attention_scalar_oracle,
     build_ensemble_corpus, category_counts, gcn_dense_oracle, kink_free_gcn_instance,
-    levenshtein_scalar, max_rel_err, numeric_grad, our_cost_row, random_pair,
-    random_script, random_tokens, random_tree,
+    levenshtein_scalar, max_rel_err, miss, numeric_grad, our_cost_row, random_pair,
+    random_script, random_tokens, random_tree, red, sub,
 )
 
 
@@ -121,12 +123,12 @@ def test_criterion_2_projection_correctness(projection_corpus):
         good += ok
 
     hand = [
-        ("(S (NP (DT a) (NN dog)))", [E.sub(1, "cat", "dog")], ["a", "cat"],
+        ("(S (NP (DT a) (NN dog)))", [sub(1, "cat", "dog")], ["a", "cat"],
          "(S (NP (DT a) (NN (SUB cat))))"),
-        ("(S (NP (DT a) (NN cat)) (VP (VBD sat)))", [E.red(1, "the")],
+        ("(S (NP (DT a) (NN cat)) (VP (VBD sat)))", [red(1, "the")],
          ["a", "the", "cat", "sat"],
          "(S (NP (DT a) (RED the) (NN cat)) (VP (VBD sat)))"),
-        ("(S (NP (DT the) (NN cat)) (VP (VBD sat)))", [E.miss(0, ["the"])],
+        ("(S (NP (DT the) (NN cat)) (VP (VBD sat)))", [miss(0, ["the"])],
          ["cat", "sat"],
          "(S (NP (NN (MISS cat))) (VP (VBD sat)))"),
     ]
@@ -292,7 +294,7 @@ def test_criterion_7_ensemble_precision_gain():
         cands_all.extend(cands)
         labels_all.extend(labels)
         per_sentence.append((cands, gold_script))
-    model = train_selector(cands_all, labels_all)
+    model = train_selector(row_counts(zip(cands_all, labels_all)))
 
     union_scores = corpus_score(
         (E.EditScript(tuple(c.edit for c in cands)), gold)
@@ -321,9 +323,10 @@ def test_criterion_7_ensemble_precision_gain():
         positive = i % 2 == 0
         votes = (1,) * k if positive else tuple(
             1 if j == i % k else 0 for j in range(k))
-        toy.append(EditCandidate(E.sub(i, "a", "b"), votes))
+        toy.append(EditCandidate(sub(i, "a", "b"), votes))
         toy_labels.append(1.0 if positive else 0.0)
-    toy_model = train_selector(toy, toy_labels, lr=0.5, epochs=500, l2=0.0)
+    toy_model = train_selector(row_counts(zip(toy, toy_labels)), lr=0.5, epochs=500,
+                               l2=0.0)
     probs = toy_model.predict_proba(feature_matrix(toy))
     sep_ok = bool(np.all((probs >= 0.5) == np.asarray(toy_labels, bool)))
 
@@ -347,9 +350,9 @@ def test_criterion_8_scoring():
     self_ok = (self_scores.precision == 1.0 and self_scores.recall == 1.0
                and self_scores.f05 == 1.0)
 
-    e = E.sub(0, "a", "b")
+    e = sub(0, "a", "b")
     pair1 = (E.EditScript((e,)), E.EditScript((e,)))
-    pair2 = (E.EditScript((E.red(1, "x"),)), E.EditScript((E.miss(0, ["y"]),)))
+    pair2 = (E.EditScript((red(1, "x"),)), E.EditScript((miss(0, ["y"]),)))
     agg = corpus_score([pair1, pair2])
     agg_ok = ((agg.tp, agg.fp, agg.fn) == (1, 1, 1)
               and agg.precision == 0.5 and agg.recall == 0.5

@@ -14,7 +14,8 @@ from gecsyntax.errors import FormatError
 from tests.helpers import (
     SRC_VOCAB, align_table_oracle, all_sequences, apply_edits_oracle,
     build_ensemble_corpus, child_env, enumerate_scripts, has_vmhwm, levenshtein_scalar,
-    random_pair, random_script, random_tokens, script_cost, script_oracle,
+    miss, random_pair, random_script, random_tokens, read_m2, red, script_cost,
+    script_oracle, sub,
 )
 
 
@@ -26,7 +27,7 @@ def test_align_identical_sequences():
 def test_align_single_substitution_unique_minimum():
     src, tgt = ["a", "cat", "sat"], ["a", "dog", "sat"]
     script = E.align(src, tgt)
-    assert script == (E.sub(1, "cat", "dog"),)
+    assert script == (sub(1, "cat", "dog"),)
     # every script of cost <= 2 that maps src to tgt; the minimum is unique
     candidates = enumerate_scripts(src, tgt, max_cost=2)
     minima = [s for s in candidates
@@ -36,21 +37,21 @@ def test_align_single_substitution_unique_minimum():
 
 def test_align_merges_adjacent_insertions():
     script = E.align(["cat", "sat"], ["the", "big", "cat", "sat"])
-    assert script == (E.miss(0, ["the", "big"]),)
+    assert script == (miss(0, ["the", "big"]),)
 
 
 def test_align_prefers_keeping_early_source_tokens():
     script = E.align(["the", "the", "cat"], ["the", "cat"])
-    assert script == (E.red(1, "the"),)
+    assert script == (red(1, "the"),)
 
 
 def test_align_decomposes_replacement_regions():
     # two source words against one target word: SUB then RED
     script = E.align(["x", "y"], ["q"])
-    assert script == (E.sub(0, "x", "q"), E.red(1, "y"))
+    assert script == (sub(0, "x", "q"), red(1, "y"))
     # one source word against two target words: SUB then trailing MISS
     script = E.align(["x"], ["q", "r"])
-    assert script == (E.sub(0, "x", "q"), E.miss(1, ["r"]))
+    assert script == (sub(0, "x", "q"), miss(1, ["r"]))
 
 
 def test_align_deterministic():
@@ -66,7 +67,7 @@ def test_apply_empty_script():
 
 
 def test_apply_single_deletion():
-    script = E.make_script([E.red(1, "a")])
+    script = E.make_script([red(1, "a")])
     assert E.apply_edits(["a", "a", "cat"], script) == ["a", "cat"]
 
 
@@ -86,10 +87,10 @@ def test_apply_edits_matches_position_walk_in_any_order():
     ([E.Edit(E.RED, 0, 1, ("a",), ("x",))], "bad RED shape at 0"),
     ([E.Edit(E.MISS, 1, 1, (), ())], "bad MISS shape at 1"),
     ([E.Edit("XXX", 0, 1, ("a",), ())], "unknown category 'XXX'"),
-    ([E.sub(-1, "a", "x")], r"span \[-1,0\) out of range"),
-    ([E.sub(2, "x", "y")], r"span \[2,3\) out of range"),
-    ([E.miss(1, ["x"]), E.miss(1, ["y"])], "two MISS edits at point 1"),
-    ([E.red(1, "b"), E.sub(1, "b", "x")], "overlapping"),
+    ([sub(-1, "a", "x")], r"span \[-1,0\) out of range"),
+    ([sub(2, "x", "y")], r"span \[2,3\) out of range"),
+    ([miss(1, ["x"]), miss(1, ["y"])], "two MISS edits at point 1"),
+    ([red(1, "b"), sub(1, "b", "x")], "overlapping"),
 ], ids=["sub-two-words", "red-replacement", "miss-no-words", "unknown-category",
         "negative-start", "past-end", "two-miss-one-point", "overlap"])
 def test_apply_edits_rejects_a_malformed_script(edits, message):
@@ -99,7 +100,7 @@ def test_apply_edits_rejects_a_malformed_script(edits, message):
 
 def test_make_script_rejects_invalid():
     with pytest.raises(ValueError):
-        E.make_script([E.miss(0, ["x"]), E.miss(0, ["y"])])
+        E.make_script([miss(0, ["x"]), miss(0, ["y"])])
     with pytest.raises(ValueError):
         E.make_script([E.Edit(E.SUB, 0, 2, ("a", "b"), ("c",))])
 
@@ -112,15 +113,15 @@ def _random_edit_list(rng):
     edits = []
     for i in range(n + 1):
         if rng.random() < 0.3:
-            edits.append(E.miss(i, ["m"] * rng.randint(1, 2)))
+            edits.append(miss(i, ["m"] * rng.randint(1, 2)))
         if i < n and rng.random() < 0.4:
-            edits.append(rng.choice([E.sub(i, "w", "x"), E.red(i, "w")]))
+            edits.append(rng.choice([sub(i, "w", "x"), red(i, "w")]))
     i = rng.randint(0, n)
     extra = rng.randrange(6)
     if extra == 1 and edits:
         edits.append(rng.choice(edits))
     elif extra == 2:
-        edits.append(rng.choice([E.miss(i, ["y"]), E.sub(i, "w", "y"), E.red(i, "w")]))
+        edits.append(rng.choice([miss(i, ["y"]), sub(i, "w", "y"), red(i, "w")]))
     elif extra == 3:
         j = rng.randint(i - 1, i + 2)
         edits.append(E.Edit(rng.choice(E.CATEGORIES), i, j, ("w",) * max(j - i, 0),
@@ -147,7 +148,7 @@ def test_make_script_accepts_exactly_the_pairwise_rule():
 
 
 def test_make_script_orders_miss_before_sub():
-    script = E.make_script([E.sub(1, "a", "b"), E.miss(1, ["x"])])
+    script = E.make_script([sub(1, "a", "b"), miss(1, ["x"])])
     assert [e.category for e in script] == [E.MISS, E.SUB]
 
 
@@ -156,7 +157,7 @@ def _is_plain_script(script):
             and [e.slot for e in script] == sorted(e.slot for e in script))
 
 
-def test_every_constructor_gives_a_plain_tuple_in_slot_order():
+def test_every_constructor_gives_a_plain_tuple_in_slot_order(tmp_path):
     src, tgt = ["a", "x", "b", "c"], ["q", "a", "b", "r", "c", "s"]
     aligned = E.align(src, tgt)
     assert aligned and _is_plain_script(aligned)
@@ -167,19 +168,21 @@ def test_every_constructor_gives_a_plain_tuple_in_slot_order():
         f"A {e.i} {e.j}|||{e.category}|||{' '.join(e.tgt_tokens)}" for e in aligned]
     parsed_src, parsed = E.parse_m2_block(1, block)
     assert parsed_src == src and parsed == aligned and _is_plain_script(parsed)
-    ((lineno, read_src, read),) = E.read_m2(block)
+    m2 = tmp_path / "block.m2"
+    m2.write_text("\n".join(block) + "\n", encoding="utf-8")
+    ((lineno, read_src, read),) = E.load_m2_file(str(m2))
     assert (lineno, read_src, read) == (1, src, aligned) and _is_plain_script(read)
 
 
 def test_m2_a_lines_out_of_slot_order_parse_to_the_ordered_script():
     ordered = ["S a b c", "A 0 0|||MISS|||x y", "A 0 1|||SUB|||q",
                "A 2 3|||RED|||", "A 3 3|||MISS|||z"]
-    want = (E.miss(0, ["x", "y"]), E.sub(0, "a", "q"), E.red(2, "c"), E.miss(3, ["z"]))
+    want = (miss(0, ["x", "y"]), sub(0, "a", "q"), red(2, "c"), miss(3, ["z"]))
     assert E.parse_m2_block(1, ordered) == (["a", "b", "c"], want)
     for a_lines in ([ordered[4], ordered[2], ordered[1], ordered[3]],
                     [ordered[2], ordered[1], ordered[4], ordered[3]]):
         assert E.parse_m2_block(1, [ordered[0], *a_lines]) == (["a", "b", "c"], want)
-        assert list(E.read_m2([ordered[0], *a_lines])) == [(1, ["a", "b", "c"], want)]
+        assert list(read_m2([ordered[0], *a_lines])) == [(1, ["a", "b", "c"], want)]
 
 
 def test_round_trip_random_pairs():
@@ -309,7 +312,7 @@ def test_m2_round_trip():
     ]
     buf = io.StringIO()
     E.write_m2(pairs, buf)
-    parsed = list(E.read_m2(buf.getvalue().splitlines(True)))
+    parsed = list(read_m2(buf.getvalue().splitlines(True)))
     assert parsed == [(lineno, list(s), sc) for lineno, (s, sc) in zip((1, 4, 7), pairs)]
 
 
@@ -329,23 +332,23 @@ def test_m2_s_line_without_a_blank_line_starts_the_next_block():
 ])
 def test_m2_format_errors_carry_line_numbers(lines, lineno):
     with pytest.raises(FormatError) as err:
-        list(E.read_m2(lines))
+        list(read_m2(lines))
     assert err.value.lineno == lineno
 
 
 def test_edit_identity():
-    assert E.sub(1, "a", "b").identity() == (E.SUB, 1, 2, ("b",))
-    assert E.red(3, "x").identity() == (E.RED, 3, 4, ())
-    assert E.miss(2, ["x", "y"]).identity() == (E.MISS, 2, 2, ("x", "y"))
+    assert sub(1, "a", "b").identity() == (E.SUB, 1, 2, ("b",))
+    assert red(3, "x").identity() == (E.RED, 3, 4, ())
+    assert miss(2, ["x", "y"]).identity() == (E.MISS, 2, 2, ("x", "y"))
 
 
 def test_edit_is_an_immutable_tuple_of_its_fields():
     edit = E.Edit(category=E.SUB, i=1, j=2, src_tokens=("a",), tgt_tokens=("b",))
-    same = E.sub(1, "a", "b")
+    same = sub(1, "a", "b")
     assert edit == same == (E.SUB, 1, 2, ("a",), ("b",))
     assert hash(edit) == hash(same)
     assert len({edit, same}) == 1
-    assert edit != E.sub(1, "a", "c") and edit != E.red(1, "a")
+    assert edit != sub(1, "a", "c") and edit != red(1, "a")
     for name in ("category", "i", "j", "src_tokens", "tgt_tokens", "slot", "other"):
         with pytest.raises(AttributeError):
             setattr(edit, name, None)

@@ -11,13 +11,14 @@ from gecsyntax import edits as E
 from gecsyntax import ensemble
 from gecsyntax.ensemble import (
     EditCandidate, LogRegModel, feature_matrix, feature_names, gather,
-    label_candidates, loss_and_grad, model_from_dict, model_to_dict,
+    label_candidates, loss_and_grad, model_from_dict, model_to_dict, row_counts,
     select_and_apply, select_edits, train,
 )
 from gecsyntax.scoring import corpus_score
 
 from tests.helpers import (
-    build_ensemble_corpus, numeric_grad, select_edits_oracle, selector_gd_oracle,
+    build_ensemble_corpus, miss, numeric_grad, red, select_edits_oracle,
+    selector_gd_oracle, sub,
 )
 
 
@@ -32,7 +33,7 @@ def test_gather_deduplicates_shared_edit():
     cands = gather(src, [hyp, list(hyp)])
     assert len(cands) == 1
     assert cands[0].votes == (1, 1)
-    assert cands[0].edit == E.sub(1, "cat", "dog")
+    assert cands[0].edit == sub(1, "cat", "dog")
 
 
 def test_gather_matches_per_system_alignments():
@@ -59,8 +60,8 @@ def test_gather_requires_a_hypothesis():
 
 
 def test_feature_vector_layout():
-    cand = EditCandidate(E.red(2, "x"), (1, 0, 1))
-    feats = feature_matrix([cand, EditCandidate(E.miss(0, ["y"]), (0, 0, 1))])
+    cand = EditCandidate(red(2, "x"), (1, 0, 1))
+    feats = feature_matrix([cand, EditCandidate(miss(0, ["y"]), (0, 0, 1))])
     assert feats.tolist() == [[1, 0, 1, 2 / 3, 0, 1, 0], [0, 0, 1, 1 / 3, 0, 0, 1]]
     assert feature_names(3) == [
         "system_0", "system_1", "system_2",
@@ -70,7 +71,7 @@ def test_feature_vector_layout():
 
 def test_zero_model_predicts_half():
     model = LogRegModel(np.zeros(7), 0.0)
-    cand = EditCandidate(E.sub(0, "a", "b"), (1, 0, 0))
+    cand = EditCandidate(sub(0, "a", "b"), (1, 0, 0))
     assert model.predict_proba(feature_matrix([cand])) == pytest.approx([0.5])
 
 
@@ -102,10 +103,10 @@ def test_separable_toy_set_reaches_full_accuracy():
             1 if j == rng.randrange(k) else 0 for j in range(k))
         if not positive and sum(votes) == 0:
             votes = (1,) + (0,) * (k - 1)
-        cat = rng.choice([E.sub(i, "a", "b"), E.red(i, "a"), E.miss(i, ["c"])])
+        cat = rng.choice([sub(i, "a", "b"), red(i, "a"), miss(i, ["c"])])
         cands.append(EditCandidate(cat, votes))
         labels.append(1.0 if positive else 0.0)
-    model = train(cands, labels, lr=0.5, epochs=500, l2=0.0)
+    model = train(row_counts(zip(cands, labels)), lr=0.5, epochs=500, l2=0.0)
     probs = model.predict_proba(feature_matrix(cands))
     acc = np.mean((probs >= 0.5) == np.asarray(labels, bool))
     assert acc == 1.0
@@ -114,37 +115,22 @@ def test_separable_toy_set_reaches_full_accuracy():
 
 def test_training_rejects_divergence_and_empty_input():
     with pytest.raises(ValueError):
-        train([], [])
+        train(row_counts([]))
     # a huge step size against the L2 pull makes the updates alternate with
     # exploding magnitude until the loss overflows
-    cands = [EditCandidate(E.sub(0, "a", "b"), (1, 0)),
-             EditCandidate(E.red(1, "c"), (0, 1))]
+    cands = [EditCandidate(sub(0, "a", "b"), (1, 0)),
+             EditCandidate(red(1, "c"), (0, 1))]
     with pytest.raises(ValueError, match="diverged"):
-        train(cands, [1.0, 0.0], lr=1e12, l2=1.0, epochs=500)
+        train(row_counts(zip(cands, [1.0, 0.0])), lr=1e12, l2=1.0, epochs=500)
 
 
 def test_training_rejects_divergence_after_the_last_epoch():
     # One step from zero is taken with a finite loss; the L2 term of the
     # weights it reaches overflows, so only the final check catches it.
-    cands = [EditCandidate(E.sub(0, "a", "b"), (1, 0)),
-             EditCandidate(E.red(1, "c"), (0, 1))]
+    cands = [EditCandidate(sub(0, "a", "b"), (1, 0)),
+             EditCandidate(red(1, "c"), (0, 1))]
     with pytest.raises(ValueError, match="^training diverged"):
-        train(cands, [1.0, 0.0], lr=1e300, l2=1.0, epochs=1)
-
-
-def test_training_consumes_iterables_in_lockstep():
-    sources, golds, hyps = build_ensemble_corpus(seed=3, n_sentences=30)
-    cands, labels = [], []
-    for i, src in enumerate(sources):
-        sent = gather(src, [h[i] for h in hyps])
-        cands.extend(sent)
-        labels.extend(label_candidates(sent, E.align(src, golds[i])))
-    from_lists = train(cands, labels, epochs=50)
-    from_generators = train((c for c in cands), (y for y in labels), epochs=50)
-    assert model_to_dict(from_generators) == model_to_dict(from_lists)
-    assert from_generators.final_loss == from_lists.final_loss
-    with pytest.raises(ValueError):
-        train(iter(cands), iter(labels[:-1]))
+        train(row_counts(zip(cands, [1.0, 0.0])), lr=1e300, l2=1.0, epochs=1)
 
 
 def test_training_on_counts_matches_training_on_candidates():
@@ -153,17 +139,16 @@ def test_training_on_counts_matches_training_on_candidates():
     for i, src in enumerate(sources):
         sent = gather(src, [h[i] for h in hyps])
         labeled.extend(zip(sent, label_candidates(sent, E.align(src, golds[i]))))
-    cands, labels = map(list, zip(*labeled))
-    expected = model_to_dict(train(cands, labels, epochs=50))
+    whole = row_counts(labeled)
     half = len(labeled) // 2
     # Counts merged in row order, as from consecutive batches.
-    merged = ensemble.row_counts(labeled[:half])
-    merged.update(ensemble.row_counts(labeled[half:]))
-    assert model_to_dict(train(counts=merged, epochs=50)) == expected
-    assert model_to_dict(train(cands[:half], labels[:half], epochs=50,
-                               counts=ensemble.row_counts(labeled[half:]))) == expected
+    merged = row_counts(labeled[:half])
+    merged.update(row_counts(labeled[half:]))
+    assert list(merged.items()) == list(whole.items())
+    assert (model_to_dict(train(merged, epochs=50))
+            == model_to_dict(train(whole, epochs=50)))
     with pytest.raises(ValueError, match="no candidates"):
-        train(counts={})
+        train({})
 
 
 def test_predict_proba_with_huge_weights_warns_nothing():
@@ -193,8 +178,8 @@ def test_overlapping_candidates_resolved_by_score():
     # score depends only on which system voted: sigma(2.2) ~ 0.9, sigma(0.4) ~ 0.6
     weights = np.array([2.1972245773362196, 0.40546510810816444, 0.0, 0.0, 0.0, 0.0])
     model = LogRegModel(weights, 0.0, threshold=0.5)
-    strong = EditCandidate(E.sub(1, "cat", "dog"), (1, 0))
-    weak = EditCandidate(E.sub(1, "cat", "rat"), (0, 1))
+    strong = EditCandidate(sub(1, "cat", "dog"), (1, 0))
+    weak = EditCandidate(sub(1, "cat", "rat"), (0, 1))
     assert model.predict_proba(feature_matrix([strong, weak])) == pytest.approx(
         [0.9, 0.6])
     chosen = select_edits([weak, strong], model)
@@ -204,13 +189,13 @@ def test_overlapping_candidates_resolved_by_score():
 
 def test_conflict_tie_breaks_leftmost_then_category():
     model = LogRegModel(np.zeros(6), 10.0)  # every candidate scores ~1.0
-    left = EditCandidate(E.red(0, "a"), (1, 0))
-    right = EditCandidate(E.red(1, "b"), (0, 1))
-    sub_cand = EditCandidate(E.sub(0, "a", "x"), (1, 1))
+    left = EditCandidate(red(0, "a"), (1, 0))
+    right = EditCandidate(red(1, "b"), (0, 1))
+    sub_cand = EditCandidate(sub(0, "a", "x"), (1, 1))
     chosen = select_edits([right, left, sub_cand], model)
     kept = [c.edit for c in chosen]
-    assert E.sub(0, "a", "x") in kept and E.red(1, "b") in kept
-    assert E.red(0, "a") not in kept  # same span as the SUB, SUB wins the tie
+    assert sub(0, "a", "x") in kept and red(1, "b") in kept
+    assert red(0, "a") not in kept  # same span as the SUB, SUB wins the tie
 
 
 def test_threshold_monotonicity():
@@ -225,7 +210,7 @@ def test_threshold_monotonicity():
         hyps.append(hyp)
     cands = gather(src, hyps)
     labels = [1.0 if sum(c.votes) / len(c.votes) > 0.3 else 0.0 for c in cands]
-    model = train(cands, labels, epochs=200)
+    model = train(row_counts(zip(cands, labels)), epochs=200)
     prev = None
     for thr in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0):
         model.threshold = thr
@@ -242,8 +227,8 @@ def test_training_is_deterministic():
         sent = gather(src, [h[i] for h in hyps])
         cands.extend(sent)
         labels.extend([1.0 if all(c.votes) else 0.0 for c in sent])
-    m1 = train(cands, labels, epochs=50)
-    m2 = train(cands, labels, epochs=50)
+    m1 = train(row_counts(zip(cands, labels)), epochs=50)
+    m2 = train(row_counts(zip(cands, labels)), epochs=50)
     assert json.dumps(model_to_dict(m1)) == json.dumps(model_to_dict(m2))
 
 
@@ -266,7 +251,7 @@ def test_selector_beats_plain_union_precision():
         cands_all.extend(cands)
         labels_all.extend(labels)
         per_sentence.append((src, cands, gold_script))
-    model = train(cands_all, labels_all)
+    model = train(row_counts(zip(cands_all, labels_all)))
 
     union_pairs, selected_pairs = [], []
     for src, cands, gold_script in per_sentence:
@@ -304,7 +289,7 @@ def test_grouped_training_matches_per_row_oracle(seed, l2):
     sentences = _corpus_candidates(seed)
     cands = [c for sent, _ in sentences for c in sent]
     labels = [y for _, sent in sentences for y in sent]
-    model = train(cands, labels, lr=0.5, epochs=500, l2=l2)
+    model = train(row_counts(zip(cands, labels)), lr=0.5, epochs=500, l2=l2)
     w, b = selector_gd_oracle([(c.votes, c.edit.category) for c in cands],
                               labels, lr=0.5, epochs=500, l2=l2)
     np.testing.assert_allclose(model.weights, w, rtol=1e-9, atol=1e-12)
@@ -322,8 +307,7 @@ def _select_scoring_each_candidate(candidates, model):
 @pytest.mark.parametrize("seed", [5, 7])
 def test_select_edits_matches_per_candidate_scoring(seed):
     sentences = _corpus_candidates(seed)
-    model = train([c for sent, _ in sentences for c in sent],
-                  [y for _, sent in sentences for y in sent])
+    model = train(row_counts(pair for sent in sentences for pair in zip(*sent)))
     for threshold in (0.2, 0.5, 0.8):
         model.threshold = threshold
         for cands, _ in sentences:
@@ -362,7 +346,7 @@ def test_select_edits_matches_pairwise_oracle_on_tied_scores(seed):
 def test_select_edits_scales_linearly():
     # 20,000 kept, mutually compatible candidates: a pairwise conflict check
     # makes 2e8 comparisons.
-    cands = [EditCandidate(E.miss(i, ["x"]) if i % 3 == 0 else E.sub(i, "s", "x"), (1,))
+    cands = [EditCandidate(miss(i, ["x"]) if i % 3 == 0 else sub(i, "s", "x"), (1,))
              for i in range(20_000)]
     model = LogRegModel(np.zeros(len(feature_names(1))), 5.0)
     start = time.perf_counter()

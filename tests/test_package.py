@@ -59,6 +59,26 @@ def test_lazy_names_are_public():
     assert set(gecsyntax._LAZY) <= set(gecsyntax.__all__)
 
 
+# A child process prints the gecsyntax modules loaded after the import,
+# then after the first use of one name.
+_IMPORT_CHILD = """
+import sys
+import gecsyntax
+print(sorted(m for m in sys.modules if m.startswith("gecsyntax.")))
+gecsyntax.align
+print(sorted(m for m in sys.modules if m.startswith("gecsyntax.")))
+"""
+
+
+def test_a_public_name_loads_only_its_module_on_first_use():
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHILD], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # gecsyntax.edits imports gecsyntax.errors and gecsyntax.lines itself.
+    assert proc.stdout.splitlines() == [
+        "[]", "['gecsyntax.edits', 'gecsyntax.errors', 'gecsyntax.lines']"]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=child_env(),

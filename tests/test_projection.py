@@ -10,8 +10,8 @@ from gecsyntax.cli import main
 from gecsyntax.projection import ProjectionResult, project, strip_pseudo
 
 from tests.helpers import (
-    SRC_VOCAB, category_counts, project_oracle, random_script, random_tokens,
-    random_tree, strip_pseudo_oracle, subword_tree_oracle,
+    SRC_VOCAB, category_counts, miss, project_oracle, random_script, random_tokens,
+    random_tree, red, strip_pseudo_oracle, sub, subword_tree_oracle,
 )
 
 
@@ -27,42 +27,42 @@ def test_error_free_pair_is_unchanged():
 
 
 def test_sub_rule():
-    result = proj("(S (NP (DT a) (NN dog)))", [E.sub(1, "cat", "dog")], ["a", "cat"])
+    result = proj("(S (NP (DT a) (NN dog)))", [sub(1, "cat", "dog")], ["a", "cat"])
     assert result.source_tree == "(S (NP (DT a) (NN (SUB cat))))"
     assert result.inserted == [("SUB", 1)]
 
 
 def test_red_rule():
     result = proj("(S (NP (DT a) (NN cat)) (VP (VBD sat)))",
-                  [E.red(1, "the")], ["a", "the", "cat", "sat"])
+                  [red(1, "the")], ["a", "the", "cat", "sat"])
     assert result.source_tree == \
         "(S (NP (DT a) (RED the) (NN cat)) (VP (VBD sat)))"
 
 
 def test_miss_rule():
     result = proj("(S (NP (DT the) (NN cat)) (VP (VBD sat)))",
-                  [E.miss(0, ["the"])], ["cat", "sat"])
+                  [miss(0, ["the"])], ["cat", "sat"])
     assert result.source_tree == \
         "(S (NP (NN (MISS cat))) (VP (VBD sat)))"
 
 
 def test_sub_above_preterminal():
     tree = T.bracket_tokens("(S (NP (DT a) (NN dog)))")
-    result = project(tree, E.make_script([E.sub(1, "cat", "dog")]),
+    result = project(tree, E.make_script([sub(1, "cat", "dog")]),
                      ["a", "cat"], placement="above")
     assert result.source_tree == "(S (NP (DT a) (SUB (NN cat))))"
 
 
 def test_miss_above_preterminal_stacks_outside_sub():
     tree = T.bracket_tokens("(S (DT a) (NN dog))")
-    script = E.make_script([E.miss(0, ["a"]), E.sub(0, "cat", "dog")])
+    script = E.make_script([miss(0, ["a"]), sub(0, "cat", "dog")])
     result = project(tree, script, ["cat"], placement="above")
     assert result.source_tree == "(S (MISS (SUB (NN cat))))"
 
 
 def test_chained_redundant_words_share_a_phrase():
     result = proj("(S (NP (DT a) (NN cat)) (VP (VBD sat)))",
-                  [E.red(1, "x"), E.red(2, "y")],
+                  [red(1, "x"), red(2, "y")],
                   ["a", "x", "y", "cat", "sat"])
     assert result.source_tree == \
         "(S (NP (DT a) (RED x) (RED y) (NN cat)) (VP (VBD sat)))"
@@ -70,39 +70,39 @@ def test_chained_redundant_words_share_a_phrase():
 
 def test_sentence_final_red_attaches_right_of_left_word():
     result = proj("(S (NP (DT a) (NN cat)) (VP (VBD sat)))",
-                  [E.red(3, "x")], ["a", "cat", "sat", "x"])
+                  [red(3, "x")], ["a", "cat", "sat", "x"])
     assert result.source_tree == \
         "(S (NP (DT a) (NN cat)) (VP (VBD sat)) (RED x))"
 
 
 def test_sentence_final_red_chain():
     result = proj("(S (NP (DT a) (NN cat)))",
-                  [E.red(2, "x"), E.red(3, "y")], ["a", "cat", "x", "y"])
+                  [red(2, "x"), red(3, "y")], ["a", "cat", "x", "y"])
     assert result.source_tree == \
         "(S (NP (DT a) (NN cat) (RED x) (RED y)))"
 
 
 def test_red_walks_through_unary_chain():
-    result = proj("(S (NP (NP (NN cat))))", [E.red(0, "x")], ["x", "cat"])
+    result = proj("(S (NP (NP (NN cat))))", [red(0, "x")], ["x", "cat"])
     assert result.source_tree == "(S (RED x) (NP (NP (NN cat))))"
 
 
 def test_multiword_miss_inserts_one_node():
     result = proj("(S (NP (DT the) (JJ big) (NN cat)) (VP (VBD sat)))",
-                  [E.miss(0, ["the", "big"])], ["cat", "sat"])
+                  [miss(0, ["the", "big"])], ["cat", "sat"])
     assert result.source_tree == \
         "(S (NP (NN (MISS cat))) (VP (VBD sat)))"
     assert result.inserted == [("MISS", 0)]
 
 
 def test_sentence_final_miss_anchors_left_word():
-    result = proj("(S (NN cat) (RB now))", [E.miss(1, ["now"])], ["cat"])
+    result = proj("(S (NN cat) (RB now))", [miss(1, ["now"])], ["cat"])
     assert result.source_tree == "(S (NN (MISS cat)))"
 
 
 def test_stacked_miss_and_sub_on_one_word():
     tree = T.bracket_tokens("(S (DT a) (NN dog))")
-    script = E.make_script([E.miss(0, ["a"]), E.sub(0, "cat", "dog")])
+    script = E.make_script([miss(0, ["a"]), sub(0, "cat", "dog")])
     result = project(tree, script, ["cat"])
     assert result.source_tree == "(S (NN (MISS (SUB cat))))"
     assert sorted(result.inserted) == [("MISS", 0), ("SUB", 0)]
@@ -118,12 +118,12 @@ def test_yield_mismatch_is_an_error():
 def test_out_of_range_span_is_an_error():
     tree = T.bracket_tokens("(S (X a) (Y x))")
     with pytest.raises(ValueError, match=r"edit span \[5,5\) out of range for 1 tokens"):
-        project(tree, E.EditScript((E.miss(5, ["x"]),)), ["a"])
+        project(tree, E.EditScript((miss(5, ["x"]),)), ["a"])
 
 
 @pytest.mark.parametrize("edits", [
-    [E.miss(0, ["x"]), E.red(0, "a"), E.red(1, "b"), E.miss(2, ["y"])],
-    [E.miss(0, ["x", "y"]), E.red(0, "a"), E.red(1, "b")],
+    [miss(0, ["x"]), red(0, "a"), red(1, "b"), miss(2, ["y"])],
+    [miss(0, ["x", "y"]), red(0, "a"), red(1, "b")],
 ], ids=["miss-at-end", "red-at-end"])
 def test_no_kept_word_to_anchor_the_end_is_an_error(edits):
     with pytest.raises(ValueError, match="no source word available to anchor the edit"):
@@ -135,7 +135,7 @@ def test_project_checks_its_script_once(monkeypatch):
     check = E.check_script
     monkeypatch.setattr(E, "check_script", lambda edits: calls.append(1) or check(edits))
     tree = T.bracket_tokens("(S (DT a) (NN cat) (VB sat))")
-    script = E.EditScript((E.red(3, "the"), E.sub(1, "dog", "cat")))
+    script = E.EditScript((red(3, "the"), sub(1, "dog", "cat")))
     project(tree, script, ["a", "dog", "sat", "the"])
     assert len(calls) == 1
 
@@ -157,7 +157,7 @@ def test_empty_source_with_script_is_an_error():
     tree = T.bracket_tokens("(S (NN cat))")
     with pytest.raises(ValueError,
                        match="empty source sentence with a non-empty edit script"):
-        project(tree, E.make_script([E.miss(0, ["cat"])]), [])
+        project(tree, E.make_script([miss(0, ["cat"])]), [])
 
 
 def test_bad_placement_rejected():
@@ -295,8 +295,8 @@ def _random_projection_cases(rng, count):
         script = random_script(src, rng, vocab, force_empty_prob=0.05)
         roll = rng.random()
         if roll < 0.02:  # no source word is kept
-            script = E.make_script([E.red(i, w) for i, w in enumerate(src)] + [
-                E.miss(rng.randint(0, len(src)), random_tokens(rng, 2, vocab))])
+            script = E.make_script([red(i, w) for i, w in enumerate(src)] + [
+                miss(rng.randint(0, len(src)), random_tokens(rng, 2, vocab))])
         tgt = E.apply_edits(src, script)
         if 0.02 <= roll < 0.12:  # a target yield the script does not give
             k = rng.randrange(len(tgt))

@@ -6,21 +6,23 @@ import pytest
 from gecsyntax import edits as E
 from gecsyntax.scoring import Scores, corpus_score, f_beta, match_edits
 
+from tests.helpers import miss, red, sub
+
 
 def test_match_identical_single_edit():
-    script = E.make_script([E.sub(1, "cat", "dog")])
+    script = E.make_script([sub(1, "cat", "dog")])
     assert match_edits(script, script) == (1, 0, 0)
 
 
 def test_match_empty_hypothesis():
-    gold = E.make_script([E.sub(0, "a", "b"), E.red(2, "x")])
+    gold = E.make_script([sub(0, "a", "b"), red(2, "x")])
     assert match_edits(E.EditScript(), gold) == (0, 0, 2)
 
 
 def test_match_partial_overlap():
-    shared = [E.sub(0, "a", "b"), E.red(2, "x"), E.miss(4, ["w"])]
-    hyp = E.make_script(shared + [E.sub(6, "p", "q")])
-    gold = E.make_script(shared + [E.red(6, "p")])
+    shared = [sub(0, "a", "b"), red(2, "x"), miss(4, ["w"])]
+    hyp = E.make_script(shared + [sub(6, "p", "q")])
+    gold = E.make_script(shared + [red(6, "p")])
     assert match_edits(hyp, gold) == (3, 1, 1)
 
 
@@ -51,17 +53,17 @@ def test_added_true_positive_never_hurts():
 
 
 def test_single_sentence_equals_corpus():
-    hyp = E.make_script([E.sub(0, "a", "b")])
-    gold = E.make_script([E.sub(0, "a", "b"), E.miss(2, ["x"])])
+    hyp = E.make_script([sub(0, "a", "b")])
+    gold = E.make_script([sub(0, "a", "b"), miss(2, ["x"])])
     scores = corpus_score([(hyp, gold)])
     assert (scores.tp, scores.fp, scores.fn) == match_edits(hyp, gold)
 
 
 def test_corpus_micro_average_two_sentences():
-    e = E.sub(0, "a", "b")
+    e = sub(0, "a", "b")
     s1 = (E.EditScript((e,)), E.EditScript((e,)))          # (1, 0, 0)
-    hyp2 = E.EditScript((E.red(1, "x"),))
-    gold2 = E.EditScript((E.miss(0, ["y"]),))
+    hyp2 = E.EditScript((red(1, "x"),))
+    gold2 = E.EditScript((miss(0, ["y"]),))
     s2 = (hyp2, gold2)                                     # (0, 1, 1)
     scores = corpus_score([s1, s2])
     assert (scores.tp, scores.fp, scores.fn) == (1, 1, 1)

