@@ -8,9 +8,7 @@ re-applying the survivors keeps the edits most systems agree on and
 drops one-off guesses.
 """
 
-import numpy as np
-
-from gecsyntax import align, apply_edits, gather, select_and_apply, train
+from gecsyntax import align, gather, select_and_apply, train
 from gecsyntax.ensemble import label_candidates, row_counts, select_edits
 
 source = "I has a the cat".split()

@@ -37,9 +37,11 @@ def init_attention(d: int, seed: int = 0) -> AttentionParams:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place in ``scores``, which it returns."""
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    return scores
 
 
 def _forward(Q: np.ndarray, M: np.ndarray, params: AttentionParams):
@@ -54,7 +56,9 @@ def _forward(Q: np.ndarray, M: np.ndarray, params: AttentionParams):
     d = Q.shape[1]
     params.check(d)
     Qp, Kp, Vp = Q @ params.Wq, M @ params.Wk, M @ params.Wv
-    return Q, M, Qp, Kp, Vp, _softmax_rows(Qp @ Kp.T / np.sqrt(d))
+    scores = Qp @ Kp.T
+    scores /= np.sqrt(d)
+    return Q, M, Qp, Kp, Vp, _softmax_rows(scores)
 
 
 def cross_attention(Q: np.ndarray, M: np.ndarray, params: AttentionParams,
@@ -82,10 +86,11 @@ def cross_attention_backward(Q: np.ndarray, M: np.ndarray, params: AttentionPara
         raise ValueError("d_out shape does not match attention output")
     dA = g @ Vp.T
     dVp = A.T @ g
-    # softmax backward, row-wise
-    dS = A * (dA - (dA * A).sum(axis=1, keepdims=True))
-    dQp = dS @ Kp * scale
-    dKp = dS.T @ Qp * scale
+    # softmax backward, row-wise, in place in dA
+    dA -= (dA * A).sum(axis=1, keepdims=True)
+    dA *= A
+    dQp = dA @ Kp * scale
+    dKp = dA.T @ Qp * scale
     return AttentionParams(Q.T @ dQp, M.T @ dKp, M.T @ dVp)
 
 

@@ -103,13 +103,13 @@ def _layer_forward(graph, H, params):
 
 def initial_node_matrix(graph: SyntaxGraph, terminal_inits: np.ndarray,
                         stack: GcnStack) -> np.ndarray:
+    terminal_inits = np.asarray(terminal_inits, dtype=float)
     if terminal_inits.shape != (graph.num_terminals, stack.d):
         raise ValueError(
             f"terminal inits shape {terminal_inits.shape} does not match "
             f"({graph.num_terminals}, {stack.d})"
         )
-    return np.vstack([np.asarray(terminal_inits, dtype=float),
-                      stack.E_nt[stack.rows(graph.nt_labels)]])
+    return np.vstack([terminal_inits, stack.E_nt[stack.rows(graph.nt_labels)]])
 
 
 def _encode_with_cache(graph, terminal_inits, stack):

@@ -9,7 +9,13 @@ trees; ordinary parser output must not contain them (projection rejects
 a target tree that does).
 
 Trees are treated as immutable after construction: no operation in
-this package mutates its input.
+this package mutates its input.  Nodes are slotted dataclasses, so they
+take no attribute beyond their fields, and a tree that
+:func:`parse_bracketed` builds holds one string per distinct label and
+per distinct word.  Those strings are shared through a dict that lives
+only for the one call, not through ``sys.intern``: interned strings can
+outlive every tree that used them (on CPython 3.12 they are immortal),
+so interning unbounded user labels and words would leak.
 
 :func:`bracket_tokens` is the one rule for valid bracket text.  Its
 tokens are ``"(LABEL"`` for an open constituent, ``")"`` for a close and
@@ -32,14 +38,14 @@ PSEUDO_LABELS = frozenset(CATEGORIES)
 _OPEN_SPACE_RE = re.compile(r"\(\s+")
 
 
-@dataclass
+@dataclass(slots=True)
 class Terminal:
     """A word of the sentence; its index is its place in the yield."""
 
     token: str
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(slots=True, eq=False, repr=False)
 class NonTerminal:
     """A labeled constituent with an ordered, non-empty list of children.
 
@@ -140,16 +146,17 @@ def parse_bracketed(text: str | list[str], lineno: int | None = None,
     tokens = text if isinstance(text, list) else bracket_tokens(text, lineno, path)
     top: list[Node] = []
     kids, open_kids = top, []
+    names: dict[str, str] = {}  # token -> its label or word, one str per tree
     for tok in tokens:
         if tok == ")":
             kids = open_kids.pop()
         elif tok[0] == "(":
-            node = NonTerminal(tok[1:], [])
+            node = NonTerminal(names.setdefault(tok, tok[1:]), [])
             kids.append(node)
             open_kids.append(kids)
             kids = node.children
         else:
-            kids.append(Terminal(unescape_token(tok)))
+            kids.append(Terminal(names.setdefault(tok, unescape_token(tok))))
     return top[0]
 
 

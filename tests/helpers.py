@@ -457,12 +457,13 @@ def project_oracle(target, script, src, placement="below"):
     """``(bracket text, inserted)`` of the projection of ``target`` onto
     ``src``; raises what the projection raises, with the same text.
 
-    The edits run on a fresh copy of the target's nodes, each copy holding
-    its parent in ``up``.  One walk over the ordered script checks it and
-    finds each source word's node; a second, right to left, deletes the
-    missing words (pruning emptied ancestors), wraps SUB and MISS words and
-    places RED words next to their neighbour's branch.  Writes the text by
-    recursion and uses nothing from ``gecsyntax.projection``."""
+    The edits run on a fresh copy of the target's nodes, each copy's
+    parent held in ``up_of`` under the copy's ``id``.  One walk over the
+    ordered script checks it and finds each source word's node; a second,
+    right to left, deletes the missing words (pruning emptied ancestors),
+    wraps SUB and MISS words and places RED words next to their
+    neighbour's branch.  Writes the text by recursion and uses nothing
+    from ``gecsyntax.projection``."""
     pseudo = ("SUB", "RED", "MISS")
     if placement not in ("below", "above"):
         raise ValueError("placement must be one of ('below', 'above')")
@@ -472,6 +473,7 @@ def project_oracle(target, script, src, placement="below"):
         raise ValueError("empty source sentence with a non-empty edit script")
     top = T.NonTerminal("", [])
     words = []
+    up_of = {}  # id of a copied node -> its parent
 
     def copy(node, up):
         if isinstance(node, T.Terminal):
@@ -481,24 +483,24 @@ def project_oracle(target, script, src, placement="below"):
             raise ValueError(f"target tree already contains {node.label!r} nodes")
         else:
             made = T.NonTerminal(node.label, [])
-        made.up = up
+        up_of[id(made)] = up
         up.children.append(made)
         for child in getattr(node, "children", ()):
             copy(child, made)
 
     def place(node):  # the index of ``node`` among its parent's children
-        return next(k for k, kid in enumerate(node.up.children) if kid is node)
+        return next(k for k, kid in enumerate(up_of[id(node)].children) if kid is node)
 
     def wrap(node, label):
-        up = node.up
+        up = up_of[id(node)]
         if placement == "above" and len(up.children) == 1 and up.label not in pseudo:
-            node, up = up, up.up
+            node, up = up, up_of[id(up)]
         while up.label in pseudo:
-            node, up = up, up.up
+            node, up = up, up_of[id(up)]
         wrapper = T.NonTerminal(label, [node])
-        wrapper.up = up
+        up_of[id(wrapper)] = up
         up.children[place(node)] = wrapper
-        node.up = wrapper
+        up_of[id(node)] = wrapper
 
     copy(target, top)
     edits = make_script(script)
@@ -532,10 +534,10 @@ def project_oracle(target, script, src, placement="below"):
     for e in reversed(edits):
         if e.category == "MISS":
             for node in miss_words[e.i]:
-                up = node.up
+                up = up_of[id(node)]
                 up.children.pop(place(node))
                 while not up.children:
-                    node, up = up, up.up
+                    node, up = up, up_of[id(up)]
                     if up is top:
                         raise ValueError("deleting missing words emptied the whole tree")
                     up.children.pop(place(node))
@@ -547,12 +549,12 @@ def project_oracle(target, script, src, placement="below"):
             wrap(anchor, "SUB")
             inserted.append(("SUB", e.i))
         elif e.category == "RED":
-            node, up = anchor, anchor.up
-            while up.up is not top and len(up.children) == 1:
-                node, up = up, up.up
+            node, up = anchor, up_of[id(anchor)]
+            while up_of[id(up)] is not top and len(up.children) == 1:
+                node, up = up, up_of[id(up)]
             new = T.Terminal(src[e.i])
             red = T.NonTerminal("RED", [new])
-            new.up, red.up = red, up
+            up_of[id(new)], up_of[id(red)] = red, up
             up.children.insert(place(node) + (e.i == n - 1), red)
             src_word[e.i] = new
             inserted.append(("RED", e.i))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from gecsyntax import tree as T
 from gecsyntax.attention import (
     AttentionParams, cross_attention, cross_attention_backward, dual_combine,
     init_attention,
 )
+from gecsyntax.gcn import encode_backward, fuse, gcn_encode, init_stack
+from gecsyntax.graph import build_graph
 
 from tests.helpers import attention_scalar_oracle, max_rel_err, numeric_grad
 
@@ -197,3 +200,48 @@ def test_dual_mode_gradients_match_finite_differences():
 
     gs = cross_attention_backward(Q, np.vstack([M_c, M_d]), shared)
     assert max_rel_err(gs.Wk, numeric_grad(loss_sharing, shared.Wk)) < 1e-4
+
+
+KERNEL_CALLS = {
+    "gcn_encode": lambda a: gcn_encode(a["graph"], a["x"], a["stack"]),
+    "encode_backward": lambda a: encode_backward(a["graph"], a["x"], a["stack"]),
+    "encode_backward-d_out": lambda a: encode_backward(a["graph"], a["x"], a["stack"],
+                                                       d_out=a["d_nodes"]),
+    "cross_attention": lambda a: cross_attention(a["x"], a["mem_c"], a["att_c"]),
+    "cross_attention-weights": lambda a: cross_attention(a["x"], a["mem_c"], a["att_c"],
+                                                         return_weights=True),
+    "cross_attention_backward": lambda a: cross_attention_backward(
+        a["x"], a["mem_c"], a["att_c"]),
+    "cross_attention_backward-d_out": lambda a: cross_attention_backward(
+        a["x"], a["mem_c"], a["att_c"], d_out=a["d_tokens"]),
+    "dual_combine-independent": lambda a: dual_combine(
+        a["x"], a["mem_c"], a["mem_d"], "independent",
+        params_const=a["att_c"], params_dep=a["att_d"]),
+    "dual_combine-sharing": lambda a: dual_combine(
+        a["x"], a["mem_c"], a["mem_d"], "sharing", params_shared=a["att_c"]),
+    "fuse": lambda a: fuse(a["mem_c"][:len(a["x"])], a["x"], 0.3),
+}
+
+
+@pytest.mark.parametrize("call", KERNEL_CALLS.values(), ids=KERNEL_CALLS.keys())
+def test_no_kernel_mutates_its_input(call):
+    d = 5
+    rng = np.random.default_rng(13)
+    graph = build_graph(T.parse_bracketed("(S (NP (DT a) (NN cat)) (VP (VB sat)))"))
+    stack = init_stack(graph.nt_labels, d=d, num_layers=2, seed=13)
+    args = {
+        "graph": graph, "stack": stack,
+        "x": rng.standard_normal((graph.num_terminals, d)),
+        "mem_c": rng.standard_normal((graph.num_nodes, d)),
+        "mem_d": rng.standard_normal((graph.num_terminals, d)),
+        "att_c": init_attention(d, seed=14), "att_d": init_attention(d, seed=15),
+        "d_nodes": rng.standard_normal((graph.num_nodes, d)),
+        "d_tokens": rng.standard_normal((graph.num_terminals, d)),
+    }
+    arrays = [args[k] for k in ("x", "mem_c", "mem_d", "d_nodes", "d_tokens")]
+    arrays += [graph.matrix, stack.E_nt, *(p for layer in stack.layers
+                                          for p in (layer.W, layer.b))]
+    arrays += [getattr(args[k], w) for k in ("att_c", "att_d") for w in ("Wq", "Wk", "Wv")]
+    before = [a.copy() for a in arrays]
+    call(args)
+    assert all(map(np.array_equal, arrays, before))

@@ -152,6 +152,22 @@ def test_terminal_inits_shape_checked():
         gcn_encode(g, np.zeros((g.num_terminals + 1, 4)), stack)
 
 
+def test_terminal_inits_may_be_a_nested_list():
+    g = small_graph()
+    stack = init_stack(g.nt_labels, d=4, num_layers=2, seed=3)
+    x = np.random.default_rng(3).uniform(-0.5, 0.5, (g.num_terminals, 4))
+    assert np.array_equal(gcn_encode(g, x.tolist(), stack), gcn_encode(g, x, stack))
+    grads = [encode_backward(g, inits, stack) for inits in (x.tolist(), x)]
+    by_list, by_array = ([*gr.dW, *gr.db, gr.dE_nt, gr.d_terminal_inits] for gr in grads)
+    assert len(by_list) == 6 and all(map(np.array_equal, by_list, by_array))
+    bad = np.zeros((g.num_terminals + 1, 4))
+    for run in (gcn_encode, encode_backward):
+        for inits in (bad, bad.tolist()):
+            with pytest.raises(ValueError, match=r"^terminal inits shape \(3, 4\) "
+                                                 r"does not match \(2, 4\)$"):
+                run(g, inits, stack)
+
+
 @pytest.mark.parametrize("change,message", [
     (lambda d: {"layers": [GcnLayerParams(np.zeros((d, d + 1)), np.zeros(d))]},
      r"layer shapes \(4, 5\)/\(4,\) do not match width 4"),

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,3 +195,32 @@ def test_deep_trees_compare_and_print_without_recursion():
     assert tree != T.parse_bracketed(text.replace("(X w)", "(X v)"))
     assert tree != T.parse_bracketed(text.replace("(X w)", "(Y w)"))
     assert repr(tree) == f"NonTerminal({text!r})"
+
+
+def test_parsed_nodes_are_slotted_and_share_their_strings():
+    tree = T.parse_bracketed(
+        "(S (NP (DT the) (NN -LRB-)) (VP (VB saw) (NP (DT the) (NN -LRB-))))")
+    first_np, second_np = tree.children[0], tree.children[1].children[1]
+    for node in (tree, first_np.children[0].children[0]):
+        with pytest.raises(AttributeError):
+            node.up = tree
+    assert first_np.label is second_np.label
+    for a, b in zip(T.terminals(first_np), T.terminals(second_np)):
+        assert a.token is b.token
+    assert first_np.children[1].children[0].token == "("
+
+
+def test_parsed_trees_hold_few_bytes_per_node():
+    # About 190 B per node with a __dict__ and a string per node, about 130
+    # with slots and one string per distinct label and word in a tree.
+    rng = random.Random(5)
+    texts = [T.serialize(random_tree(random_tokens(rng, rng.randint(5, 30), SRC_VOCAB), rng))
+             for _ in range(1000)]
+    tracemalloc.start()
+    try:
+        trees = [T.parse_bracketed(text) for text in texts]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nodes = sum(len(text.split()) for text in texts)  # one "(LABEL" or word each
+    assert len(trees) == 1000 and held / nodes < 160
