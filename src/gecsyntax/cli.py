@@ -50,8 +50,8 @@ when the reader of standard output closes it early.  Set ``CSYN_LOG``
 to a level name (debug, info, warning, ...) for diagnostics on stderr;
 any other value means warning.
 
-Only ``gcn-check``, ``ensemble-train`` and ``ensemble-apply`` import
-numpy, inside the command; the other commands start without it.
+Only ``gcn-check`` and ``ensemble-train`` (to train, once its rows are
+gathered) import numpy; the other commands run without it.
 """
 
 from __future__ import annotations

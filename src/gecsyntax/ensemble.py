@@ -4,7 +4,8 @@ Edits proposed by k correction systems for the same source sentence are
 gathered into deduplicated candidates with per-system vote indicators.
 A binary logistic-regression selector, trained on candidates labeled
 against gold edits, decides which candidates to keep; surviving edits are
-conflict-resolved and re-applied to the source.
+conflict-resolved and re-applied to the source.  A candidate's score
+depends only on its feature row and needs no numpy; only training does.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .edits import CATEGORIES, Edit, EditScript, align, apply_edits
 from .errors import FormatError
@@ -31,16 +30,11 @@ class EditCandidate:
 
 
 def _feature_row(votes: tuple[int, ...], category: str) -> list[float]:
+    """A candidate's features: its votes, its vote fraction and a one-hot
+    of its category, in the order of :func:`feature_names`."""
     onehot = [0.0, 0.0, 0.0]
     onehot[_CATEGORY_ORDER[category]] = 1.0
     return [*map(float, votes), sum(votes) / len(votes), *onehot]
-
-
-def feature_matrix(candidates: Sequence[EditCandidate]) -> np.ndarray:
-    """One row per candidate: its votes, its vote fraction and a one-hot
-    of its category, in the order of :func:`feature_names`."""
-    return np.array([_feature_row(c.votes, c.edit.category) for c in candidates],
-                    dtype=float)
 
 
 def feature_names(num_systems: int) -> list[str]:
@@ -87,30 +81,28 @@ def label_candidates(candidates: Sequence[EditCandidate],
 
 @dataclass
 class LogRegModel:
-    weights: np.ndarray
+    weights: tuple[float, ...]
     bias: float
     threshold: float = 0.5
     feature_names: list[str] | None = None
     final_loss: float | None = None
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = np.asarray(features, dtype=float) @ self.weights + self.bias
-            return _sigmoid(z)
+    def probability(self, votes: tuple[int, ...], category: str) -> float:
+        """The sigmoid of ``bias + row . weights`` for this feature row."""
+        row = _feature_row(votes, category)
+        z = self.bias + sum(x * w for x, w in zip(row, self.weights, strict=True))
+        return 0.5 * (1.0 + math.tanh(0.5 * z))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
-def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray,
-                  y: np.ndarray, l2: float = 0.0, counts: np.ndarray | None = None):
+def loss_and_grad(weights, bias: float, X, y, l2: float = 0.0, counts=None):
     """Mean L2-regularized logistic loss and its analytic gradient.
 
     Row ``r`` of ``X`` stands for ``counts[r]`` examples (default one each),
     and the mean is over examples.  The bias is not regularized.  Returns
     (loss, grad_weights, grad_bias).
     """
+    import numpy as np
+
     counts = np.ones(len(y)) if counts is None else np.asarray(counts, dtype=float)
     total = counts.sum()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -119,7 +111,7 @@ def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray,
         s = 2.0 * y - 1.0
         loss = float(counts @ np.logaddexp(0.0, -s * z) / total
                      + 0.5 * l2 * weights @ weights)
-        residual = counts * (_sigmoid(z) - y)
+        residual = counts * (0.5 * (1.0 + np.tanh(0.5 * z)) - y)
         grad_w = X.T @ residual / total + l2 * weights
         grad_b = float(residual.sum() / total)
     return loss, grad_w, grad_b
@@ -142,6 +134,8 @@ def train(counts: Mapping[tuple[tuple[int, ...], str, float], int],
     ``ValueError`` if there are no rows, or if the loss or the parameters
     go non-finite (learning rate too large).
     """
+    import numpy as np
+
     if not counts:
         raise ValueError("no candidates to train on")
     X = np.array([_feature_row(votes, cat) for votes, cat, _ in counts])
@@ -158,7 +152,8 @@ def train(counts: Mapping[tuple[tuple[int, ...], str, float], int],
     loss, _, _ = loss_and_grad(w, b, X, y, l2, freq)
     if not (math.isfinite(loss) and math.isfinite(b) and np.isfinite(w).all()):
         raise ValueError(_DIVERGED)
-    return LogRegModel(w, b, feature_names=feature_names(len(next(iter(counts))[0])),
+    return LogRegModel(tuple(w.tolist()), b,
+                       feature_names=feature_names(len(next(iter(counts))[0])),
                        final_loss=loss)
 
 
@@ -170,10 +165,8 @@ def select_edits(candidates: Sequence[EditCandidate],
     that order.  So two MISS edits conflict at one point, and two SUB/RED
     edits on one word, the only width :func:`gather` gives them.
     """
-    if not candidates:
-        return []
-    scores = model.predict_proba(feature_matrix(candidates)).tolist()
-    kept = [(s, c) for s, c in zip(scores, candidates) if s >= model.threshold]
+    scored = ((model.probability(c.votes, c.edit.category), c) for c in candidates)
+    kept = [(s, c) for s, c in scored if s >= model.threshold]
     kept.sort(key=lambda item: (-item[0], item[1].edit.i,
                                 _CATEGORY_ORDER[item[1].edit.category],
                                 item[1].edit.tgt_tokens))
@@ -198,7 +191,7 @@ def select_and_apply(src_tokens: Sequence[str],
 
 def model_to_dict(model: LogRegModel) -> dict:
     return {
-        "weights": model.weights.tolist(),
+        "weights": list(model.weights),
         "bias": model.bias,
         "threshold": model.threshold,
         "feature_names": model.feature_names,
@@ -215,7 +208,7 @@ def model_from_dict(data: dict) -> LogRegModel:
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                and math.isfinite(v) for v in values):
         raise ValueError("model parameters must be finite numbers")
-    return LogRegModel(np.array(weights, dtype=float), float(values[0]),
+    return LogRegModel(tuple(map(float, weights)), float(values[0]),
                        float(values[1]), data.get("feature_names"))
 
 

@@ -87,6 +87,7 @@ def init_stack(labels, d: int = 64, num_layers: int = 3, seed: int = 0) -> GcnSt
 def gcn_layer(graph: SyntaxGraph, H: np.ndarray, params: GcnLayerParams) -> np.ndarray:
     """One graph-convolution layer over the node matrix H (nodes x d)."""
     d = params.W.shape[0]
+    H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape != (graph.num_nodes, d):
         raise ValueError(
             f"node matrix shape {H.shape} does not match "

@@ -788,18 +788,31 @@ def max_rel_err(analytic, numeric, floor=1e-6) -> float:
 
 # --- ensemble selector oracle -------------------------------------------
 
+def _selector_row(votes, category):
+    """The documented feature row of a candidate: its votes, their mean and
+    a one-hot of its category in SUB, RED, MISS order."""
+    onehot = {"SUB": [1.0, 0.0, 0.0], "RED": [0.0, 1.0, 0.0], "MISS": [0.0, 0.0, 1.0]}
+    return [*map(float, votes), sum(votes) / len(votes), *onehot[category]]
+
+
+def selector_probability_oracle(weights, bias, votes, category):
+    """The edit selector's score of one candidate: the logistic sigmoid of
+    its feature row times ``weights`` plus ``bias``, in the form
+    ``exp(-log(1 + exp(-z)))``, which neither overflows nor warns."""
+    z = np.array(_selector_row(votes, category)) @ np.asarray(weights, dtype=float) + bias
+    return float(np.exp(-np.logaddexp(0.0, -z)))
+
+
 def selector_gd_oracle(examples, labels, lr, epochs, l2):
     """Edit-selector training by plain full-batch gradient descent, one row
     per example: no grouping of equal rows.
 
-    ``examples`` are ``(votes, category)`` pairs.  A row is the votes, their
-    mean and a one-hot of the category (SUB, RED, MISS); the loss is the
-    mean logistic loss plus ``l2 / 2 * |w|^2`` (bias not regularized).
-    Returns (weights, bias) after ``epochs`` steps from zero.
+    ``examples`` are ``(votes, category)`` pairs, each giving one row as
+    :func:`_selector_row` lays it out; the loss is the mean logistic loss
+    plus ``l2 / 2 * |w|^2`` (bias not regularized).  Returns (weights, bias)
+    after ``epochs`` steps from zero.
     """
-    onehot = {"SUB": [1.0, 0.0, 0.0], "RED": [0.0, 1.0, 0.0], "MISS": [0.0, 0.0, 1.0]}
-    X = np.array([[*map(float, votes), sum(votes) / len(votes), *onehot[category]]
-                  for votes, category in examples])
+    X = np.array([_selector_row(votes, category) for votes, category in examples])
     y = np.asarray(labels, dtype=float)
     w = np.zeros(X.shape[1])
     b = 0.0

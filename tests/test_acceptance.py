@@ -21,7 +21,7 @@ from gecsyntax.ensemble import (
     gather, label_candidates, loss_and_grad, row_counts, select_edits,
 )
 from gecsyntax.ensemble import train as train_selector
-from gecsyntax.ensemble import EditCandidate, feature_matrix
+from gecsyntax.ensemble import EditCandidate
 from gecsyntax.gcn import GcnLayerParams, encode_backward, fuse, gcn_encode, gcn_layer
 from gecsyntax.graph import build_graph
 from gecsyntax.projection import project, strip_pseudo
@@ -327,7 +327,7 @@ def test_criterion_7_ensemble_precision_gain():
         toy_labels.append(1.0 if positive else 0.0)
     toy_model = train_selector(row_counts(zip(toy, toy_labels)), lr=0.5, epochs=500,
                                l2=0.0)
-    probs = toy_model.predict_proba(feature_matrix(toy))
+    probs = np.array([toy_model.probability(c.votes, c.edit.category) for c in toy])
     sep_ok = bool(np.all((probs >= 0.5) == np.asarray(toy_labels, bool)))
 
     _report(7, gain_ok and fd_ok and sep_ok,

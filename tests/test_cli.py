@@ -1199,6 +1199,8 @@ sys.exit(code)
     pytest.param(["score", "edits.m2", "edits.m2"], False, id="score"),
     pytest.param(["ensemble-train", "src.txt", "hyp.txt", "edits.m2"], True,
                  id="ensemble-train"),
+    pytest.param(["ensemble-apply", "src.txt", "hyp.txt", "model.json"], False,
+                 id="ensemble-apply"),
 ])
 def test_only_numeric_commands_load_numpy(tmp_path, argv, loads_numpy):
     _write_one_line_inputs(tmp_path)
@@ -1206,6 +1208,14 @@ def test_only_numeric_commands_load_numpy(tmp_path, argv, loads_numpy):
                           env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+def test_importing_the_ensemble_module_loads_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gecsyntax.ensemble; print('numpy' in sys.modules)"],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 # A child process runs one command and reports whether multiprocessing,

@@ -10,7 +10,7 @@ import pytest
 from gecsyntax import edits as E
 from gecsyntax import ensemble
 from gecsyntax.ensemble import (
-    EditCandidate, LogRegModel, feature_matrix, feature_names, gather,
+    EditCandidate, LogRegModel, feature_names, gather,
     label_candidates, loss_and_grad, model_from_dict, model_to_dict, row_counts,
     select_and_apply, select_edits, train,
 )
@@ -18,7 +18,7 @@ from gecsyntax.scoring import corpus_score
 
 from tests.helpers import (
     build_ensemble_corpus, miss, numeric_grad, red, select_edits_oracle,
-    selector_gd_oracle, sub,
+    selector_gd_oracle, selector_probability_oracle, sub,
 )
 
 
@@ -59,10 +59,23 @@ def test_gather_requires_a_hypothesis():
         gather(["a"], [])
 
 
+def _feature_row_by_unit_weights(cand):
+    """A candidate's feature row, read feature by feature as the logit of
+    its probability under a unit weight vector."""
+    row = []
+    for i in range(len(cand.votes) + 4):
+        unit = tuple(1.0 if j == i else 0.0 for j in range(len(cand.votes) + 4))
+        p = LogRegModel(unit, 0.0).probability(cand.votes, cand.edit.category)
+        row.append(math.log(p / (1.0 - p)))
+    return row
+
+
 def test_feature_vector_layout():
     cand = EditCandidate(red(2, "x"), (1, 0, 1))
-    feats = feature_matrix([cand, EditCandidate(miss(0, ["y"]), (0, 0, 1))])
-    assert feats.tolist() == [[1, 0, 1, 2 / 3, 0, 1, 0], [0, 0, 1, 1 / 3, 0, 0, 1]]
+    feats = [_feature_row_by_unit_weights(c)
+             for c in (cand, EditCandidate(miss(0, ["y"]), (0, 0, 1)))]
+    assert feats[0] == pytest.approx([1, 0, 1, 2 / 3, 0, 1, 0], abs=1e-12)
+    assert feats[1] == pytest.approx([0, 0, 1, 1 / 3, 0, 0, 1], abs=1e-12)
     assert feature_names(3) == [
         "system_0", "system_1", "system_2",
         "vote_fraction", "is_sub", "is_red", "is_miss",
@@ -70,9 +83,9 @@ def test_feature_vector_layout():
 
 
 def test_zero_model_predicts_half():
-    model = LogRegModel(np.zeros(7), 0.0)
+    model = LogRegModel((0.0,) * 7, 0.0)
     cand = EditCandidate(sub(0, "a", "b"), (1, 0, 0))
-    assert model.predict_proba(feature_matrix([cand])) == pytest.approx([0.5])
+    assert model.probability(cand.votes, cand.edit.category) == pytest.approx(0.5)
 
 
 def test_loss_gradient_matches_finite_differences():
@@ -107,7 +120,7 @@ def test_separable_toy_set_reaches_full_accuracy():
         cands.append(EditCandidate(cat, votes))
         labels.append(1.0 if positive else 0.0)
     model = train(row_counts(zip(cands, labels)), lr=0.5, epochs=500, l2=0.0)
-    probs = model.predict_proba(feature_matrix(cands))
+    probs = np.array([model.probability(c.votes, c.edit.category) for c in cands])
     acc = np.mean((probs >= 0.5) == np.asarray(labels, bool))
     assert acc == 1.0
     assert model.final_loss is not None and model.final_loss < 0.5
@@ -151,17 +164,17 @@ def test_training_on_counts_matches_training_on_candidates():
         train({})
 
 
-def test_predict_proba_with_huge_weights_warns_nothing():
+def test_probability_with_huge_weights_warns_nothing():
     # A finite model that training with --lr 1e308 can produce.
-    model = LogRegModel(np.full(7, 1e308), 1e308)
+    model = LogRegModel((1e308,) * 7, 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        probs = model.predict_proba(np.ones((2, 7)))
-    assert probs.tolist() == [1.0, 1.0]
+        probs = [model.probability((1, 1, 1), cat) for cat in ("SUB", "MISS")]
+    assert probs == [1.0, 1.0]
 
 
 def test_select_empty_candidates_leaves_source():
-    model = LogRegModel(np.zeros(5), 0.0)
+    model = LogRegModel((0.0,) * 5, 0.0)
     assert select_and_apply(["a", "cat"], [], model) == ["a", "cat"]
 
 
@@ -170,25 +183,25 @@ def test_select_all_gold_reconstructs_target():
     tgt = ["a", "dog", "sat", "down"]
     gold = E.align(src, tgt)
     cands = gather(src, [tgt])
-    model = LogRegModel(np.ones(len(feature_names(1))), 5.0)  # keep all
+    model = LogRegModel((1.0,) * len(feature_names(1)), 5.0)  # keep all
     assert select_and_apply(src, cands, model) == tgt
 
 
 def test_overlapping_candidates_resolved_by_score():
     # score depends only on which system voted: sigma(2.2) ~ 0.9, sigma(0.4) ~ 0.6
-    weights = np.array([2.1972245773362196, 0.40546510810816444, 0.0, 0.0, 0.0, 0.0])
+    weights = (2.1972245773362196, 0.40546510810816444, 0.0, 0.0, 0.0, 0.0)
     model = LogRegModel(weights, 0.0, threshold=0.5)
     strong = EditCandidate(sub(1, "cat", "dog"), (1, 0))
     weak = EditCandidate(sub(1, "cat", "rat"), (0, 1))
-    assert model.predict_proba(feature_matrix([strong, weak])) == pytest.approx(
-        [0.9, 0.6])
+    assert [model.probability(c.votes, c.edit.category)
+            for c in (strong, weak)] == pytest.approx([0.9, 0.6])
     chosen = select_edits([weak, strong], model)
     assert [c.edit for c in chosen] == [strong.edit]
     assert select_and_apply(["a", "cat"], [weak, strong], model) == ["a", "dog"]
 
 
 def test_conflict_tie_breaks_leftmost_then_category():
-    model = LogRegModel(np.zeros(6), 10.0)  # every candidate scores ~1.0
+    model = LogRegModel((0.0,) * 6, 10.0)  # every candidate scores ~1.0
     left = EditCandidate(red(0, "a"), (1, 0))
     right = EditCandidate(red(1, "b"), (0, 1))
     sub_cand = EditCandidate(sub(0, "a", "x"), (1, 1))
@@ -233,7 +246,7 @@ def test_training_is_deterministic():
 
 
 def test_model_json_round_trip():
-    model = LogRegModel(np.array([0.5, -1.0]), 0.25, 0.6, feature_names(2)[:2])
+    model = LogRegModel((0.5, -1.0), 0.25, 0.6, feature_names(2)[:2])
     again = model_from_dict(model_to_dict(model))
     assert np.allclose(again.weights, model.weights)
     assert again.bias == model.bias
@@ -266,16 +279,17 @@ def test_selector_beats_plain_union_precision():
 
 
 def test_sigmoid_stability_extreme_logits():
-    model = LogRegModel(np.array([1000.0]), 0.0)
-    assert model.predict_proba(np.array([[1.0]]))[0] == pytest.approx(1.0)
-    assert model.predict_proba(np.array([[-1.0]]))[0] == pytest.approx(0.0)
+    # One system: the logit is 2000 * vote - 1000, so +-1000.
+    model = LogRegModel((2000.0, 0.0, 0.0, 0.0, 0.0), -1000.0)
+    assert model.probability((1,), "SUB") == pytest.approx(1.0)
+    assert model.probability((0,), "SUB") == pytest.approx(0.0)
     assert math.isfinite(loss_and_grad(np.array([1000.0]), 0.0,
                                        np.array([[1.0]]), np.array([0.0]))[0])
 
 
-def _corpus_candidates(seed):
+def _corpus_candidates(seed, **corpus_args):
     """Per-sentence (candidates, labels) of a synthetic corpus."""
-    sources, golds, hyps = build_ensemble_corpus(seed=seed)
+    sources, golds, hyps = build_ensemble_corpus(seed=seed, **corpus_args)
     out = []
     for i, src in enumerate(sources):
         cands = gather(src, [h[i] for h in hyps])
@@ -300,7 +314,7 @@ def _select_scoring_each_candidate(candidates, model):
     """Threshold and greedy conflict resolution, scoring one candidate at
     a time."""
     return select_edits_oracle(
-        [(float(model.predict_proba(feature_matrix([c])[0])), c) for c in candidates],
+        [(model.probability(c.votes, c.edit.category), c) for c in candidates],
         model.threshold)
 
 
@@ -313,6 +327,20 @@ def test_select_edits_matches_per_candidate_scoring(seed):
         for cands, _ in sentences:
             assert select_edits(cands, model) == _select_scoring_each_candidate(
                 cands, model)
+
+
+def test_probability_is_a_function_of_the_row():
+    sentences = _corpus_candidates(3, n_sentences=300)
+    model = train(row_counts(pair for sent in sentences for pair in zip(*sent)))
+    by_row = {}
+    for cands, _ in sentences:
+        for c in cands:
+            by_row.setdefault((c.votes, c.edit.category), set()).add(
+                model.probability(c.votes, c.edit.category))
+    assert all(len(scores) == 1 for scores in by_row.values())
+    for (votes, category), (score,) in by_row.items():
+        assert abs(score - selector_probability_oracle(
+            model.weights, model.bias, votes, category)) <= 1e-15
 
 
 def _random_candidate(rng, n):
@@ -334,11 +362,11 @@ def test_select_edits_matches_pairwise_oracle_on_tied_scores(seed):
     # Two systems and three categories give at most 12 distinct scores, so
     # most candidates tie and the tie-breaks decide.
     rng = random.Random(seed)
-    model = LogRegModel(np.array([1.0, -1.0, 0.5, 0.5, 0.0, -0.5]), 0.0, threshold=0.4)
+    model = LogRegModel((1.0, -1.0, 0.5, 0.5, 0.0, -0.5), 0.0, threshold=0.4)
     for _ in range(300):
         n = rng.randint(1, 12)
         cands = [_random_candidate(rng, n) for _ in range(rng.randint(1, 25))]
-        scores = model.predict_proba(feature_matrix(cands)).tolist()
+        scores = [model.probability(c.votes, c.edit.category) for c in cands]
         assert select_edits(cands, model) == select_edits_oracle(
             list(zip(scores, cands)), model.threshold)
 
@@ -348,7 +376,7 @@ def test_select_edits_scales_linearly():
     # makes 2e8 comparisons.
     cands = [EditCandidate(miss(i, ["x"]) if i % 3 == 0 else sub(i, "s", "x"), (1,))
              for i in range(20_000)]
-    model = LogRegModel(np.zeros(len(feature_names(1))), 5.0)
+    model = LogRegModel((0.0,) * len(feature_names(1)), 5.0)
     start = time.perf_counter()
     chosen = select_edits(cands, model)
     elapsed = time.perf_counter() - start

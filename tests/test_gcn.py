@@ -80,6 +80,19 @@ def test_layer_rejects_bad_width():
         gcn_layer(g, np.zeros((g.num_nodes, 4)), params)
 
 
+def test_node_matrix_may_be_a_nested_list():
+    g = small_graph()
+    rng = np.random.default_rng(4)
+    params = GcnLayerParams(rng.standard_normal((3, 3)), rng.standard_normal(3))
+    H = rng.standard_normal((g.num_nodes, 3))
+    assert np.array_equal(gcn_layer(g, H.tolist(), params), gcn_layer(g, H, params))
+    bad = np.zeros((g.num_nodes, 4))
+    for H in (bad, bad.tolist()):
+        with pytest.raises(ValueError, match=r"^node matrix shape \(6, 4\) "
+                                             r"does not match \(6, 3\)$"):
+            gcn_layer(g, H, params)
+
+
 def test_zero_layer_stack_returns_initial_matrix():
     g = small_graph()
     stack = init_stack(g.nt_labels, d=5, num_layers=0, seed=1)
