@@ -10,7 +10,7 @@ edit-level P/R/F0.5.
 Every public name is imported from its defining module on first use
 (PEP 562), so ``import gecsyntax`` loads none of them, and a program
 loads only the modules whose names it uses: one that needs no graph,
-GCN or attention name and trains no edit selector never loads numpy.
+GCN or attention name never loads numpy.
 """
 
 import importlib

@@ -4,8 +4,8 @@ Edits proposed by k correction systems for the same source sentence are
 gathered into deduplicated candidates with per-system vote indicators.
 A binary logistic-regression selector, trained on candidates labeled
 against gold edits, decides which candidates to keep; surviving edits are
-conflict-resolved and re-applied to the source.  A candidate's score
-depends only on its feature row and needs no numpy; only training does.
+conflict-resolved and re-applied to the source.  Scoring and training
+share one logit formula in plain floats, so nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ def gather(src_tokens: Sequence[str],
             for sys_idx in systems:
                 found[key][1][sys_idx] = 1
     candidates = [EditCandidate(edit, tuple(votes)) for edit, votes in found.values()]
-    candidates.sort(key=lambda c: (c.edit.i, c.edit.category,
-                                   c.edit.tgt_tokens, c.edit.j))
+    candidates.sort(key=lambda c: (c.edit.i, c.edit.category, c.edit.tgt_tokens))
     return candidates
 
 
@@ -88,10 +87,17 @@ class LogRegModel:
     final_loss: float | None = None
 
     def probability(self, votes: tuple[int, ...], category: str) -> float:
-        """The sigmoid of ``bias + row . weights`` for this feature row."""
-        row = _feature_row(votes, category)
-        z = self.bias + sum(x * w for x, w in zip(row, self.weights, strict=True))
-        return 0.5 * (1.0 + math.tanh(0.5 * z))
+        """The sigmoid of the logit of this feature row."""
+        return _sigmoid(_logit(self.weights, self.bias, _feature_row(votes, category)))
+
+
+def _logit(weights, bias: float, row) -> float:
+    """``bias + row . weights``; ``ValueError`` if their lengths differ."""
+    return bias + sum(x * w for x, w in zip(row, weights, strict=True))
+
+
+def _sigmoid(z: float) -> float:
+    return 0.5 * (1.0 + math.tanh(0.5 * z))
 
 
 def loss_and_grad(weights, bias: float, X, y, l2: float = 0.0, counts=None):
@@ -101,20 +107,19 @@ def loss_and_grad(weights, bias: float, X, y, l2: float = 0.0, counts=None):
     and the mean is over examples.  The bias is not regularized.  Returns
     (loss, grad_weights, grad_bias).
     """
-    import numpy as np
-
-    counts = np.ones(len(y)) if counts is None else np.asarray(counts, dtype=float)
-    total = counts.sum()
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = X @ weights + bias
+    counts = [1.0] * len(y) if counts is None else counts
+    total = sum(counts)
+    loss, residuals = 0.0, []
+    for row, label, count in zip(X, y, counts, strict=True):
+        z = _logit(weights, bias, row)
         # log(1 + exp(-s*z)) with s = +-1, computed stably
-        s = 2.0 * y - 1.0
-        loss = float(counts @ np.logaddexp(0.0, -s * z) / total
-                     + 0.5 * l2 * weights @ weights)
-        residual = counts * (0.5 * (1.0 + np.tanh(0.5 * z)) - y)
-        grad_w = X.T @ residual / total + l2 * weights
-        grad_b = float(residual.sum() / total)
-    return loss, grad_w, grad_b
+        t = (1.0 - 2.0 * label) * z
+        loss += count * (max(t, 0.0) + math.log1p(math.exp(-abs(t))))
+        residuals.append(count * (_sigmoid(z) - label))
+    loss = loss / total + sum(0.5 * l2 * w * w for w in weights)
+    grad_w = [sum(x * r for x, r in zip(column, residuals)) / total + l2 * w
+              for column, w in zip(zip(*X), weights)]
+    return loss, grad_w, sum(residuals) / total
 
 
 def row_counts(labeled: Iterable[tuple[EditCandidate, float]]) -> Counter:
@@ -131,28 +136,24 @@ def train(counts: Mapping[tuple[tuple[int, ...], str, float], int],
     them: each distinct ``(votes, category, label)`` is one row weighted
     by its count, in key order, so the loss is the mean over all
     candidates.  Deterministic: no sampling is involved.  Raises
-    ``ValueError`` if there are no rows, or if the loss or the parameters
-    go non-finite (learning rate too large).
+    ``ValueError`` if there are no candidates, if vote tuples differ in
+    length, or if the loss or the parameters go non-finite (lr too large).
     """
-    import numpy as np
-
-    if not counts:
+    if not sum(counts.values()):
         raise ValueError("no candidates to train on")
-    X = np.array([_feature_row(votes, cat) for votes, cat, _ in counts])
-    y = np.array([label for _, _, label in counts])
-    freq = np.array(list(counts.values()), dtype=float)
-    w = np.zeros(X.shape[1])
-    b = 0.0
+    X = [_feature_row(votes, cat) for votes, cat, _ in counts]
+    y = [label for _, _, label in counts]
+    w, b = [0.0] * len(X[0]), 0.0
     for _ in range(epochs):
-        loss, gw, gb = loss_and_grad(w, b, X, y, l2, freq)
-        if not np.isfinite(loss):
+        loss, gw, gb = loss_and_grad(w, b, X, y, l2, counts.values())
+        if not math.isfinite(loss):
             raise ValueError(_DIVERGED)
-        w -= lr * gw
+        w = [wk - lr * g for wk, g in zip(w, gw)]
         b -= lr * gb
-    loss, _, _ = loss_and_grad(w, b, X, y, l2, freq)
-    if not (math.isfinite(loss) and math.isfinite(b) and np.isfinite(w).all()):
+    loss, _, _ = loss_and_grad(w, b, X, y, l2, counts.values())
+    if not all(map(math.isfinite, (loss, b, *w))):
         raise ValueError(_DIVERGED)
-    return LogRegModel(tuple(w.tolist()), b,
+    return LogRegModel(tuple(w), b,
                        feature_names=feature_names(len(next(iter(counts))[0])),
                        final_loss=loss)
 

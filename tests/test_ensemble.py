@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 import random
 import time
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -146,6 +148,14 @@ def test_training_rejects_divergence_after_the_last_epoch():
         train(row_counts(zip(cands, [1.0, 0.0])), lr=1e300, l2=1.0, epochs=1)
 
 
+def test_training_rejects_rows_of_different_lengths():
+    # Rows of one and of two systems: their vote tuples differ in length.
+    one, two = ((1,), "SUB", 1.0), ((1, 0), "RED", 0.0)
+    for keys in ((one, two), (two, one)):
+        with pytest.raises(ValueError):
+            train(Counter(dict.fromkeys(keys, 1)), epochs=1)
+
+
 def test_training_on_counts_matches_training_on_candidates():
     sources, golds, hyps = build_ensemble_corpus(seed=3, n_sentences=30)
     labeled = []
@@ -160,8 +170,9 @@ def test_training_on_counts_matches_training_on_candidates():
     assert list(merged.items()) == list(whole.items())
     assert (model_to_dict(train(merged, epochs=50))
             == model_to_dict(train(whole, epochs=50)))
-    with pytest.raises(ValueError, match="no candidates"):
-        train({})
+    for empty in ({}, Counter({((1,), "SUB", 1.0): 0})):
+        with pytest.raises(ValueError, match="no candidates"):
+            train(empty)
 
 
 def test_probability_with_huge_weights_warns_nothing():
@@ -297,12 +308,30 @@ def _corpus_candidates(seed, **corpus_args):
     return out
 
 
-@pytest.mark.parametrize("seed", [5, 7])
+def _every_row_of_six_systems():
+    """Candidates and labels giving each of the 6 * (2^6 - 1) = 378 distinct
+    rows of 6 systems, the most an epoch can have: every non-empty vote
+    pattern, category and label, each 1 to 50 times."""
+    rng = random.Random(378)
+    edit = {E.SUB: sub(0, "a", "b"), E.RED: red(0, "a"), E.MISS: miss(0, ["c"])}
+    patterns = [votes for votes in itertools.product((0, 1), repeat=6) if any(votes)]
+    cands, labels = [], []
+    for votes, category, label in itertools.product(patterns, E.CATEGORIES, (0.0, 1.0)):
+        n = rng.randint(1, 50)
+        cands += [EditCandidate(edit[category], votes)] * n
+        labels += [label] * n
+    return cands, labels
+
+
+@pytest.mark.parametrize("corpus", [5, 7, "every-row-of-6-systems"])
 @pytest.mark.parametrize("l2", [0.0, 0.01])
-def test_grouped_training_matches_per_row_oracle(seed, l2):
-    sentences = _corpus_candidates(seed)
-    cands = [c for sent, _ in sentences for c in sent]
-    labels = [y for _, sent in sentences for y in sent]
+def test_grouped_training_matches_per_row_oracle(corpus, l2):
+    if corpus == "every-row-of-6-systems":
+        cands, labels = _every_row_of_six_systems()
+    else:
+        sentences = _corpus_candidates(corpus)
+        cands = [c for sent, _ in sentences for c in sent]
+        labels = [y for _, sent in sentences for y in sent]
     model = train(row_counts(zip(cands, labels)), lr=0.5, epochs=500, l2=l2)
     w, b = selector_gd_oracle([(c.votes, c.edit.category) for c in cands],
                               labels, lr=0.5, epochs=500, l2=l2)
